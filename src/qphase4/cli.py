@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
 from . import clifford, gf4, phasespace, symplectic, wigner
-from .exact import Matrix, Scalar, vector
+from .exact import Matrix, Scalar
 from .single_qubit import single_qubit_demo
+from .symplectic import DomainError
+from .wigner import StateError
 
 EXIT_FAIL = 1
 EXIT_PARSE = 2
@@ -25,10 +26,6 @@ EXIT_STATE = 4
 
 
 class ParseError(Exception):
-    pass
-
-
-class StateError(Exception):
     pass
 
 
@@ -72,13 +69,13 @@ def parse_state(text: str) -> Matrix:
         try:
             with open(text[1:], encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, RecursionError, ValueError) as e:
             raise StateError(f"cannot read state file: {e}") from None
         return _state_from_json(obj)
     if text.startswith("{") or text.startswith("["):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (RecursionError, ValueError) as e:
             raise StateError(f"bad state JSON: {e}") from None
         return _state_from_json(obj)
     parts = text.split("*")
@@ -95,13 +92,11 @@ def parse_state(text: str) -> Matrix:
 def _state_from_json(obj) -> Matrix:
     try:
         if isinstance(obj, dict) and "vector" in obj:
-            return wigner.density_from_vector(
-                vector(Scalar.from_json(s) for s in obj["vector"])
-            )
+            return wigner.density_from_vector(Scalar.from_json(s) for s in obj["vector"])
         if isinstance(obj, dict) and "density" in obj:
             return wigner.validate_density(Matrix.from_json(obj["density"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise StateError(f"invalid state: {e}") from None
+    except (TypeError, ValueError) as e:
+        raise StateError(str(e)) from None
     raise StateError('state JSON must contain "vector" or "density"')
 
 
@@ -328,6 +323,16 @@ def cmd_census(args) -> int:
     return 0
 
 
+def _verify_metaplectic() -> str:
+    n = clifford.verify_metaplectic()["checked"]
+    return f"metaplectic: {n}/{n} signs in {{+1,-1}}"
+
+
+def _verify_rep() -> str:
+    n = clifford.verify_projective_rep()["checked"]
+    return f"rep: {n}/{n} pairs, phases in {{1,i,-1,-i}}"
+
+
 def _verify_transport() -> str:
     states = wigner.standard_test_states()
     count = 0
@@ -350,37 +355,29 @@ def _verify_marginals() -> str:
 
 
 def _verify_symmetry() -> str:
+    count = 0
     for L in symplectic.enumerate_group():
         wigner.rotational_symmetry_check(L)
-    return "symmetry: 60/60 conjugated rotations, period 5, all striations cycled"
+        count += 1
+    return f"symmetry: {count}/{count} conjugated rotations, period 5, all striations cycled"
+
+
+def _verify_single_qubit() -> str:
+    single_qubit_demo()
+    return "single-qubit: rotation covariance, reinterpretation, reflection obstruction"
 
 
 _VERIFY_SCOPES = {
-    "metaplectic": lambda: (
-        clifford.verify_metaplectic(),
-        "metaplectic: 960/960 signs in {+1,-1}",
-    )[1],
-    "rep": lambda: (
-        clifford.verify_projective_rep(),
-        "rep: 3600/3600 pairs, phases in {1,i,-1,-i}",
-    )[1],
+    "metaplectic": _verify_metaplectic,
+    "rep": _verify_rep,
     "transport": _verify_transport,
     "marginals": _verify_marginals,
     "symmetry": _verify_symmetry,
-    "single-qubit": lambda: (
-        single_qubit_demo(),
-        "single-qubit: rotation covariance, reinterpretation, reflection obstruction",
-    )[1],
+    "single-qubit": _verify_single_qubit,
 }
 
 
 def cmd_verify(args) -> int:
-    # QPHASE4_THREADS caps verification parallelism; the sweeps currently run
-    # sequentially, which respects any cap >= 1.
-    threads = os.environ.get("QPHASE4_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print(f"parse error: QPHASE4_THREADS must be a positive integer", file=sys.stderr)
-        return EXIT_PARSE
     scopes = list(_VERIFY_SCOPES) if args.scope == "all" else [args.scope]
     for scope in scopes:
         try:
@@ -449,13 +446,10 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except DomainError as e:
+        print(f"domain error: {e}", file=sys.stderr)
+        return EXIT_DOMAIN
     except StateError as e:
-        print(f"invalid state: {e}", file=sys.stderr)
-        return EXIT_STATE
-    except ValueError as e:
-        if "not symplectic" in str(e):
-            print(f"domain error: {e}", file=sys.stderr)
-            return EXIT_DOMAIN
         print(f"invalid state: {e}", file=sys.stderr)
         return EXIT_STATE
 

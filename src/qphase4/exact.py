@@ -78,7 +78,14 @@ class Scalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scalar":
-        return cls(Fraction(*obj["re"]), Fraction(*obj["im"]))
+        """Inverse of to_json; anything but two [int, nonzero int] parts is a
+        ValueError, so no float, string or bool reaches the exact arithmetic."""
+        parts = [obj.get(key) if isinstance(obj, dict) else None for key in ("re", "im")]
+        for part in parts:
+            if not (isinstance(part, list) and len(part) == 2
+                    and all(type(x) is int for x in part) and part[1] != 0):
+                raise ValueError(f"scalar parts must be [integer, nonzero integer]: {obj!r}")
+        return cls(Fraction(*parts[0]), Fraction(*parts[1]))
 
 
 ZERO = Scalar(0)

@@ -103,10 +103,6 @@ def vec_add(u: Vec2, v: Vec2) -> Vec2:
     return (add(u[0], v[0]), add(u[1], v[1]))
 
 
-def scale(c: int, v: Vec2) -> Vec2:
-    return (mul(c, v[0]), mul(c, v[1]))
-
-
 def slope(v: Vec2):
     """Slope p/q of a nonzero vector; INF when q == 0."""
     q, p = v

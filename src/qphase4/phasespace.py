@@ -42,7 +42,8 @@ def _striation_of_slope() -> dict:
     for n in range(5):
         pt = next(p for p in line_points(n, 0) if p != (0, 0))
         out[gf4.slope(pt)] = n
-    assert len(out) == 5
+    if len(out) != 5:
+        raise AssertionError("the five striations do not have distinct ray slopes")
     return out
 
 
@@ -67,7 +68,8 @@ def point_index_by_membership(alpha: Vec2) -> Index:
     out = []
     for n in range(5):
         ks = [k for k in ELEMENTS if alpha in line_points(n, k)]
-        assert len(ks) == 1
+        if len(ks) != 1:
+            raise AssertionError(f"{alpha} lies on {len(ks)} lines of striation {n}")
         out.append(ks[0])
     return tuple(out)
 
@@ -89,8 +91,7 @@ def index_operator(L: SympMat) -> IndexOperator:
     striation m; the entry is the common ratio of transformed to original
     line labels, checked to agree over every admissible displacement.
     """
-    if gf4.det(L) != 1:
-        raise ValueError(f"matrix is not symplectic (det != 1): {L}")
+    symplectic.require_symplectic(L)
     q, p = qp_vectors()
     slopes = _striation_of_slope()
     rows = [[0] * 5 for _ in range(5)]
@@ -105,7 +106,8 @@ def index_operator(L: SympMat) -> IndexOperator:
             lb = gf4.mat_vec(L, beta)
             num = gf4.add(gf4.mul(lb[0], q[m]), gf4.mul(lb[1], p[m]))
             values.add(gf4.div(num, den))
-        assert len(values) == 1, f"index-operator entry not well defined for {L}"
+        if len(values) != 1:
+            raise AssertionError(f"index-operator entry not well defined for {L}")
         rows[m][n] = values.pop()
     return tuple(tuple(r) for r in rows)
 
@@ -130,8 +132,7 @@ def shift_vector(L: SympMat) -> Index:
     Component n is the slope of R^-n L H_W^T L^T R^-n (1,0)^T, which is
     always finite for symplectic L.
     """
-    if gf4.det(L) != 1:
-        raise ValueError(f"matrix is not symplectic (det != 1): {L}")
+    symplectic.require_symplectic(L)
     core = gf4.mat_mul(gf4.mat_mul(L, _H_WBAR_T), gf4.transpose(L))
     out = []
     for n in range(5):
@@ -153,5 +154,6 @@ def compose_frame(f: Index, L: SympMat) -> Index:
 def canonical_shift_vectors() -> tuple[Index, ...]:
     """The 12 distinct shift vectors arising from the 60 group elements."""
     vecs = sorted({shift_vector(L) for L in symplectic.enumerate_group()})
-    assert len(vecs) == 12
+    if len(vecs) != 12:
+        raise AssertionError(f"expected 12 canonical shift vectors, found {len(vecs)}")
     return tuple(vecs)

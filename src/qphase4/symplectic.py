@@ -28,17 +28,13 @@ def shear(x: int) -> SympMat:
     return ((1, 0), (x, 1))
 
 
-def rotation() -> SympMat:
-    return R
+class DomainError(ValueError):
+    """A matrix outside the symplectic group was given where one is required."""
 
 
-def is_symplectic(m: Mat2) -> bool:
-    return gf4.det(m) == 1
-
-
-def _require_symplectic(m: Mat2) -> None:
-    if not is_symplectic(m):
-        raise ValueError(f"matrix is not symplectic (det != 1): {m}")
+def require_symplectic(m: Mat2) -> None:
+    if gf4.det(m) != 1:
+        raise DomainError(f"matrix is not symplectic (det != 1): {m}")
 
 
 def product(a: SympMat, b: SympMat) -> SympMat:
@@ -65,7 +61,8 @@ def enumerate_group() -> tuple[SympMat, ...]:
         for r in range(5):
             for s in range(5):
                 out.append(gf4.mat_mul(r_pow[r], gf4.mat_mul(shear(x), r_pow[s])))
-    assert len(set(out)) == 60
+    if len(set(out)) != 60:
+        raise AssertionError("group enumeration did not give 60 distinct matrices")
     return tuple(out)
 
 
@@ -101,7 +98,7 @@ def decompose(L: SympMat) -> Decomposition:
     exponents follow from the slopes of small auxiliary vectors via fixed
     five-row tables.
     """
-    _require_symplectic(L)
+    require_symplectic(L)
     lt = gf4.transpose(L)
     m = gf4.mat_mul(gf4.mat_mul(lt, _H_WBAR), gf4.mat_mul(L, _H_WBAR))
     x = gf4.sqrt(gf4.add(m[0][0], m[1][1]))

@@ -24,6 +24,10 @@ from .symplectic import SympMat
 QUARTER = Scalar(Fraction(1, 4))
 
 
+class StateError(ValueError):
+    """A rejected state: not four amplitudes, or not a 4x4 density operator."""
+
+
 @dataclass(frozen=True)
 class WignerFrame:
     """A shift vector f with its 16 phase point operators and line labels."""
@@ -85,9 +89,11 @@ def operator_index(a: Matrix) -> Index:
 def density_from_vector(v) -> Matrix:
     """Density operator v v^dag / |v|^2 from an unnormalized state vector."""
     v = vector(v)
+    if len(v) != 4:
+        raise StateError(f"state vector must have 4 entries, got {len(v)}")
     n = norm_sq(v)
     if n == 0:
-        raise ValueError("zero vector is not a state")
+        raise StateError("zero vector is not a state")
     return outer(v, v).scaled(Fraction(1) / n)
 
 
@@ -101,14 +107,14 @@ def validate_density(rho: Matrix) -> Matrix:
     exactly.
     """
     if rho.n != 4:
-        raise ValueError("density operator must be 4x4")
+        raise StateError("density operator must be 4x4")
     if not rho.is_hermitian():
-        raise ValueError("density operator is not Hermitian")
+        raise StateError("density operator is not Hermitian")
     if rho.trace() != Scalar(1):
-        raise ValueError("density operator does not have trace 1")
+        raise StateError("density operator does not have trace 1")
     for minor in _principal_minors(rho):
         if minor.im != 0 or minor.re < 0:
-            raise ValueError("density operator is not positive semidefinite")
+            raise StateError("density operator is not positive semidefinite")
     return rho
 
 
@@ -131,7 +137,11 @@ def _det(rows):
     return total
 
 
-@lru_cache(maxsize=None)
+# Bounded: the verify sweep's working set is 624 keys, so it never evicts,
+# while a stream of fresh states would otherwise grow the cache (and peak
+# memory) with every request served.  It stays an lru_cache because the
+# benchmark reads wigner_table.cache_info().
+@lru_cache(maxsize=1024)
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     """W^f_alpha = Tr(A^f_alpha rho) / 4 for all 16 points."""
     fr = frame(f)
@@ -212,12 +222,9 @@ def census() -> dict:
         e = similarity_class(f)
         class_counts[e] = class_counts.get(e, 0) + 1
         orbit = {phasespace.displace_index(f, beta) for beta in gf4.all_points()}
-        assert len(orbit) == 16
         rep = min(orbit)
-        if rep in orbit_reps:
-            assert orbit_reps[rep] == e
-        else:
-            orbit_reps[rep] = e
+        if len(orbit) != 16 or orbit_reps.setdefault(rep, e) != e:
+            raise AssertionError(f"displacement orbit of {f} is not 16 frames of one class")
     orbit_counts = {}
     for e in orbit_reps.values():
         orbit_counts[e] = orbit_counts.get(e, 0) + 1
@@ -256,13 +263,11 @@ def rotational_symmetry_check(L: SympMat, states=None) -> dict:
     r_l = symplectic.product(
         symplectic.product(L, symplectic.R), symplectic.inverse(L)
     )
-    power = r_l
-    period = 1
-    while power != symplectic.IDENTITY:
+    power, period = r_l, 1
+    while power != symplectic.IDENTITY and period < 5:
         power = symplectic.product(power, r_l)
         period += 1
-        assert period <= 5
-    if period != 5:
+    if power != symplectic.IDENTITY or period != 5:
         raise AssertionError(f"R_L does not have period 5 for {symplectic.to_text(L)}")
 
     s_rl = phasespace.index_operator(r_l)
@@ -328,6 +333,3 @@ def reconstruct(table: WignerTable) -> Matrix:
     if not rho.is_hermitian() or rho.trace() != Scalar(1):
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
     return rho
-
-
-from .single_qubit import single_qubit_demo  # noqa: E402,F401

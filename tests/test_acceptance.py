@@ -15,6 +15,7 @@ from qphase4 import clifford, gf4, phasespace, symplectic, wigner
 from qphase4.exact import Matrix, Scalar, inner, norm_sq
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
+from qphase4.single_qubit import single_qubit_demo
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -206,7 +207,7 @@ def test_10_rotational_symmetry():
 
 def test_11_single_qubit_demo():
     with criterion(11, "single-qubit demo: covariance, reinterpretation, obstruction"):
-        rep = wigner.single_qubit_demo()
+        rep = single_qubit_demo()
         assert rep["points_checked"] == 4
         assert rep["rotation_covariance"] and rep["reinterpretation"]
         assert rep["bloch_reflection_determinant"] == -1

@@ -1,16 +1,22 @@
 """Command-line parsing, rendering, exit codes, and JSON output."""
 
+import ast
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from qphase4 import cli, gf4, phasespace, symplectic, wigner
+import qphase4
+from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
 from qphase4.gf4 import OMEGA, OMEGA_BAR
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 G_TEXT = "[[W,0],[0,w]]"
+NON_SYMPLECTIC = "[[1,0],[0,w]]"
+ONE = {"re": [1, 1], "im": [0, 1]}
 
 
 def run(capsys, *argv):
@@ -62,6 +68,9 @@ def test_parse_state_json_density(tmp_path):
     assert cli.parse_state(f"@{path}") == rho
     with pytest.raises(cli.StateError):
         cli.parse_state(f"@{tmp_path / 'missing.json'}")
+    path.write_bytes(b"\xff\xfe not utf-8")
+    with pytest.raises(cli.StateError):
+        cli.parse_state(f"@{path}")
 
 
 def test_parse_op():
@@ -186,14 +195,19 @@ def test_verify_fast_scopes(capsys):
         assert out.strip().startswith(scope.split("-")[0])
 
 
-def test_verify_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("QPHASE4_THREADS", "2")
-    code, _, _ = run(capsys, "verify", "single-qubit")
+def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(clifford, "verify_metaplectic", lambda: {"checked": 7, "signs": {}})
+    code, out, _ = run(capsys, "verify", "metaplectic")
     assert code == 0
-    monkeypatch.setenv("QPHASE4_THREADS", "0")
-    code, _, err = run(capsys, "verify", "single-qubit")
-    assert code == 2
-    assert "QPHASE4_THREADS" in err
+    assert out == "metaplectic: 7/7 signs in {+1,-1}\n"
+
+
+def test_src_has_no_bare_assert():
+    # verify maps AssertionError to exit 1; a bare assert vanishes under -O.
+    for path in sorted(pathlib.Path(qphase4.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: bare assert at lines {lines}"
 
 
 def test_exit_code_parse_error(capsys):
@@ -215,3 +229,30 @@ def test_exit_code_invalid_state(capsys):
     bad = json.dumps({"density": wigner.Matrix.identity(4).to_json()})
     code, _, err = run(capsys, "wigner", "--state", bad)
     assert code == 4
+
+
+def _state(first=ONE, n=4):
+    return json.dumps({"vector": [first] + [ONE] * (n - 1)})
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *((["wigner", "--state", _state({"re": re, "im": [0, 1]})], 4)
+          for re in ([1, 0], [0.1], ["1/2"], [], [True])),
+        (["wigner", "--state", _state(n=2)], 4),
+        (["wigner", "--state", json.dumps({"density": [[ONE, ONE], [ONE, ONE]]})], 4),
+        (["wigner", "--state", "[" * 10000], 4),
+        *(([command, NON_SYMPLECTIC], 3) for command in ("decompose", "unitary", "shift", "indexop")),
+        (["apply", "--state", "up*up", NON_SYMPLECTIC], 3),
+    ],
+    ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "density-2x2", "nested",
+         "decompose", "unitary", "shift", "indexop", "apply"],
+)
+def test_rejected_input_exit_code(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qphase4.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -8,6 +8,7 @@ from qphase4 import clifford, gf4, phasespace, symplectic, wigner
 from qphase4.exact import Matrix, Scalar
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
+from qphase4.single_qubit import single_qubit_demo
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 UP_RIGHT = wigner.density_from_vector([1, 1, 0, 0])
@@ -246,6 +247,6 @@ def test_validate_density():
 
 
 def test_single_qubit_demo():
-    rep = wigner.single_qubit_demo()
+    rep = single_qubit_demo()
     assert rep["points_checked"] == 4
     assert rep["bloch_reflection_determinant"] == -1
