@@ -349,17 +349,20 @@ def _verify_marginals() -> str:
     count = 0
     for f in phasespace.canonical_shift_vectors():
         for rho in states:
-            wigner.marginal_check(rho, f)
+            rep = wigner.marginal_check(rho, f)
             count += 1
-    return f"marginals: {count}/{count} (frame, state) pairs, 20 lines + 16 displacements each"
+    return (f"marginals: {count}/{count} (frame, state) pairs, "
+            f"{rep['lines']} lines + {rep['displacements']} displacements each")
 
 
 def _verify_symmetry() -> str:
     count = 0
     for L in symplectic.enumerate_group():
-        wigner.rotational_symmetry_check(L)
+        rep = wigner.rotational_symmetry_check(L)
         count += 1
-    return f"symmetry: {count}/{count} conjugated rotations, period 5, all striations cycled"
+    cycled = "all" if rep["striations_cycled"] == 5 else rep["striations_cycled"]
+    return (f"symmetry: {count}/{count} conjugated rotations, "
+            f"period {rep['period']}, {cycled} striations cycled")
 
 
 def _verify_single_qubit() -> str:

@@ -12,6 +12,12 @@ from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
+#: Largest decimal length of a numerator or denominator read from JSON.
+#: Wigner values and transported states of inputs at this bound stay below
+#: Python's 4300-digit limit on converting integers to text (a vector of
+#: sixteen distinct 100-digit parts gives about 1600 digits).
+MAX_JSON_DIGITS = 100
+
 
 class Scalar:
     """A complex number with exact rational real and imaginary parts."""
@@ -78,13 +84,16 @@ class Scalar:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scalar":
-        """Inverse of to_json; anything but two [int, nonzero int] parts is a
-        ValueError, so no float, string or bool reaches the exact arithmetic."""
+        """Inverse of to_json; anything but two [int, nonzero int] parts of at
+        most MAX_JSON_DIGITS digits is a ValueError, so no float, string, bool
+        or unprintably large integer reaches the exact arithmetic."""
         parts = [obj.get(key) if isinstance(obj, dict) else None for key in ("re", "im")]
         for part in parts:
             if not (isinstance(part, list) and len(part) == 2
                     and all(type(x) is int for x in part) and part[1] != 0):
                 raise ValueError(f"scalar parts must be [integer, nonzero integer]: {obj!r}")
+            if any(abs(x) >= 10**MAX_JSON_DIGITS for x in part):
+                raise ValueError(f"scalar parts must have at most {MAX_JSON_DIGITS} digits")
         return cls(Fraction(*parts[0]), Fraction(*parts[1]))
 
 

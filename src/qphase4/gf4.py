@@ -12,8 +12,6 @@ a cyclic group of order 3.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 OMEGA = 2
 OMEGA_BAR = 3
 
@@ -126,10 +124,6 @@ def expand(x: int) -> tuple[int, int]:
     return ((0, 0), (1, 1), (0, 1), (1, 0))[x]
 
 
-def unexpand(x1: int, x2: int) -> int:
-    return add(mul(x1, OMEGA_BAR), mul(x2, OMEGA))
-
-
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
     return tuple(
         tuple(add(mul(a[i][0], b[0][j]), mul(a[i][1], b[1][j])) for j in range(2))
@@ -171,8 +165,11 @@ def mat_pow(a: Mat2, n: int) -> Mat2:
     return out
 
 
-def all_points() -> Iterable[Vec2]:
-    """The 16 points of the phase space, q varying slowest."""
-    for q in ELEMENTS:
-        for p in ELEMENTS:
-            yield (q, p)
+_POINTS = tuple((q, p) for q in ELEMENTS for p in ELEMENTS)
+
+
+def all_points() -> tuple[Vec2, ...]:
+    """The 16 points of the phase space, q varying slowest.
+
+    One shared tuple, so tables keyed by points share their keys."""
+    return _POINTS

@@ -63,17 +63,6 @@ def point_index(alpha: Vec2) -> Index:
     )
 
 
-def point_index_by_membership(alpha: Vec2) -> Index:
-    """Index computed by direct line-membership search (test oracle)."""
-    out = []
-    for n in range(5):
-        ks = [k for k in ELEMENTS if alpha in line_points(n, k)]
-        if len(ks) != 1:
-            raise AssertionError(f"{alpha} lies on {len(ks)} lines of striation {n}")
-        out.append(ks[0])
-    return tuple(out)
-
-
 def displace_index(idx: Index, beta: Vec2) -> Index:
     """Index after displacement by beta: add beta_q Q + beta_p P."""
     return tuple(gf4.add(a, b) for a, b in zip(idx, point_index(beta)))

@@ -1,12 +1,13 @@
 """Wigner frames, tables, transport, and the classification of definitions.
 
-A frame is fixed by a five-component GF(4) vector f: its origin operator is
-the sum of one projector per mutually unbiased basis, picking vector f_n
-from basis n, minus the identity; the other 15 phase point operators follow
-by displacement.  Performing the unitary of a symplectic matrix L is the
-same as permuting Wigner values by L while replacing frame f with
-S_L f + f_L -- the transport function computes both sides and insists they
-agree entry by entry.
+A frame is fixed by a five-component GF(4) vector f: its phase point
+operator at alpha is the sum of the projectors onto vector (f + I(alpha))_n
+of each mutually unbiased basis n, minus the identity.  Tables are therefore
+read off the 20 MUB Born probabilities and reconstruction sums the 20
+projectors by line sums; frame() builds the 16 operators as the test oracle.
+Performing the unitary of a symplectic matrix L is the same as permuting
+Wigner values by L while replacing frame f with S_L f + f_L -- the
+transport function computes both sides and insists they agree entry by entry.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 
 from . import clifford, gf4, phasespace, symplectic
 from .exact import Matrix, Scalar, inner, mat_vec, norm_sq, outer, vector
 from .gf4 import ELEMENTS, Vec2
 from .phasespace import Index, ZERO_INDEX
 from .symplectic import SympMat
-
-QUARTER = Scalar(Fraction(1, 4))
 
 
 class StateError(ValueError):
@@ -49,6 +49,9 @@ class WignerTable:
 
     def total(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
+
+    def line_sum(self, n: int, k: int) -> Fraction:
+        return sum((self.values[pt] for pt in phasespace.line_points(n, k)), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -119,8 +122,6 @@ def validate_density(rho: Matrix) -> Matrix:
 
 
 def _principal_minors(m: Matrix):
-    from itertools import combinations
-
     for size in range(1, m.n + 1):
         for idx in combinations(range(m.n), size):
             yield _det([[m.rows[i][j] for j in idx] for i in idx])
@@ -143,14 +144,16 @@ def _det(rows):
 # benchmark reads wigner_table.cache_info().
 @lru_cache(maxsize=1024)
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
-    """W^f_alpha = Tr(A^f_alpha rho) / 4 for all 16 points."""
-    fr = frame(f)
+    """W^f_alpha = Tr(A^f_alpha rho) / 4: five of the 20 Born probabilities
+    (basis n, vector (f + I(alpha))_n) minus Tr(rho), over 4.  The projectors
+    are informationally complete, so a non-Hermitian rho raises ValueError."""
+    prob = {(n, k): clifford.born_probability(rho, clifford.mub_vector(n, k))
+            for n in range(5) for k in ELEMENTS}
+    trace = rho.trace().re
     values = {}
-    for alpha, a in fr.ops.items():
-        val = (a @ rho).trace() * QUARTER
-        if val.im != 0:
-            raise ValueError("Wigner value is not real; state is not Hermitian")
-        values[alpha] = val.re
+    for alpha in gf4.all_points():
+        idx = phasespace.displace_index(f, alpha)
+        values[alpha] = (sum(prob[(n, idx[n])] for n in range(5)) - trace) / 4
     return WignerTable(f=f, values=values)
 
 
@@ -201,8 +204,6 @@ def similarity_class(f: Index) -> int:
 
 
 def _all_indices():
-    from itertools import product
-
     return product(ELEMENTS, repeat=5)
 
 
@@ -307,12 +308,8 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     checked = 0
     for n in range(5):
         for k in ELEMENTS:
-            line_sum = sum(
-                (table.values[pt] for pt in phasespace.line_points(n, k)),
-                Fraction(0),
-            )
             b = clifford.mub_vector(n, gf4.add(k, f[n]))
-            if line_sum != clifford.born_probability(rho, b):
+            if table.line_sum(n, k) != clifford.born_probability(rho, b):
                 raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
             checked += 1
     for beta in gf4.all_points():
@@ -325,11 +322,14 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
 
 
 def reconstruct(table: WignerTable) -> Matrix:
-    """Inverse transform: rho = sum_alpha W_alpha A^f_alpha."""
-    fr = frame(table.f)
-    rho = Matrix.identity(4).scaled(0)
-    for alpha, w in table.values.items():
-        rho = rho + fr.ops[alpha].scaled(w)
+    """Inverse transform: rho = sum_alpha W_alpha A^f_alpha, collected per
+    line: line sums times the projectors onto the frame's labels (unit MUB
+    vectors), minus the total times I.  The same map on every table."""
+    rho = Matrix.identity(4).scaled(-table.total())
+    for n, k in product(range(5), ELEMENTS):
+        w = Scalar(table.line_sum(n, k))
+        b = clifford.mub_vector(n, gf4.add(k, table.f[n]))
+        rho = rho + outer([w * x for x in b], b)
     if not rho.is_hermitian() or rho.trace() != Scalar(1):
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
     return rho

@@ -11,6 +11,7 @@ import pytest
 
 import qphase4
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
+from qphase4.exact import MAX_JSON_DIGITS
 from qphase4.gf4 import OMEGA, OMEGA_BAR
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -193,13 +194,34 @@ def test_verify_fast_scopes(capsys):
         code, out, _ = run(capsys, "verify", scope)
         assert code == 0
         assert out.strip().startswith(scope.split("-")[0])
+        # -O drops assert statements; the sweeps' own checks must still run.
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "qphase4.cli", "verify", scope],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == out
 
 
-def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch):
-    monkeypatch.setattr(clifford, "verify_metaplectic", lambda: {"checked": 7, "signs": {}})
-    code, out, _ = run(capsys, "verify", "metaplectic")
+@pytest.mark.parametrize(
+    "scope, module, name, report, line",
+    [
+        ("metaplectic", clifford, "verify_metaplectic", {"checked": 7, "signs": {}},
+         "metaplectic: 7/7 signs in {+1,-1}"),
+        ("marginals", wigner, "marginal_check", {"lines": 3, "displacements": 2},
+         "marginals: 72/72 (frame, state) pairs, 3 lines + 2 displacements each"),
+        ("symmetry", wigner, "rotational_symmetry_check",
+         {"period": 3, "striations_cycled": 2, "states": 6},
+         "symmetry: 60/60 conjugated rotations, period 3, 2 striations cycled"),
+    ],
+    ids=["metaplectic", "marginals", "symmetry"],
+)
+def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch, scope, module, name,
+                                                report, line):
+    monkeypatch.setattr(module, name, lambda *args: report)
+    code, out, _ = run(capsys, "verify", scope)
     assert code == 0
-    assert out == "metaplectic: 7/7 signs in {+1,-1}\n"
+    assert out == line + "\n"
 
 
 def test_src_has_no_bare_assert():
@@ -235,6 +257,12 @@ def _state(first=ONE, n=4):
     return json.dumps({"vector": [first] + [ONE] * (n - 1)})
 
 
+def _digits(digits, k=1):
+    """A scalar whose four parts are distinct integers of `digits` digits."""
+    top = 10**digits
+    return {"re": [top - k, top - k - 1], "im": [top - k - 2, top - k - 3]}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -243,11 +271,13 @@ def _state(first=ONE, n=4):
         (["wigner", "--state", _state(n=2)], 4),
         (["wigner", "--state", json.dumps({"density": [[ONE, ONE], [ONE, ONE]]})], 4),
         (["wigner", "--state", "[" * 10000], 4),
+        (["wigner", "--state", _state(_digits(1100)), "--json"], 4),
+        (["wigner", "--state", _state(_digits(MAX_JSON_DIGITS + 1))], 4),
         *(([command, NON_SYMPLECTIC], 3) for command in ("decompose", "unitary", "shift", "indexop")),
         (["apply", "--state", "up*up", NON_SYMPLECTIC], 3),
     ],
     ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "density-2x2", "nested",
-         "decompose", "unitary", "shift", "indexop", "apply"],
+         "digits-1100", "digits-over-bound", "decompose", "unitary", "shift", "indexop", "apply"],
 )
 def test_rejected_input_exit_code(argv, code):
     proc = subprocess.run(
@@ -256,3 +286,13 @@ def test_rejected_input_exit_code(argv, code):
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_state_at_digit_bound(capsys):
+    state = json.dumps({"vector": [_digits(MAX_JSON_DIGITS, 4 * i + 1) for i in range(4)]})
+    for command, *rest in (["wigner"], ["wigner", "--json"], ["apply", G_TEXT, "D[w,1]"],
+                           ["apply", "--json", G_TEXT, "D[w,1]"]):
+        code, out, err = run(capsys, command, "--state", state, *rest)
+        assert code == 0 and not err
+        if "--json" in rest:
+            json.loads(out)

@@ -12,12 +12,22 @@ from qphase4.phasespace import (
     index_operator,
     line_points,
     point_index,
-    point_index_by_membership,
     qp_vectors,
     shift_vector,
 )
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
+
+
+def point_index_by_membership(alpha):
+    """Index computed by direct line-membership search (test oracle)."""
+    out = []
+    for n in range(5):
+        ks = [k for k in ELEMENTS if alpha in line_points(n, k)]
+        if len(ks) != 1:
+            raise AssertionError(f"{alpha} lies on {len(ks)} lines of striation {n}")
+        out.append(ks[0])
+    return tuple(out)
 
 
 def test_vertical_lines():

@@ -1,6 +1,8 @@
 """Frames, Wigner tables, transport, and the classification of definitions."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +14,23 @@ from qphase4.single_qubit import single_qubit_demo
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 UP_RIGHT = wigner.density_from_vector([1, 1, 0, 0])
+
+
+def _generic_state():
+    """A full-rank mixture of four generic pure states with weights 1..4 / 10."""
+    vectors = (
+        [1, Scalar(2, -1), Scalar(0, 3), -4],
+        [Scalar(1, 1), 0, 5, Scalar(0, -2)],
+        [3, -1, Scalar(2, 2), 1],
+        [0, Scalar(1, -3), 1, 2],
+    )
+    rho = Matrix.identity(4).scaled(0)
+    for weight, v in enumerate(vectors, start=1):
+        rho = rho + wigner.density_from_vector(v).scaled(Fraction(weight, 10))
+    return wigner.validate_density(rho)
+
+
+GENERIC = _generic_state()
 
 
 def test_frame_origin_operator():
@@ -82,6 +101,54 @@ def test_index_transport_of_general_phase_point_operators():
                     f_l,
                 )
                 assert wigner.operator_index(moved) == expect
+
+
+def _oracle_frames():
+    """The 12 canonical frames plus the first four others of each class."""
+    canonical = phasespace.canonical_shift_vectors()
+    others = {e: [] for e in ELEMENTS}
+    for f in product(ELEMENTS, repeat=5):
+        bucket = others[wigner.similarity_class(f)]
+        if f not in canonical and len(bucket) < 4:
+            bucket.append(f)
+    return [*canonical, *(f for bucket in others.values() for f in bucket)]
+
+
+def _trace_of_product(a, b):
+    """Tr(a @ b), without the off-diagonal entries of the product."""
+    return sum((x * y for row, col in zip(a.rows, zip(*b.rows)) for x, y in zip(row, col)),
+               Scalar(0))
+
+
+def _operator_sum(table, ops):
+    """sum_alpha W_alpha A^f_alpha over the frame's operators."""
+    return sum((a.scaled(table.values[alpha]) for alpha, a in ops.items()),
+               Matrix.identity(4).scaled(0))
+
+
+def test_tables_and_reconstruction_match_the_operator_oracle():
+    assert wigner._det([list(row) for row in GENERIC.rows]) != Scalar(0)
+    rng = random.Random(2004)
+    states = [*wigner.standard_test_states(), GENERIC]
+    for f in _oracle_frames():
+        ops = wigner.frame(f).ops
+        for rho in states:
+            table = wigner.wigner_table(rho, f)
+            for alpha, a in ops.items():
+                assert table.values[alpha] == _trace_of_product(a, rho).re / 4
+            assert wigner.reconstruct(table) == _operator_sum(table, ops) == rho
+        # A random table of total 1, in general no state's: still the same map.
+        values = {alpha: Fraction(rng.randint(-99, 99), 64) for alpha in gf4.all_points()}
+        values[(0, 0)] += 1 - sum(values.values())
+        table = wigner.WignerTable(f=f, values=values)
+        assert wigner.reconstruct(table) == _operator_sum(table, ops)
+
+
+def test_wigner_table_rejects_non_hermitian():
+    # Real diagonal, so every computational-basis probability is real.
+    bad = Matrix([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        wigner.wigner_table(bad, ZERO_INDEX)
 
 
 def test_wigner_table_of_product_state():
