@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import clifford, gf4, phasespace, symplectic, wigner
 from .exact import Matrix, Scalar
@@ -262,7 +263,7 @@ def cmd_indexop(args) -> int:
 
 def cmd_wigner(args) -> int:
     rho = parse_state(args.state)
-    f = parse_frame(args.frame) if args.frame else phasespace.ZERO_INDEX
+    f = phasespace.ZERO_INDEX if args.frame is None else parse_frame(args.frame)
     table = wigner.wigner_table(rho, f)
     print(json.dumps(_table_json(table)) if args.json else render_wigner(table))
     return 0
@@ -270,16 +271,17 @@ def cmd_wigner(args) -> int:
 
 def cmd_apply(args) -> int:
     rho = parse_state(args.state)
-    f = parse_frame(args.frame) if args.frame else phasespace.ZERO_INDEX
+    f = phasespace.ZERO_INDEX if args.frame is None else parse_frame(args.frame)
     steps = []
     table = wigner.wigner_table(rho, f)
     steps.append(("initial", rho, table))
     for text in args.ops:
         kind, op = parse_op(text)
         if kind == "displace":
-            rho = wigner.displace_state(rho, op)
-            table = wigner.wigner_table(rho, f)
-            steps.append((f"D{fmt_index(op)}", rho, table))
+            name = f"D{fmt_index(op)}"
+            rho, table = wigner.covariant(rho, f, clifford.displacement(op), f,
+                                          partial(gf4.vec_add, op), name)
+            steps.append((name, rho, table))
         else:
             rho, f, table = wigner.transport(rho, f, op)
             steps.append((symplectic.to_text(op), rho, table))

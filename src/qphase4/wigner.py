@@ -5,39 +5,29 @@ operator at alpha is the sum of the projectors onto vector (f + I(alpha))_n
 of each mutually unbiased basis n, minus the identity.  Tables are therefore
 read off the 20 MUB Born probabilities and reconstruction sums the 20
 projectors by line sums; frame() builds the 16 operators as the test oracle.
-Performing the unitary of a symplectic matrix L is the same as permuting
-Wigner values by L while replacing frame f with S_L f + f_L -- the
-transport function computes both sides and insists they agree entry by entry.
+Performing a unitary is the same as moving Wigner values by a phase-space
+map while reinterpreting the frame.  covariant() is the one check of that:
+transport (U_L, f -> S_L f + f_L, alpha -> L alpha), the displacements of
+marginal_check and of the CLI's apply (D_beta, f -> f, alpha -> alpha + beta)
+and the conjugated rotations (V, f_L -> f_L, alpha -> R_L alpha) all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 
 from . import clifford, gf4, phasespace, symplectic
-from .exact import Matrix, Scalar, inner, mat_vec, norm_sq, outer, vector
-from .gf4 import ELEMENTS, Vec2
-from .phasespace import Index, ZERO_INDEX
+from .exact import Matrix, Scalar, norm_sq, outer, vector
+from .gf4 import ELEMENTS
+from .phasespace import Index
 from .symplectic import SympMat
 
 
 class StateError(ValueError):
     """A rejected state: not four amplitudes, or not a 4x4 density operator."""
-
-
-@dataclass(frozen=True)
-class WignerFrame:
-    """A shift vector f with its 16 phase point operators and line labels."""
-
-    f: Index
-    ops: dict  # Vec2 -> Matrix
-    line_label: dict  # (n, k) -> (n, k + f_n)
-
-    def origin(self) -> Matrix:
-        return self.ops[(0, 0)]
 
 
 @dataclass(frozen=True)
@@ -55,8 +45,9 @@ class WignerTable:
 
 
 @lru_cache(maxsize=None)
-def frame(f: Index) -> WignerFrame:
-    """Build the frame for shift vector f; f == 0 is the standard frame."""
+def frame(f: Index) -> dict:
+    """The phase point operators alpha -> A^f_alpha of shift vector f;
+    f == 0 is the standard frame."""
     a0 = -Matrix.identity(4)
     for n in range(5):
         b = clifford.mub_vector(n, f[n])
@@ -65,28 +56,7 @@ def frame(f: Index) -> WignerFrame:
     for alpha in gf4.all_points():
         d = clifford.displacement(alpha)
         ops[alpha] = d @ a0 @ d.dagger()
-    labels = {
-        (n, k): (n, gf4.add(k, f[n])) for n in range(5) for k in ELEMENTS
-    }
-    return WignerFrame(f=f, ops=ops, line_label=labels)
-
-
-def operator_index(a: Matrix) -> Index:
-    """Index of a phase point operator: per basis, the unique unit overlap."""
-    out = []
-    for m in range(5):
-        hits = []
-        for k in ELEMENTS:
-            b = clifford.mub_vector(m, k)
-            val = inner(b, mat_vec(a, b))
-            if val == Scalar(1):
-                hits.append(k)
-            elif not val.is_zero():
-                raise ValueError("not a phase point operator")
-        if len(hits) != 1:
-            raise ValueError("not a phase point operator")
-        out.append(hits[0])
-    return tuple(out)
+    return ops
 
 
 def density_from_vector(v) -> Matrix:
@@ -157,29 +127,28 @@ def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     return WignerTable(f=f, values=values)
 
 
-def transport(rho: Matrix, f: Index, L: SympMat):
-    """Apply U_L: returns (rho', new frame g, table), both routes checked.
+def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str):
+    """Perform u and check it against the phase-space map: returns (rho', table).
 
-    The table of rho' in frame g = S_L f + f_L is computed directly and also
-    by moving the f-table of rho along alpha -> L alpha; the two must agree
-    exactly.
+    The table of rho' = u rho u^dag in frame g is computed directly and must
+    equal the f-table of rho with every value moved from alpha to move(alpha);
+    otherwise AssertionError names `what` and f.
     """
-    u = clifford.unitary_for(L)
     rho2 = u @ rho @ u.dagger()
+    table = wigner_table(rho2, g)
+    moved = {move(alpha): val for alpha, val in wigner_table(rho, f).values.items()}
+    if moved != table.values:
+        raise AssertionError(f"{what} is not covariant in frame f={f}")
+    return rho2, table
+
+
+def transport(rho: Matrix, f: Index, L: SympMat):
+    """Apply U_L: returns (rho', new frame g = S_L f + f_L, table), checked
+    by covariant() along alpha -> L alpha."""
     g = phasespace.compose_frame(f, L)
-    direct = wigner_table(rho2, g)
-    old = wigner_table(rho, f)
-    moved = {gf4.mat_vec(L, alpha): val for alpha, val in old.values.items()}
-    if moved != direct.values:
-        raise AssertionError(
-            f"transport mismatch for L={symplectic.to_text(L)}, f={f}"
-        )
-    return rho2, g, direct
-
-
-def displace_state(rho: Matrix, beta: Vec2) -> Matrix:
-    d = clifford.displacement(beta)
-    return d @ rho @ d.dagger()
+    rho2, table = covariant(rho, f, clifford.unitary_for(L), g, partial(gf4.mat_vec, L),
+                            f"transport by L={symplectic.to_text(L)}")
+    return rho2, g, table
 
 
 # Quadratic form classifying frame definitions into similarity classes.
@@ -255,8 +224,8 @@ def rotational_symmetry_check(L: SympMat, states=None) -> dict:
     """Check the conjugated-rotation covariance of the f_L frame.
 
     R_L = L R L^-1 must have period five and cycle all five striations, and
-    W^{f_L}(V rho V^dag) at alpha must equal W^{f_L}(rho) at R_L^-1 alpha
-    for V = U_L U_R U_L^dag over the test states.
+    V = U_L U_R U_L^dag must move the f_L-table of each test state along
+    alpha -> R_L alpha.
     """
     if states is None:
         states = standard_test_states()
@@ -284,16 +253,9 @@ def rotational_symmetry_check(L: SympMat, states=None) -> dict:
 
     u_l = clifford.unitary_for(L)
     v = u_l @ clifford.rotation_unitary() @ u_l.dagger()
-    r_l_inv = symplectic.inverse(r_l)
     for rho in states:
-        before = wigner_table(rho, f_l)
-        after = wigner_table(v @ rho @ v.dagger(), f_l)
-        for alpha in gf4.all_points():
-            if after.values[alpha] != before.values[gf4.mat_vec(r_l_inv, alpha)]:
-                raise AssertionError(
-                    f"rotational covariance failed for {symplectic.to_text(L)} "
-                    f"at alpha={alpha}"
-                )
+        covariant(rho, f_l, v, f_l, partial(gf4.mat_vec, r_l),
+                  f"conjugated rotation for L={symplectic.to_text(L)}")
     return {"period": period, "striations_cycled": len(seen), "states": len(states)}
 
 
@@ -313,11 +275,8 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
                 raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
             checked += 1
     for beta in gf4.all_points():
-        moved = wigner_table(displace_state(rho, beta), f)
-        for alpha in gf4.all_points():
-            diff = (gf4.add(alpha[0], beta[0]), gf4.add(alpha[1], beta[1]))
-            if moved.values[alpha] != table.values[diff]:
-                raise AssertionError(f"displacement covariance failed at beta={beta}")
+        covariant(rho, f, clifford.displacement(beta), f, partial(gf4.vec_add, beta),
+                  f"displacement by beta={beta}")
     return {"lines": checked, "displacements": 16}
 
 

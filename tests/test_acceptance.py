@@ -16,6 +16,7 @@ from qphase4.exact import Matrix, Scalar, inner, norm_sq
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
+from test_wigner import operator_index
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -135,12 +136,12 @@ def test_06_shift_vectors():
         f_g = phasespace.shift_vector(G)
         assert f_g == (0, OMEGA, 1, 0, 1)
         assert phasespace.compose_frame(f_g, G) == (0, 1, 0, OMEGA, 1)
-        a0 = wigner.frame(ZERO_INDEX).origin()
+        a0 = wigner.frame(ZERO_INDEX)[(0, 0)]
         seen = set()
         for L in symplectic.enumerate_group():
             f = phasespace.shift_vector(L)
             u = clifford.unitary_for(L)
-            assert wigner.operator_index(u @ a0 @ u.dagger()) == f
+            assert operator_index(u @ a0 @ u.dagger()) == f
             seen.add(f)
         assert len(seen) == 12
         assert seen == set(phasespace.canonical_shift_vectors())
@@ -217,8 +218,8 @@ def test_12_reconstruction():
     with criterion(12, "reconstruction round-trip and frame orthogonality"):
         for f in phasespace.canonical_shift_vectors():
             fr = wigner.frame(f)
-            for a1, op1 in fr.ops.items():
-                for a2, op2 in fr.ops.items():
+            for a1, op1 in fr.items():
+                for a2, op2 in fr.items():
                     assert (op1 @ op2).trace() == Scalar(4 if a1 == a2 else 0)
             for rho in wigner.standard_test_states():
                 table = wigner.wigner_table(rho, f)

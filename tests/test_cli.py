@@ -224,6 +224,15 @@ def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch, scope, modu
     assert out == line + "\n"
 
 
+def test_verify_transport_counterexample_exits_1(capsys, monkeypatch):
+    # A frame that is never reinterpreted breaks transport for every L that moves it.
+    monkeypatch.setattr(phasespace, "compose_frame", lambda f, L: f)
+    code, out, err = run(capsys, "verify", "transport")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("FAIL transport: ")
+
+
 def test_src_has_no_bare_assert():
     # verify maps AssertionError to exit 1; a bare assert vanishes under -O.
     for path in sorted(pathlib.Path(qphase4.__file__).parent.glob("*.py")):
@@ -275,9 +284,11 @@ def _digits(digits, k=1):
         (["wigner", "--state", _state(_digits(MAX_JSON_DIGITS + 1))], 4),
         *(([command, NON_SYMPLECTIC], 3) for command in ("decompose", "unitary", "shift", "indexop")),
         (["apply", "--state", "up*up", NON_SYMPLECTIC], 3),
+        *(([command, "--state", "up*up", "--frame", ""], 2) for command in ("wigner", "apply")),
     ],
     ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "density-2x2", "nested",
-         "digits-1100", "digits-over-bound", "decompose", "unitary", "shift", "indexop", "apply"],
+         "digits-1100", "digits-over-bound", "decompose", "unitary", "shift", "indexop", "apply",
+         "wigner-empty-frame", "apply-empty-frame"],
 )
 def test_rejected_input_exit_code(argv, code):
     proc = subprocess.run(

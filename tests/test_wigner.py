@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
 from qphase4 import clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import Matrix, Scalar
+from qphase4.exact import Matrix, Scalar, inner, mat_vec
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
@@ -33,56 +34,66 @@ def _generic_state():
 GENERIC = _generic_state()
 
 
+def operator_index(a: Matrix) -> phasespace.Index:
+    """Index of a phase point operator: per basis, the unique unit overlap."""
+    out = []
+    for m in range(5):
+        hits = []
+        for k in ELEMENTS:
+            b = clifford.mub_vector(m, k)
+            val = inner(b, mat_vec(a, b))
+            if val == Scalar(1):
+                hits.append(k)
+            elif not val.is_zero():
+                raise ValueError("not a phase point operator")
+        if len(hits) != 1:
+            raise ValueError("not a phase point operator")
+        out.append(hits[0])
+    return tuple(out)
+
+
 def test_frame_origin_operator():
     std = wigner.frame(ZERO_INDEX)
-    a0 = std.origin()
+    a0 = std[(0, 0)]
     assert a0.is_hermitian()
     assert a0.trace() == Scalar(1)
-    for alpha, op in std.ops.items():
+    for alpha, op in std.items():
         d = clifford.displacement(alpha)
         assert op == d @ a0 @ d.dagger()
 
 
 def test_frame_orthogonality():
     std = wigner.frame(ZERO_INDEX)
-    for a1, op1 in std.ops.items():
-        for a2, op2 in std.ops.items():
+    for a1, op1 in std.items():
+        for a2, op2 in std.items():
             expect = Scalar(4 if a1 == a2 else 0)
             assert (op1 @ op2).trace() == expect
 
 
-def test_frame_line_labels_shifted_by_f():
-    f_g = phasespace.shift_vector(G)
-    fr = wigner.frame(f_g)
-    for k in ELEMENTS:
-        assert fr.line_label[(1, k)] == (1, gf4.add(k, OMEGA))
-
-
 def test_operator_index():
     std = wigner.frame(ZERO_INDEX)
-    assert wigner.operator_index(std.origin()) == ZERO_INDEX
-    for alpha, op in std.ops.items():
-        assert wigner.operator_index(op) == phasespace.point_index(alpha)
+    assert operator_index(std[(0, 0)]) == ZERO_INDEX
+    for alpha, op in std.items():
+        assert operator_index(op) == phasespace.point_index(alpha)
     u = clifford.unitary_for(symplectic.shear(1))
-    moved = u @ std.origin() @ u.dagger()
-    assert wigner.operator_index(moved) == (1, 0, 1, 0, OMEGA)
+    moved = u @ std[(0, 0)] @ u.dagger()
+    assert operator_index(moved) == (1, 0, 1, 0, OMEGA)
     with pytest.raises(ValueError):
-        wigner.operator_index(Matrix.identity(4))
+        operator_index(Matrix.identity(4))
 
 
 def test_operator_index_general_frames():
     for f in phasespace.canonical_shift_vectors():
         fr = wigner.frame(f)
-        for alpha, op in fr.ops.items():
-            assert wigner.operator_index(op) == phasespace.displace_index(f, alpha)
+        for alpha, op in fr.items():
+            assert operator_index(op) == phasespace.displace_index(f, alpha)
 
 
 def test_shift_vector_cross_validation():
-    std = wigner.frame(ZERO_INDEX)
-    a0 = std.origin()
+    a0 = wigner.frame(ZERO_INDEX)[(0, 0)]
     for L in symplectic.enumerate_group():
         u = clifford.unitary_for(L)
-        assert wigner.operator_index(u @ a0 @ u.dagger()) == phasespace.shift_vector(L)
+        assert operator_index(u @ a0 @ u.dagger()) == phasespace.shift_vector(L)
 
 
 def test_index_transport_of_general_phase_point_operators():
@@ -92,7 +103,7 @@ def test_index_transport_of_general_phase_point_operators():
             u = clifford.unitary_for(L)
             s = phasespace.index_operator(L)
             f_l = phasespace.shift_vector(L)
-            for alpha, op in fr.ops.items():
+            for alpha, op in fr.items():
                 moved = u @ op @ u.dagger()
                 expect = phasespace.index_add(
                     phasespace.apply_index_operator(
@@ -100,7 +111,7 @@ def test_index_transport_of_general_phase_point_operators():
                     ),
                     f_l,
                 )
-                assert wigner.operator_index(moved) == expect
+                assert operator_index(moved) == expect
 
 
 def _oracle_frames():
@@ -131,7 +142,7 @@ def test_tables_and_reconstruction_match_the_operator_oracle():
     rng = random.Random(2004)
     states = [*wigner.standard_test_states(), GENERIC]
     for f in _oracle_frames():
-        ops = wigner.frame(f).ops
+        ops = wigner.frame(f)
         for rho in states:
             table = wigner.wigner_table(rho, f)
             for alpha, a in ops.items():
@@ -188,6 +199,19 @@ def test_transport_identity():
     assert rho2 == UP_RIGHT
     assert g == ZERO_INDEX
     assert table.values == wigner.wigner_table(UP_RIGHT, ZERO_INDEX).values
+
+
+def test_covariant_rejects_a_wrong_move_or_frame():
+    up_up = wigner.density_from_vector([1, 0, 0, 0])
+    d = clifford.displacement((1, 0))
+    shift = partial(gf4.vec_add, (1, 0))
+    rho2, table = wigner.covariant(up_up, ZERO_INDEX, d, ZERO_INDEX, shift, "D[1,0]")
+    assert rho2 == d @ up_up @ d.dagger()
+    assert table == wigner.wigner_table(rho2, ZERO_INDEX)
+    # f_0 = 1 relabels the computational basis, the one basis up*up is not unbiased to.
+    for g, move in ((ZERO_INDEX, lambda alpha: alpha), ((1, 0, 0, 0, 0), shift)):
+        with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
+            wigner.covariant(up_up, ZERO_INDEX, d, g, move, "D[1,0]")
 
 
 def test_similarity_class_values():
