@@ -457,6 +457,9 @@ def main(argv=None) -> int:
     except StateError as e:
         print(f"invalid state: {e}", file=sys.stderr)
         return EXIT_STATE
+    except AssertionError as e:  # a counterexample outside verify, e.g. in apply
+        print(f"FAIL {args.command}: {e}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -16,16 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import gf4, symplectic
-from .exact import (
-    Matrix,
-    Scalar as _S,
-    Vector,
-    inner,
-    mat_vec,
-    norm_sq,
-    proportional,
-    vector,
-)
+from .exact import Matrix, Scalar as _S, Vector, dot, mat_vec, numerators, proportional, vector
 from .gf4 import ELEMENTS, Vec2
 from .symplectic import SympMat
 
@@ -260,8 +251,10 @@ def cnot_counterexample() -> dict:
 
 
 def born_probability(rho: Matrix, b: Vector) -> Fraction:
-    """<b|rho|b> / <b|b> as an exact rational."""
-    val = inner(b, mat_vec(rho, b))
-    if val.im != 0:
+    """<b|rho|b> / <b|b> as an exact rational, on integer numerators (b's
+    denominator cancels) with one Fraction at the end."""
+    br, bi, _ = numerators(b)
+    wr, wi = rho.apply(br, bi)
+    if dot(br, wi) != dot(bi, wr):
         raise ValueError("Born probability of a non-Hermitian operator")
-    return val.re / norm_sq(b)
+    return Fraction(dot(br, wr) + dot(bi, wi), rho.den * (dot(br, br) + dot(bi, bi)))

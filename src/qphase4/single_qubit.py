@@ -32,10 +32,7 @@ def _mat_vec2(m, v):
 
 def _phase_point_ops(sign: int) -> dict:
     """The four A operators built from (I +/- X +/- Y +/- Z)/2."""
-    half = Fraction(1, 2)
-    a00 = (
-        PAULI_I + (PAULI_X + PAULI_Y + PAULI_Z).scaled(sign)
-    ).scaled(half)
+    a00 = (PAULI_I + (PAULI_X + PAULI_Y + PAULI_Z).scaled(sign)).scaled(Fraction(1, 2))
     return {
         (0, 0): a00,
         (1, 0): PAULI_X @ a00 @ PAULI_X,

@@ -92,9 +92,10 @@ def validate_density(rho: Matrix) -> Matrix:
 
 
 def _principal_minors(m: Matrix):
+    rows = m.rows  # a view built on each access
     for size in range(1, m.n + 1):
         for idx in combinations(range(m.n), size):
-            yield _det([[m.rows[i][j] for j in idx] for i in idx])
+            yield _det([[rows[i][j] for j in idx] for i in idx])
 
 
 def _det(rows):
@@ -286,9 +287,8 @@ def reconstruct(table: WignerTable) -> Matrix:
     vectors), minus the total times I.  The same map on every table."""
     rho = Matrix.identity(4).scaled(-table.total())
     for n, k in product(range(5), ELEMENTS):
-        w = Scalar(table.line_sum(n, k))
         b = clifford.mub_vector(n, gf4.add(k, table.f[n]))
-        rho = rho + outer([w * x for x in b], b)
+        rho = rho + outer(b, b).scaled(table.line_sum(n, k))
     if not rho.is_hermitian() or rho.trace() != Scalar(1):
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
     return rho

@@ -190,10 +190,10 @@ def test_apply_displacement_op(capsys):
 # --- verification and exit codes ---------------------------------------------
 
 def test_verify_fast_scopes(capsys):
-    for scope in ("metaplectic", "single-qubit"):
+    for scope in ("metaplectic", "single-qubit", "all"):
         code, out, _ = run(capsys, "verify", scope)
         assert code == 0
-        assert out.strip().startswith(scope.split("-")[0])
+        assert out.startswith("metaplectic: " if scope == "all" else scope.split("-")[0])
         # -O drops assert statements; the sweeps' own checks must still run.
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "qphase4.cli", "verify", scope],
@@ -231,6 +231,15 @@ def test_verify_transport_counterexample_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("FAIL transport: ")
+
+
+def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):
+    # A displacement that moves nothing breaks the covariance of every D[q,p] step.
+    monkeypatch.setattr(gf4, "vec_add", lambda u, v: v)
+    code, out, err = run(capsys, "apply", "--state", "up*up", "D[1,0]")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("FAIL apply: D[1,0] ")
 
 
 def test_src_has_no_bare_assert():
