@@ -64,12 +64,19 @@ _NAMED_FACTORS = {
 }
 
 
+#: Longest @file state read, in characters (a state at MAX_JSON_DIGITS is under 10 KB).
+MAX_STATE_FILE_CHARS = 1 << 20
+
+
 def parse_state(text: str) -> Matrix:
     text = text.strip()
     if text.startswith("@"):
         try:
             with open(text[1:], encoding="utf-8") as fh:
-                obj = json.load(fh)
+                data = fh.read(MAX_STATE_FILE_CHARS + 1)
+            if len(data) > MAX_STATE_FILE_CHARS:
+                raise ValueError(f"longer than {MAX_STATE_FILE_CHARS} characters")
+            obj = json.loads(data)
         except (OSError, RecursionError, ValueError) as e:
             raise StateError(f"cannot read state file: {e}") from None
         return _state_from_json(obj)
@@ -175,19 +182,9 @@ def render_tables() -> str:
     return "\n".join(parts)
 
 
-def _product_label(n: int, k: int, f) -> str:
-    """Arrow label of line k of striation n (vertical/horizontal only)."""
-    arrows = (
-        {"^": (1, 0), "v": (0, 1)} if n == 0 else {"->": (1, 1), "<-": (1, -1)}
-    )
-    b = clifford.mub_vector(n, gf4.add(k, f[n]))
-    target = wigner.density_from_vector(b)
-    for name1, v1 in arrows.items():
-        for name2, v2 in arrows.items():
-            prod = [a * c for a in v1 for c in v2]
-            if wigner.density_from_vector(prod) == target:
-                return name1 + name2
-    return "?"
+# Arrow labels of the product states mub_vector(n, k) of the vertical (n = 0,
+# up/down per qubit) and horizontal (n = 1, right/left) striations, by k.
+_ARROWS = {0: ("^^", "vv", "^v", "v^"), 1: ("->->", "<-<-", "-><-", "<-->")}
 
 
 def render_wigner(table: wigner.WignerTable) -> str:
@@ -198,13 +195,10 @@ def render_wigner(table: wigner.WignerTable) -> str:
     lines = [f"frame {fmt_index(table.f)}"]
     for p in reversed(_AXIS_ORDER):
         row = "  ".join(cells[(q, p)].rjust(width) for q in _AXIS_ORDER)
-        label = _product_label(1, p, table.f)
-        lines.append(f" {gf4.to_ascii(p).ljust(2)}| {row} | {label}")
+        lines.append(f" {gf4.to_ascii(p).ljust(2)}| {row} | {_ARROWS[1][gf4.add(p, table.f[1])]}")
     lines.append("     " + "  ".join(gf4.to_ascii(q).rjust(width) for q in _AXIS_ORDER))
-    lines.append(
-        "     "
-        + "  ".join(_product_label(0, q, table.f).rjust(width) for q in _AXIS_ORDER)
-    )
+    lines.append("     " + "  ".join(_ARROWS[0][gf4.add(q, table.f[0])].rjust(width)
+                                      for q in _AXIS_ORDER))
     return "\n".join(lines)
 
 

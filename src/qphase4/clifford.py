@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import gf4, symplectic
-from .exact import Matrix, Scalar as _S, Vector, dot, mat_vec, numerators, proportional, vector
+from .exact import Matrix, Scalar as _S, Vector, dot, mat_vec, outer, proportional, vector
 from .gf4 import ELEMENTS, Vec2
 from .symplectic import SympMat
 
@@ -136,6 +136,13 @@ def mub_vector(n: int, k: int) -> Vector:
     return mat_vec(_rotation_power(n % 5), v)
 
 
+@lru_cache(maxsize=None)
+def mub_projector(n: int, k: int) -> Matrix:
+    """|b><b| for the unit vector b = mub_vector(n, k), as an integer Matrix."""
+    b = mub_vector(n, k)
+    return outer(b, b)
+
+
 def verify_metaplectic() -> dict:
     """Check U_L D_a U_L^dag == +/- D_{La} over all 60 x 16 pairs."""
     signs = {}
@@ -250,11 +257,9 @@ def cnot_counterexample() -> dict:
     }
 
 
-def born_probability(rho: Matrix, b: Vector) -> Fraction:
-    """<b|rho|b> / <b|b> as an exact rational, on integer numerators (b's
-    denominator cancels) with one Fraction at the end."""
-    br, bi, _ = numerators(b)
-    wr, wi = rho.apply(br, bi)
-    if dot(br, wi) != dot(bi, wr):
-        raise ValueError("Born probability of a non-Hermitian operator")
-    return Fraction(dot(br, wr) + dot(bi, wi), rho.den * (dot(br, br) + dot(bi, bi)))
+def born_probability(rho: Matrix, n: int, k: int) -> Fraction:
+    """Tr(P rho) for P = mub_projector(n, k).  For Hermitian rho that is the
+    real Hilbert-Schmidt product sum_ij P_ij conj(rho_ij) of the integer
+    numerators, one Fraction; the caller checks that rho is Hermitian."""
+    p = mub_projector(n, k)
+    return Fraction(dot(p.re, rho.re) + dot(p.im, rho.im), p.den * rho.den)

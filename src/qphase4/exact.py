@@ -1,10 +1,11 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Scalars carry Fraction real and imaginary parts; they serve where user
-rationals come in or go out.  Matrices (2x2 and 4x4) store integer real and
-imaginary numerators over one shared denominator in lowest terms, so their
-arithmetic is integer arithmetic, nothing rounds, and equality, used directly
-by the exhaustive verification sweeps, compares integer tuples.
+rationals come in or go out, and as the tests' reference arithmetic.
+Matrices (2x2 and 4x4) store integer real and imaginary numerators over one
+shared denominator in lowest terms, so their arithmetic is integer
+arithmetic, nothing rounds, and equality, used directly by the exhaustive
+verification sweeps, compares integer tuples.
 """
 
 from __future__ import annotations
@@ -43,13 +44,6 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         return Scalar(-self.re, -self.im)
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Scalar((self.re * other.re + self.im * other.im) / d,
-                      (self.im * other.re - self.re * other.im) / d)
 
     def conj(self) -> "Scalar":
         return Scalar(self.re, -self.im)
@@ -148,16 +142,8 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix._reduced(self.n, [-x for x in self.re], [-x for x in self.im], self.den)
 
-    def apply(self, vr, vi) -> tuple[list, list]:
-        """Numerators of self v from v's numerators, over self.den times v's
-        denominator.  A row's real then imaginary numerators dotted with
-        (vr, -vi) and (vi, vr) give the real and imaginary part."""
-        n, v_re, v_im = self.n, (*vr, *(-x for x in vi)), (*vi, *vr)
-        rows = [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)]
-        return [dot(r, v_re) for r in rows], [dot(r, v_im) for r in rows]
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        n = self.n  # as in apply, with the columns of other for v
+        n = self.n  # as in mat_vec, with the columns of other for v
         rows = [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)]
         cols = [((*cr, *(-x for x in ci)), (*ci, *cr))
                 for cr, ci in ((other.re[j::n], other.im[j::n]) for j in range(n))]
@@ -223,9 +209,12 @@ def vector(values: Iterable) -> Vector:
 
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
+    """m v on numerators: a row's real then imaginary numerators dotted with
+    (vr, -vi) and (vi, vr) give the real and imaginary part."""
     vr, vi, d = numerators(v)
-    den = m.den * d
-    return tuple(Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(*m.apply(vr, vi)))
+    n, den, v_re, v_im = m.n, m.den * d, (*vr, *(-x for x in vi)), (*vi, *vr)
+    rows = [m.re[i:i + n] + m.im[i:i + n] for i in range(0, n * n, n)]
+    return tuple(Scalar(Fraction(dot(r, v_re), den), Fraction(dot(r, v_im), den)) for r in rows)
 
 
 def inner(u: Vector, v: Vector) -> Scalar:

@@ -74,15 +74,13 @@ def single_qubit_demo() -> dict:
 
     # U_F = (Z - X)/sqrt(2): permuting Wigner values by the axis swap F is
     # equivalent to conjugating by U_F, provided the values are reinterpreted
-    # in the tilde frame.  Checked on the Hermitian operator basis.
+    # in the tilde frame.  Checked on the Hermitian operator basis, as
+    # Tr(A rho): the Wigner values' common factor 1/2 cancels.
     u_f = PAULI_Z - PAULI_X
-    half = Scalar(Fraction(1, 2))
     for rho in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
         moved = _conjugate_scaled(u_f, 2, rho)
         for alpha in _POINTS:
-            lhs = (a_tilde[alpha] @ moved).trace() * half
-            rhs = (a[_mat_vec2(_F2, alpha)] @ rho).trace() * half
-            if lhs != rhs:
+            if (a_tilde[alpha] @ moved).trace() != (a[_mat_vec2(_F2, alpha)] @ rho).trace():
                 raise AssertionError("reinterpretation identity failed")
 
     # Obstruction: X -> Z, Z -> X, Y -> Y is a Bloch-sphere reflection.

@@ -4,7 +4,8 @@ A frame is fixed by a five-component GF(4) vector f: its phase point
 operator at alpha is the sum of the projectors onto vector (f + I(alpha))_n
 of each mutually unbiased basis n, minus the identity.  Tables are therefore
 read off the 20 MUB Born probabilities and reconstruction sums the 20
-projectors by line sums; frame() builds the 16 operators as the test oracle.
+projectors by line sums, both on clifford.mub_projector's cached integer
+matrices; frame() builds the 16 operators from mub_vector as the test oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  covariant() is the one check of that:
 transport (U_L, f -> S_L f + f_L, alpha -> L alpha), the displacements of
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import product
 
 from . import clifford, gf4, phasespace, symplectic
 from .exact import Matrix, Scalar, norm_sq, outer, vector
@@ -76,8 +77,10 @@ MAXIMALLY_MIXED = Matrix.identity(4).scaled(Fraction(1, 4))
 def validate_density(rho: Matrix) -> Matrix:
     """Exact trust-boundary check: Hermitian, trace 1, positive semidefinite.
 
-    PSD is decided by nonnegativity of all principal minors, computed
-    exactly.
+    Hermitian rho is PSD exactly when the elementary symmetric polynomials
+    e_1..e_4 of its eigenvalues are all >= 0 (its characteristic polynomial
+    then has no negative root).  Newton's identities give them from the power
+    traces: k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) Tr(rho^i).
     """
     if rho.n != 4:
         raise StateError("density operator must be 4x4")
@@ -85,41 +88,28 @@ def validate_density(rho: Matrix) -> Matrix:
         raise StateError("density operator is not Hermitian")
     if rho.trace() != Scalar(1):
         raise StateError("density operator does not have trace 1")
-    for minor in _principal_minors(rho):
-        if minor.im != 0 or minor.re < 0:
-            raise StateError("density operator is not positive semidefinite")
+    sq = rho @ rho
+    power_traces = [m.trace().re for m in (rho, sq, sq @ rho, sq @ sq)]
+    e = [Fraction(1)]
+    for k in range(1, 5):
+        e.append(sum((-1) ** i * e[k - 1 - i] * power_traces[i] for i in range(k)) / k)
+    if min(e) < 0:
+        raise StateError("density operator is not positive semidefinite")
     return rho
 
 
-def _principal_minors(m: Matrix):
-    rows = m.rows  # a view built on each access
-    for size in range(1, m.n + 1):
-        for idx in combinations(range(m.n), size):
-            yield _det([[rows[i][j] for j in idx] for i in idx])
-
-
-def _det(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    total = Scalar(0)
-    for j, head in enumerate(rows[0]):
-        minor = [[r[c] for c in range(len(rows)) if c != j] for r in rows[1:]]
-        term = head * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-# Bounded: the verify sweep's working set is 624 keys, so it never evicts,
-# while a stream of fresh states would otherwise grow the cache (and peak
-# memory) with every request served.  It stays an lru_cache because the
-# benchmark reads wigner_table.cache_info().
-@lru_cache(maxsize=1024)
+# Bounded by the sweep it serves: verify all's working set is 624 keys, so
+# it never evicts, while a stream of fresh states never hits an entry left by
+# an earlier request and would otherwise only add memory.  It stays an
+# lru_cache because the benchmark reads wigner_table.cache_info().
+@lru_cache(maxsize=640)
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     """W^f_alpha = Tr(A^f_alpha rho) / 4: five of the 20 Born probabilities
-    (basis n, vector (f + I(alpha))_n) minus Tr(rho), over 4.  The projectors
-    are informationally complete, so a non-Hermitian rho raises ValueError."""
-    prob = {(n, k): clifford.born_probability(rho, clifford.mub_vector(n, k))
-            for n in range(5) for k in ELEMENTS}
+    (basis n, vector (f + I(alpha))_n) minus Tr(rho), over 4.  These are
+    exact for Hermitian rho only; any other rho raises ValueError."""
+    if not rho.is_hermitian():
+        raise ValueError("Wigner table of a non-Hermitian operator")
+    prob = {(n, k): clifford.born_probability(rho, n, k) for n in range(5) for k in ELEMENTS}
     trace = rho.trace().re
     values = {}
     for alpha in gf4.all_points():
@@ -271,8 +261,7 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     checked = 0
     for n in range(5):
         for k in ELEMENTS:
-            b = clifford.mub_vector(n, gf4.add(k, f[n]))
-            if table.line_sum(n, k) != clifford.born_probability(rho, b):
+            if table.line_sum(n, k) != clifford.born_probability(rho, n, gf4.add(k, f[n])):
                 raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
             checked += 1
     for beta in gf4.all_points():
@@ -283,12 +272,12 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
 
 def reconstruct(table: WignerTable) -> Matrix:
     """Inverse transform: rho = sum_alpha W_alpha A^f_alpha, collected per
-    line: line sums times the projectors onto the frame's labels (unit MUB
-    vectors), minus the total times I.  The same map on every table."""
+    line: line sums times the cached MUB projectors onto the frame's labels,
+    minus the total times I.  The same map on every table."""
     rho = Matrix.identity(4).scaled(-table.total())
     for n, k in product(range(5), ELEMENTS):
-        b = clifford.mub_vector(n, gf4.add(k, table.f[n]))
-        rho = rho + outer(b, b).scaled(table.line_sum(n, k))
+        p = clifford.mub_projector(n, gf4.add(k, table.f[n]))
+        rho = rho + p.scaled(table.line_sum(n, k))
     if not rho.is_hermitian() or rho.trace() != Scalar(1):
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
     return rho

@@ -11,7 +11,7 @@ import pytest
 
 import qphase4
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import MAX_JSON_DIGITS
+from qphase4.exact import MAX_JSON_DIGITS, Scalar
 from qphase4.gf4 import OMEGA, OMEGA_BAR
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -190,6 +190,7 @@ def test_apply_displacement_op(capsys):
 # --- verification and exit codes ---------------------------------------------
 
 def test_verify_fast_scopes(capsys):
+    wigner.wigner_table.cache_clear()  # only verify all reads it
     for scope in ("metaplectic", "single-qubit", "all"):
         code, out, _ = run(capsys, "verify", scope)
         assert code == 0
@@ -201,6 +202,9 @@ def test_verify_fast_scopes(capsys):
         )
         assert proc.returncode == 0
         assert proc.stdout == out
+    # verify all's tables fit the cache: every key was one miss, none was evicted.
+    info = wigner.wigner_table.cache_info()
+    assert info.currsize == info.misses <= info.maxsize
 
 
 @pytest.mark.parametrize(
@@ -300,12 +304,53 @@ def _digits(digits, k=1):
          "wigner-empty-frame", "apply-empty-frame"],
 )
 def test_rejected_input_exit_code(argv, code):
+    _assert_rejected(argv, code)
+
+
+def _assert_rejected(argv, code):
     proc = subprocess.run(
         [sys.executable, "-m", "qphase4.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_state_file_is_read_up_to_a_bound(tmp_path):
+    # A valid state padded with JSON whitespace: the bound is on characters read.
+    path = tmp_path / "padded.json"
+    path.write_text(_state().ljust(cli.MAX_STATE_FILE_CHARS), encoding="utf-8")
+    assert cli.parse_state(f"@{path}") == cli.parse_state(_state())
+    path.write_text(_state().ljust(cli.MAX_STATE_FILE_CHARS + 1), encoding="utf-8")
+    _assert_rejected(["wigner", "--state", f"@{path}"], 4)
+
+
+def test_no_scalar_ring_operator_runs_in_src(capsys, monkeypatch):
+    # Scalar arithmetic is the tests' reference: the library computes on
+    # integer numerators.  Every cache is cleared so that nothing computed
+    # earlier hides a Scalar operation.
+    mixed = (wigner.density_from_vector([1, Scalar(0, 1), 0, 2])
+             + wigner.MAXIMALLY_MIXED).scaled(Fraction(1, 2))
+    state = json.dumps({"density": mixed.to_json()})
+    f = phasespace.shift_vector(((OMEGA_BAR, 0), (0, OMEGA)))
+    for module in (clifford, phasespace, symplectic, wigner):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+    def forbidden(*args):
+        raise RuntimeError("Scalar ring operator called")
+
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        monkeypatch.setattr(Scalar, name, forbidden)
+    assert wigner.validate_density(mixed) is mixed
+    rho2, _, table = wigner.transport(mixed, f, symplectic.shear(1))
+    assert wigner.reconstruct(table) == rho2
+    assert wigner.marginal_check(mixed, f)["lines"] == 20
+    for argv in (["verify", "all"], ["wigner", "--state", state],
+                 ["apply", "--json", "--state", state, G_TEXT, "D[w,1]"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err
 
 
 def test_state_at_digit_bound(capsys):

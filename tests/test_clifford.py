@@ -13,12 +13,13 @@ from qphase4.clifford import (
     displacement,
     displacement_name,
     generator_unitary,
+    mub_projector,
     mub_vector,
     proportional,
     rotation_unitary,
     unitary_for,
 )
-from qphase4.exact import Matrix, Scalar, inner, norm_sq
+from qphase4.exact import Matrix, Scalar, inner, norm_sq, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -116,6 +117,19 @@ def test_mub_completeness():
                 assert mag == Fraction(1, 4)
                 cross += 1
     assert cross == 20 * 16
+
+
+def test_mub_projectors():
+    for n in range(5):
+        total = Matrix.identity(4).scaled(0)
+        for k in ELEMENTS:
+            p = mub_projector(n, k)
+            assert p.is_hermitian()
+            assert p @ p == p
+            assert p.trace() == Scalar(1)
+            assert p == outer(mub_vector(n, k), mub_vector(n, k))
+            total = total + p
+        assert total == Matrix.identity(4)
 
 
 def test_verify_metaplectic():

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from qphase4 import clifford, gf4, phasespace, symplectic, wigner
+from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
 from qphase4.exact import Matrix, Scalar, inner, mat_vec
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
@@ -114,6 +114,53 @@ def test_index_transport_of_general_phase_point_operators():
                 assert operator_index(moved) == expect
 
 
+def _det(rows):
+    """Determinant by cofactor expansion in Scalar arithmetic, the reference."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Scalar(0)
+    for j, head in enumerate(rows[0]):
+        minor = [[r[c] for c in range(len(rows)) if c != j] for r in rows[1:]]
+        term = head * _det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _principal_minors_nonnegative(m: Matrix) -> bool:
+    rows = m.rows
+    for size in range(1, m.n + 1):
+        for idx in combinations(range(m.n), size):
+            minor = _det([[rows[i][j] for j in idx] for i in idx])
+            if minor.im != 0 or minor.re < 0:
+                return False
+    return True
+
+
+def _real_rank(ops) -> int:
+    """Dimension of the real span of 4x4 operators, by elimination over Q on
+    their real and imaginary numerators (a row's scale does not matter)."""
+    rows = [[Fraction(x) for x in m.re + m.im] for m in ops]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                c = row[col] / rows[rank][col]
+                rows[i] = [a - c * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_standard_states_do_not_span_the_hermitian_operators():
+    # The forward map is linear, so a check on a spanning set covers every input.
+    assert _real_rank(wigner.standard_test_states()) == 5
+    assert _real_rank([*wigner.standard_test_states(), GENERIC]) == 6
+    assert _real_rank([clifford.displacement(beta) for beta in gf4.all_points()]) == 16
+
+
 def _operator_sum(table, ops):
     """sum_alpha W_alpha A^f_alpha over the frame's operators."""
     return sum((a.scaled(table.values[alpha]) for alpha, a in ops.items()),
@@ -121,11 +168,21 @@ def _operator_sum(table, ops):
 
 
 def test_tables_and_reconstruction_match_the_operator_oracle():
-    assert wigner._det([list(row) for row in GENERIC.rows]) != Scalar(0)
+    assert _det([list(row) for row in GENERIC.rows]) != Scalar(0)
     rng = random.Random(2004)
     states = [*wigner.standard_test_states(), GENERIC]
+    # The 16 Hermitian D_beta span all Hermitian operators; one frame per
+    # displacement orbit.
+    spanning = [clifford.displacement(beta) for beta in gf4.all_points()]
+    orbit_reps = {min(phasespace.displace_index(f, beta) for beta in gf4.all_points())
+                  for f in product(ELEMENTS, repeat=5)}
+    assert len(orbit_reps) == 64
     for f in product(ELEMENTS, repeat=5):
         ops = wigner.frame(f)
+        for d in spanning if f in orbit_reps else ():
+            table = wigner.wigner_table(d, f)
+            for alpha, a in ops.items():
+                assert table.values[alpha] == (a @ d).trace().re / 4
         for rho in states:
             table = wigner.wigner_table(rho, f)
             for alpha, a in ops.items():
@@ -241,26 +298,27 @@ def test_marginals_of_transported_state():
     rho3, g2, table = wigner.transport(rho2, g, G)
     wigner.marginal_check(rho3, g2)
     # first qubit is left-polarized: the two "left" rows sum to 1
-    left_rows = [
-        p
-        for p in ELEMENTS
-        if _is_left_row(p, g2)
-    ]
+    left_rows = [p for p in ELEMENTS if _product_label(1, gf4.add(p, g2[1])).startswith("<-")]
     total = sum(
         (table.values[(q, p)] for p in left_rows for q in ELEMENTS), Fraction(0)
     )
     assert total == 1
 
 
-def _is_left_row(p, f):
-    b = clifford.mub_vector(1, gf4.add(p, f[1]))
-    target = wigner.density_from_vector(b)
-    left = (1, -1)
-    for second in ((1, 1), (1, -1)):
-        prod = [a * c for a in left for c in second]
-        if wigner.density_from_vector(prod) == target:
-            return True
-    return False
+def _product_label(n, k):
+    """Arrow label of the product state mub_vector(n, k) of the vertical
+    (n = 0) or horizontal (n = 1) striation, found by matching its density
+    against the four products of up/down or right/left."""
+    arrows = {"^": (1, 0), "v": (0, 1)} if n == 0 else {"->": (1, 1), "<-": (1, -1)}
+    target = wigner.density_from_vector(clifford.mub_vector(n, k))
+    (label,) = [a + b for (a, u), (b, v) in product(arrows.items(), repeat=2)
+                if wigner.density_from_vector([x * y for x in u for y in v]) == target]
+    return label
+
+
+def test_arrow_labels_match_the_product_states():
+    for n in (0, 1):
+        assert cli._ARROWS[n] == tuple(_product_label(n, k) for k in ELEMENTS)
 
 
 def test_marginals_maximally_mixed():
@@ -318,6 +376,51 @@ def test_validate_density():
                 ]
             )
         )
+
+
+def _random_vector(rng):
+    while True:
+        v = [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(4)]
+        if any(not x.is_zero() for x in v):
+            return v
+
+
+def test_psd_check_matches_principal_minors():
+    # Mixtures of rank 1-3 are PSD (rank-deficient ones have zero minors);
+    # affine combinations with a negative weight mostly are not.
+    rng = random.Random(2901)
+    verdicts = []
+    while len(verdicts) < 1000:
+        pure = [wigner.density_from_vector(_random_vector(rng)) for _ in range(rng.randint(1, 3))]
+        weights = [Fraction(rng.randint(1, 6)) for _ in pure]
+        if len(verdicts) % 2 and len(pure) > 1:
+            weights[0] = -weights[0]
+        if sum(weights) == 0:
+            continue
+        rho = Matrix.identity(4).scaled(0)
+        for w, p in zip(weights, pure):
+            rho = rho + p.scaled(w / sum(weights))
+        expect = _principal_minors_nonnegative(rho)
+        try:
+            wigner.validate_density(rho)
+            verdicts.append(True)
+        except wigner.StateError:
+            verdicts.append(False)
+        assert verdicts[-1] == expect
+    assert 100 < verdicts.count(False) < 900
+
+
+def test_psd_check_sees_past_a_flat_diagonal():
+    # Eigenvalues 1/2, 1/3, 1/4, -1/12: trace 1, and only e_4 is negative.
+    u = clifford.rotation_unitary()
+    diag = Matrix([[Fraction(1, 2), 0, 0, 0], [0, Fraction(1, 3), 0, 0],
+                   [0, 0, Fraction(1, 4), 0], [0, 0, 0, Fraction(-1, 12)]])
+    rho = u @ diag @ u.dagger()
+    assert all(rho.rows[i][i] == Scalar(Fraction(1, 4)) for i in range(4))
+    assert _det([list(row) for row in rho.rows]) == Scalar(Fraction(-1, 288))
+    assert not _principal_minors_nonnegative(rho)
+    with pytest.raises(wigner.StateError, match="positive semidefinite"):
+        wigner.validate_density(rho)
 
 
 def test_single_qubit_demo():
