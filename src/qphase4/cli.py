@@ -102,7 +102,12 @@ def _state_from_json(obj) -> Matrix:
         if isinstance(obj, dict) and "vector" in obj:
             return wigner.density_from_vector(Scalar.from_json(s) for s in obj["vector"])
         if isinstance(obj, dict) and "density" in obj:
-            return wigner.validate_density(Matrix.from_json(obj["density"]))
+            rows = obj["density"]
+            # Checked before any entry is read: parsing scales every entry to one denominator.
+            if not (isinstance(rows, list) and len(rows) == 4
+                    and all(isinstance(row, list) and len(row) == 4 for row in rows)):
+                raise StateError("density operator must be 4x4")
+            return wigner.validate_density(Matrix.from_json(rows))
     except (TypeError, ValueError) as e:
         raise StateError(str(e)) from None
     raise StateError('state JSON must contain "vector" or "density"')
@@ -191,14 +196,15 @@ def render_wigner(table: wigner.WignerTable) -> str:
     cells = {
         a: fmt_fraction(v) for a, v in table.values.items()
     }
+    # Column q is line q of striation 0, row p is line p of striation 1.
+    arrows = {(n, k): _ARROWS[n][label] for n, k, label in wigner.line_labels(table.f) if n < 2}
     width = max(3, max(len(c) for c in cells.values()))
     lines = [f"frame {fmt_index(table.f)}"]
     for p in reversed(_AXIS_ORDER):
         row = "  ".join(cells[(q, p)].rjust(width) for q in _AXIS_ORDER)
-        lines.append(f" {gf4.to_ascii(p).ljust(2)}| {row} | {_ARROWS[1][gf4.add(p, table.f[1])]}")
+        lines.append(f" {gf4.to_ascii(p).ljust(2)}| {row} | {arrows[1, p]}")
     lines.append("     " + "  ".join(gf4.to_ascii(q).rjust(width) for q in _AXIS_ORDER))
-    lines.append("     " + "  ".join(_ARROWS[0][gf4.add(q, table.f[0])].rjust(width)
-                                      for q in _AXIS_ORDER))
+    lines.append("     " + "  ".join(arrows[0, q].rjust(width) for q in _AXIS_ORDER))
     return "\n".join(lines)
 
 

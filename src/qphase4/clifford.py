@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from . import gf4, symplectic
 from .exact import Matrix, Scalar as _S, Vector, dot, mat_vec, outer, proportional, vector
@@ -109,19 +110,15 @@ def rotation_unitary() -> Matrix:
     return _U_R
 
 
-@lru_cache(maxsize=8)
-def _rotation_power(n: int) -> Matrix:
-    out = Matrix.identity(4)
-    for _ in range(n % 5):
-        out = out @ _U_R
-    return out
+#: U_R^n for n = 0..4.
+_U_R_POWERS = tuple(accumulate([_U_R] * 4, Matrix.__matmul__, initial=Matrix.identity(4)))
 
 
 @lru_cache(maxsize=None)
 def unitary_for(L: SympMat) -> Matrix:
     """U_L = U_R^r U_{H_x} U_R^s from the canonical decomposition of L."""
     d = symplectic.decompose(L)
-    return _rotation_power(d.r) @ generator_unitary(d.x) @ _rotation_power(d.s)
+    return _U_R_POWERS[d.r] @ generator_unitary(d.x) @ _U_R_POWERS[d.s]
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +130,7 @@ def mub_vector(n: int, k: int) -> Vector:
     """
     e0 = vector([1, 0, 0, 0])
     v = mat_vec(displacement((k, 0)), e0)
-    return mat_vec(_rotation_power(n % 5), v)
+    return mat_vec(_U_R_POWERS[n % 5], v)
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +175,7 @@ def verify_projective_rep() -> dict:
                 raise AssertionError(f"shear composition failed for x={x}, y={y}")
     if _U_R @ generator_unitary(gf4.OMEGA_BAR) @ _U_R != generator_unitary(gf4.OMEGA_BAR):
         raise AssertionError("U_R U_HW U_R != U_HW")
-    if _U_R @ _rotation_power(4) != Matrix.identity(4):
+    if _U_R @ _U_R_POWERS[4] != Matrix.identity(4):
         raise AssertionError("U_R does not have order 5")
 
     # Shear-rotation-shear family, the crux case of the composition proof.
@@ -186,10 +183,10 @@ def verify_projective_rep() -> dict:
     for x in ELEMENTS:
         for s in range(5):
             for y in ELEMENTS:
-                lhs = generator_unitary(x) @ _rotation_power(s) @ generator_unitary(y)
+                lhs = generator_unitary(x) @ _U_R_POWERS[s] @ generator_unitary(y)
                 mat = symplectic.product(
                     symplectic.shear(x),
-                    symplectic.product(gf4.mat_pow(symplectic.R, s), symplectic.shear(y)),
+                    symplectic.product(symplectic.R_POWERS[s], symplectic.shear(y)),
                 )
                 k = proportional(lhs, unitary_for(mat))
                 if k is None:

@@ -3,9 +3,10 @@
 Striation n consists of the lines R^n applied to the vertical lines; its
 label is fixed by that generative definition, never by slope values.  The
 index of a point (or of one line per striation) is the five-component GF(4)
-vector recording which line of each striation is selected.  Symplectic
-matrices act on indices through monomial 5x5 index operators S_L plus, on
-the Hilbert side, an affine shift vector f_L.
+vector recording which line of each striation is selected.  It is linear,
+I(alpha) = alpha_q Q + alpha_p P, so a symplectic matrix L acts on indices
+through the monomial 5x5 index operator S_L read off the indices of L's two
+basis images, plus, on the Hilbert side, an affine shift vector f_L.
 """
 
 from __future__ import annotations
@@ -14,44 +15,26 @@ from functools import lru_cache
 
 from . import gf4, symplectic
 from .gf4 import ELEMENTS, Vec2
-from .symplectic import SympMat
+from .symplectic import R_POWERS, SympMat
 
 Index = tuple[int, int, int, int, int]
 IndexOperator = tuple[tuple[int, ...], ...]
 
 ZERO_INDEX: Index = (0, 0, 0, 0, 0)
 
-_R_POW = [gf4.mat_pow(symplectic.R, n) for n in range(5)]
-
-
-def _r_power(n: int) -> gf4.Mat2:
-    return _R_POW[n % 5]
-
 
 @lru_cache(maxsize=None)
 def line_points(n: int, k: int) -> frozenset[Vec2]:
     """The 4 points of line k of striation n (R^n applied to q == k)."""
-    r = _r_power(n)
+    r = R_POWERS[n % 5]
     return frozenset(gf4.mat_vec(r, (k, p)) for p in ELEMENTS)
-
-
-@lru_cache(maxsize=1)
-def _striation_of_slope() -> dict:
-    """Derived correspondence from ray slope to striation number."""
-    out = {}
-    for n in range(5):
-        pt = next(p for p in line_points(n, 0) if p != (0, 0))
-        out[gf4.slope(pt)] = n
-    if len(out) != 5:
-        raise AssertionError("the five striations do not have distinct ray slopes")
-    return out
 
 
 @lru_cache(maxsize=1)
 def qp_vectors() -> tuple[Index, Index]:
     """The vectors Q, P with (R^-n beta)_q == beta_q Q_n + beta_p P_n."""
-    q = tuple(gf4.mat_vec(_r_power(-n), (1, 0))[0] for n in range(5))
-    p = tuple(gf4.mat_vec(_r_power(-n), (0, 1))[0] for n in range(5))
+    q = tuple(gf4.mat_vec(R_POWERS[-n % 5], (1, 0))[0] for n in range(5))
+    p = tuple(gf4.mat_vec(R_POWERS[-n % 5], (0, 1))[0] for n in range(5))
     return q, p
 
 
@@ -76,29 +59,23 @@ def index_add(a: Index, b: Index) -> Index:
 def index_operator(L: SympMat) -> IndexOperator:
     """The monomial 5x5 matrix S_L with I(L alpha) == S_L I(alpha).
 
-    Row m of column n is nonzero exactly when L sends striation n to
-    striation m; the entry is the common ratio of transformed to original
-    line labels, checked to agree over every admissible displacement.
+    I is linear, so S_L is fixed by the indices of the basis images L e_q and
+    L e_p.  Row m has one nonzero entry s, in the column n of the striation
+    that L sends to striation m, with (I(L e_q)_m, I(L e_p)_m) == s (Q_n, P_n);
+    exactly one (n, s) must fit each row.
     """
     symplectic.require_symplectic(L)
     q, p = qp_vectors()
-    slopes = _striation_of_slope()
-    rows = [[0] * 5 for _ in range(5)]
-    for n in range(5):
-        ray_pt = next(pt for pt in line_points(n, 0) if pt != (0, 0))
-        m = slopes[gf4.slope(gf4.mat_vec(L, ray_pt))]
-        values = set()
-        for beta in gf4.all_points():
-            den = gf4.add(gf4.mul(beta[0], q[n]), gf4.mul(beta[1], p[n]))
-            if den == 0:
-                continue
-            lb = gf4.mat_vec(L, beta)
-            num = gf4.add(gf4.mul(lb[0], q[m]), gf4.mul(lb[1], p[m]))
-            values.add(gf4.div(num, den))
-        if len(values) != 1:
-            raise AssertionError(f"index-operator entry not well defined for {L}")
-        rows[m][n] = values.pop()
-    return tuple(tuple(r) for r in rows)
+    a, b = map(point_index, gf4.transpose(L))  # the columns L e_q and L e_p
+    rows = []
+    for m in range(5):
+        fits = [(n, s) for n in range(5) for s in ELEMENTS[1:]
+                if (a[m], b[m]) == (gf4.mul(s, q[n]), gf4.mul(s, p[n]))]
+        if len(fits) != 1:
+            raise AssertionError(f"index-operator row {m} not well defined for {L}")
+        (n, s), = fits
+        rows.append(tuple(s if j == n else 0 for j in range(5)))
+    return tuple(rows)
 
 
 def apply_index_operator(s: IndexOperator, idx: Index) -> Index:
@@ -125,7 +102,7 @@ def shift_vector(L: SympMat) -> Index:
     core = gf4.mat_mul(gf4.mat_mul(L, _H_WBAR_T), gf4.transpose(L))
     out = []
     for n in range(5):
-        rn = _r_power(-n)
+        rn = R_POWERS[-n % 5]
         mu = gf4.mat_vec(gf4.mat_mul(gf4.mat_mul(rn, core), rn), (1, 0))
         s = gf4.slope(mu)
         if s is gf4.INF:

@@ -9,8 +9,8 @@ than by searching the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gf4
 from .gf4 import INF, Mat2, OMEGA, OMEGA_BAR
@@ -21,6 +21,9 @@ IDENTITY: SympMat = gf4.MAT_IDENTITY
 
 #: The rotation matrix R = [[W, 1], [1, 0]]; R^5 == identity.
 R: SympMat = ((OMEGA_BAR, 1), (1, 0))
+
+#: R^n for n = 0..4; index with n % 5 for any other exponent.
+R_POWERS: tuple[SympMat, ...] = tuple(gf4.mat_pow(R, n) for n in range(5))
 
 
 def shear(x: int) -> SympMat:
@@ -52,22 +55,20 @@ def enumerate_group() -> tuple[SympMat, ...]:
     Families: H_0 R^s, H_W R^s, R^r H_1 R^s, R^r H_w R^s, with the rotation
     exponents ascending within each family.
     """
-    r_pow = [gf4.mat_pow(R, n) for n in range(5)]
     out = []
     for x in (0, OMEGA_BAR):
         for s in range(5):
-            out.append(gf4.mat_mul(shear(x), r_pow[s]))
+            out.append(gf4.mat_mul(shear(x), R_POWERS[s]))
     for x in (1, OMEGA):
         for r in range(5):
             for s in range(5):
-                out.append(gf4.mat_mul(r_pow[r], gf4.mat_mul(shear(x), r_pow[s])))
+                out.append(gf4.mat_mul(R_POWERS[r], gf4.mat_mul(shear(x), R_POWERS[s])))
     if len(set(out)) != 60:
         raise AssertionError("group enumeration did not give 60 distinct matrices")
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Canonical factorization L = R^r H_x R^s (r == 0 when x in {0, W})."""
 
     r: int
@@ -75,9 +76,7 @@ class Decomposition:
     s: int
 
     def matrix(self) -> SympMat:
-        return product(
-            gf4.mat_pow(R, self.r), product(shear(self.x), gf4.mat_pow(R, self.s))
-        )
+        return product(R_POWERS[self.r], product(shear(self.x), R_POWERS[self.s]))
 
     def __str__(self) -> str:
         return f"R^{self.r} H_{gf4.to_ascii(self.x)} R^{self.s}"

@@ -1,11 +1,13 @@
 """Wigner frames, tables, transport, and the classification of definitions.
 
-A frame is fixed by a five-component GF(4) vector f: its phase point
-operator at alpha is the sum of the projectors onto vector (f + I(alpha))_n
-of each mutually unbiased basis n, minus the identity.  Tables are therefore
-read off the 20 MUB Born probabilities and reconstruction sums the 20
-projectors by line sums, both on clifford.mub_projector's cached integer
-matrices; frame() builds the 16 operators from mub_vector as the test oracle.
+A frame is fixed by a five-component GF(4) vector f, a quantum net: line k
+of striation n is read by vector k + f_n of mutually unbiased basis n
+(line_labels), and the phase point operator at alpha is the sum of the
+projectors of the five lines through alpha, minus the identity.  Tables are
+therefore built line by line from the 20 MUB Born probabilities, and
+reconstruction sums the 20 projectors weighted by line sums, both on
+clifford.mub_projector's cached integer matrices; frame() builds the 16
+operators from mub_vector and the displacements as the test oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  covariant() is the one check of that:
 transport (U_L, f -> S_L f + f_L, alpha -> L alpha), the displacements of
@@ -15,10 +17,11 @@ and the conjugated rotations (V, f_L -> f_L, alpha -> R_L alpha) all call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
+from typing import NamedTuple
 
 from . import clifford, gf4, phasespace, symplectic
 from .exact import Matrix, Scalar, norm_sq, outer, vector
@@ -31,8 +34,7 @@ class StateError(ValueError):
     """A rejected state: not four amplitudes, or not a 4x4 density operator."""
 
 
-@dataclass(frozen=True)
-class WignerTable:
+class WignerTable(NamedTuple):
     """16 exact rational Wigner values together with their frame."""
 
     f: Index
@@ -43,6 +45,12 @@ class WignerTable:
 
     def line_sum(self, n: int, k: int) -> Fraction:
         return sum((self.values[pt] for pt in phasespace.line_points(n, k)), Fraction(0))
+
+
+def line_labels(f: Index) -> tuple[tuple[int, int, int], ...]:
+    """The 20 lines of frame f as (n, k, label): line k of striation n is
+    read by mub_vector(n, label), label = k + f_n."""
+    return tuple((n, k, gf4.add(k, f[n])) for n in range(5) for k in ELEMENTS)
 
 
 @lru_cache(maxsize=None)
@@ -104,18 +112,18 @@ def validate_density(rho: Matrix) -> Matrix:
 # lru_cache because the benchmark reads wigner_table.cache_info().
 @lru_cache(maxsize=640)
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
-    """W^f_alpha = Tr(A^f_alpha rho) / 4: five of the 20 Born probabilities
-    (basis n, vector (f + I(alpha))_n) minus Tr(rho), over 4.  These are
-    exact for Hermitian rho only; any other rho raises ValueError."""
+    """W^f_alpha = Tr(A^f_alpha rho) / 4: the Born probabilities of the five
+    lines through alpha minus Tr(rho), over 4.  Every point starts at
+    -Tr(rho) and each line adds its probability to its four points.  These
+    are exact for Hermitian rho only; any other rho raises ValueError."""
     if not rho.is_hermitian():
         raise ValueError("Wigner table of a non-Hermitian operator")
-    prob = {(n, k): clifford.born_probability(rho, n, k) for n in range(5) for k in ELEMENTS}
-    trace = rho.trace().re
-    values = {}
-    for alpha in gf4.all_points():
-        idx = phasespace.displace_index(f, alpha)
-        values[alpha] = (sum(prob[(n, idx[n])] for n in range(5)) - trace) / 4
-    return WignerTable(f=f, values=values)
+    sums = dict.fromkeys(gf4.all_points(), -rho.trace().re)
+    for n, k, label in line_labels(f):
+        prob = clifford.born_probability(rho, n, label)
+        for alpha in phasespace.line_points(n, k):
+            sums[alpha] += prob
+    return WignerTable(f, {alpha: s / 4 for alpha, s in sums.items()})
 
 
 def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str):
@@ -163,44 +171,36 @@ def similarity_class(f: Index) -> int:
     return e
 
 
-def _all_indices():
-    return product(ELEMENTS, repeat=5)
-
-
 def census() -> dict:
     """Classify all 1024 frame definitions.
 
-    Groups them into displacement orbits (always of size 16) and counts
-    orbits and members per similarity class; the E == 0 class must consist
-    of exactly 12 orbits, one per canonical shift vector.
+    Walks each displacement orbit once, from its least frame: the orbit must
+    hold 16 frames, overlap no earlier orbit and lie in one similarity class.
+    Counts orbits and members per similarity class; the E == 0 class must
+    consist of exactly 12 orbits, one per canonical shift vector.
     """
-    class_counts = {}
-    orbit_reps = {}
-    total = 0
-    for f in _all_indices():
-        f = tuple(f)
-        total += 1
-        e = similarity_class(f)
-        class_counts[e] = class_counts.get(e, 0) + 1
+    rep_of = {}  # frame -> the least frame of its orbit
+    orbit_class = {}  # least frame -> the orbit's similarity class
+    for f in product(ELEMENTS, repeat=5):
+        if f in rep_of:
+            continue
         orbit = {phasespace.displace_index(f, beta) for beta in gf4.all_points()}
-        rep = min(orbit)
-        if len(orbit) != 16 or orbit_reps.setdefault(rep, e) != e:
-            raise AssertionError(f"displacement orbit of {f} is not 16 frames of one class")
-    orbit_counts = {}
-    for e in orbit_reps.values():
-        orbit_counts[e] = orbit_counts.get(e, 0) + 1
-    canonical = set(phasespace.canonical_shift_vectors())
-    canonical_reps = {min({phasespace.displace_index(f, b) for b in gf4.all_points()})
-                      for f in canonical}
+        classes = {similarity_class(g) for g in orbit}
+        if len(orbit) != 16 or not orbit.isdisjoint(rep_of) or len(classes) != 1:
+            raise AssertionError(f"displacement orbit of {f} is not 16 new frames of one class")
+        rep_of.update(dict.fromkeys(orbit, f))
+        (orbit_class[f],) = classes
+    class_counts = dict(sorted(Counter(orbit_class[rep] for rep in rep_of.values()).items()))
+    orbit_counts = dict(sorted(Counter(orbit_class.values()).items()))
+    canonical_reps = {rep_of[f] for f in phasespace.canonical_shift_vectors()}
     return {
-        "total": total,
-        "class_counts": dict(sorted(class_counts.items())),
-        "orbit_counts": dict(sorted(orbit_counts.items())),
+        "total": len(rep_of),
+        "class_counts": class_counts,
+        "orbit_counts": orbit_counts,
         "e0_orbit_count": orbit_counts.get(0, 0),
         "e0_member_count": class_counts.get(0, 0),
         "canonical_orbit_reps": canonical_reps,
-        "canonical_covers_e0": canonical_reps
-        == {rep for rep, e in orbit_reps.items() if e == 0},
+        "canonical_covers_e0": canonical_reps == {r for r, e in orbit_class.items() if e == 0},
     }
 
 
@@ -259,11 +259,10 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     """
     table = wigner_table(rho, f)
     checked = 0
-    for n in range(5):
-        for k in ELEMENTS:
-            if table.line_sum(n, k) != clifford.born_probability(rho, n, gf4.add(k, f[n])):
-                raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
-            checked += 1
+    for n, k, label in line_labels(f):
+        if table.line_sum(n, k) != clifford.born_probability(rho, n, label):
+            raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
+        checked += 1
     for beta in gf4.all_points():
         covariant(rho, f, clifford.displacement(beta), f, partial(gf4.vec_add, beta),
                   f"displacement by beta={beta}")
@@ -275,9 +274,8 @@ def reconstruct(table: WignerTable) -> Matrix:
     line: line sums times the cached MUB projectors onto the frame's labels,
     minus the total times I.  The same map on every table."""
     rho = Matrix.identity(4).scaled(-table.total())
-    for n, k in product(range(5), ELEMENTS):
-        p = clifford.mub_projector(n, gf4.add(k, table.f[n]))
-        rho = rho + p.scaled(table.line_sum(n, k))
+    for n, k, label in line_labels(table.f):
+        rho = rho + clifford.mub_projector(n, label).scaled(table.line_sum(n, k))
     if not rho.is_hermitian() or rho.trace() != Scalar(1):
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
     return rho

@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,34 @@ def test_state_file_is_read_up_to_a_bound(tmp_path):
     assert cli.parse_state(f"@{path}") == cli.parse_state(_state())
     path.write_text(_state().ljust(cli.MAX_STATE_FILE_CHARS + 1), encoding="utf-8")
     _assert_rejected(["wigner", "--state", f"@{path}"], 4)
+
+
+def test_wrong_shape_density_is_rejected_before_its_entries_are_read(capsys, monkeypatch,
+                                                                    tmp_path):
+    # 2500 entries with distinct 100-digit denominators: bringing them to one
+    # denominator first took seconds and hundreds of MB before the shape check.
+    top = 10**MAX_JSON_DIGITS
+    rows = [[{"re": [1, top - 50 * i - j - 1], "im": [0, 1]} for j in range(50)]
+            for i in range(50)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"density": rows}), encoding="utf-8")
+
+    def forbidden(obj):
+        raise RuntimeError("Scalar.from_json called")
+
+    monkeypatch.setattr(Scalar, "from_json", forbidden)
+    for state in (f"@{path}", json.dumps({"density": [[ONE] * 3] * 4}),
+                  json.dumps({"density": [[ONE] * 4] * 3 + [ONE]}), '{"density": 5}'):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wigner", "--state", state)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (4, "", "invalid state: density operator must be 4x4\n")
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    code = "import sys, qphase4.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 def test_no_scalar_ring_operator_runs_in_src(capsys, monkeypatch):

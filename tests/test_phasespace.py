@@ -171,6 +171,21 @@ def test_index_operator_rejects_non_symplectic():
         index_operator(((1, 0), (0, OMEGA)))
 
 
+@pytest.mark.parametrize("name", ["point_index", "qp_vectors"])
+def test_index_operator_row_needs_exactly_one_fit(monkeypatch, name):
+    q, p = qp_vectors()
+    fake = {
+        # The zero index is s (Q_n, P_n) for no striation n and s != 0.
+        "point_index": lambda alpha: ZERO_INDEX,
+        # Striations 0 and 1 share (Q_n, P_n), so row 0 fits both.
+        "qp_vectors": lambda: ((q[0], q[0], *q[2:]), (p[0], p[0], *p[2:])),
+    }[name]
+    index_operator.cache_clear()
+    monkeypatch.setattr(phasespace, name, fake)
+    with pytest.raises(AssertionError, match="row 0 not well defined"):
+        index_operator(symplectic.IDENTITY)
+
+
 def test_shift_vectors_of_generators():
     assert shift_vector(symplectic.shear(0)) == ZERO_INDEX
     assert shift_vector(symplectic.shear(1)) == (1, 0, 1, 0, OMEGA)

@@ -286,6 +286,43 @@ def test_census():
     assert sum(rep["orbit_counts"].values()) == 64
 
 
+def test_tables_transport_and_marginals_use_lines_not_point_indices(monkeypatch):
+    f = phasespace.shift_vector(G)
+    expect = wigner.wigner_table(GENERIC, f)
+    for L in (G, symplectic.shear(1)):
+        phasespace.compose_frame(f, L)  # S_L is read off two point indices, once per L
+    wigner.wigner_table.cache_clear()
+
+    def forbidden(*args):
+        raise RuntimeError("per-point index arithmetic")
+
+    monkeypatch.setattr(phasespace, "displace_index", forbidden)
+    monkeypatch.setattr(phasespace, "point_index", forbidden)
+    assert wigner.wigner_table(GENERIC, f) == expect
+    for L in (G, symplectic.shear(1)):
+        rho2, _, table = wigner.transport(GENERIC, f, L)
+        assert wigner.reconstruct(table) == rho2
+    assert wigner.marginal_check(GENERIC, f) == {"lines": 20, "displacements": 16}
+
+
+@pytest.mark.parametrize(
+    "name, fake",
+    [
+        # Displacements that forget the frame give every frame the same orbit.
+        ("displace_index", lambda f, beta: phasespace.point_index(beta)),
+        # Displacements that move nothing give orbits of one frame.
+        ("displace_index", lambda f, beta: f),
+        # A class that is not constant on displacement orbits.
+        ("similarity_class", lambda f: f[4]),
+    ],
+    ids=["overlapping", "size-1", "mixed-class"],
+)
+def test_census_rejects_a_broken_orbit(monkeypatch, name, fake):
+    monkeypatch.setattr(phasespace if name == "displace_index" else wigner, name, fake)
+    with pytest.raises(AssertionError, match="is not 16 new frames of one class"):
+        wigner.census()
+
+
 def test_rotational_symmetry():
     rep = wigner.rotational_symmetry_check(symplectic.IDENTITY)
     assert rep["period"] == 5
