@@ -12,7 +12,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import partial
 
 from . import clifford, gf4, phasespace, symplectic, wigner
 from .exact import Matrix, Scalar
@@ -280,7 +279,7 @@ def cmd_apply(args) -> int:
         if kind == "displace":
             name = f"D{fmt_index(op)}"
             rho, table = wigner.covariant(rho, f, clifford.displacement(op), f,
-                                          partial(gf4.vec_add, op), name)
+                                          wigner.translation_perm(op), name)
             steps.append((name, rho, table))
         else:
             rho, f, table = wigner.transport(rho, f, op)
@@ -338,9 +337,9 @@ def _verify_rep() -> str:
 def _verify_transport() -> str:
     states = wigner.standard_test_states()
     count = 0
-    for L in symplectic.enumerate_group():
-        for f in phasespace.canonical_shift_vectors():
-            for rho in states:
+    for L in symplectic.enumerate_group():  # frames innermost: one U_L rho U_L^dag each
+        for rho in states:
+            for f in phasespace.canonical_shift_vectors():
                 wigner.transport(rho, f, L)
                 count += 1
     return f"transport: {count}/{count} (L, frame, state) triples exact"
@@ -349,8 +348,8 @@ def _verify_transport() -> str:
 def _verify_marginals() -> str:
     states = wigner.standard_test_states()
     count = 0
-    for f in phasespace.canonical_shift_vectors():
-        for rho in states:
+    for rho in states:  # frames innermost: one D_beta rho D_beta each
+        for f in phasespace.canonical_shift_vectors():
             rep = wigner.marginal_check(rho, f)
             count += 1
     return (f"marginals: {count}/{count} (frame, state) pairs, "

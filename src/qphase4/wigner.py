@@ -13,13 +13,16 @@ map while reinterpreting the frame.  covariant() is the one check of that:
 transport (U_L, f -> S_L f + f_L, alpha -> L alpha), the displacements of
 marginal_check and of the CLI's apply (D_beta, f -> f, alpha -> alpha + beta)
 and the conjugated rotations (V, f_L -> f_L, alpha -> R_L alpha) all call it.
+Each map is a cached permutation of the 16 positions of gf4.all_points()
+(linear_perm, translation_perm), and rho' comes from clifford.conjugate, so
+a sweep over frames conjugates each state once per unitary.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -126,17 +129,33 @@ def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     return WignerTable(f, {alpha: s / 4 for alpha, s in sums.items()})
 
 
+@lru_cache(maxsize=None)
+def linear_perm(L: SympMat) -> tuple[int, ...]:
+    """alpha -> L alpha: entry i is the position of L points[i] in points."""
+    points = gf4.all_points()
+    return tuple(points.index(gf4.mat_vec(L, alpha)) for alpha in points)
+
+
+@lru_cache(maxsize=None)
+def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
+    """alpha -> alpha + beta: entry i is the position of points[i] + beta."""
+    points = gf4.all_points()
+    return tuple(points.index(gf4.vec_add(beta, alpha)) for alpha in points)
+
+
 def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str):
     """Perform u and check it against the phase-space map: returns (rho', table).
 
-    The table of rho' = u rho u^dag in frame g is computed directly and must
-    equal the f-table of rho with every value moved from alpha to move(alpha);
-    otherwise AssertionError names `what` and f.
+    rho' = u rho u^dag comes from clifford.conjugate, once per (u, rho) while
+    only the frame varies.  Its table in frame g is computed directly and must
+    equal the f-table of rho with the value at point i of gf4.all_points()
+    moved to point move[i] (a linear_perm or translation_perm); otherwise
+    AssertionError names `what` and f.
     """
-    rho2 = u @ rho @ u.dagger()
+    rho2 = clifford.conjugate(u, rho)
     table = wigner_table(rho2, g)
-    moved = {move(alpha): val for alpha, val in wigner_table(rho, f).values.items()}
-    if moved != table.values:
+    points, old = gf4.all_points(), wigner_table(rho, f).values
+    if any(table.values[points[j]] != old[alpha] for alpha, j in zip(points, move)):
         raise AssertionError(f"{what} is not covariant in frame f={f}")
     return rho2, table
 
@@ -145,7 +164,7 @@ def transport(rho: Matrix, f: Index, L: SympMat):
     """Apply U_L: returns (rho', new frame g = S_L f + f_L, table), checked
     by covariant() along alpha -> L alpha."""
     g = phasespace.compose_frame(f, L)
-    rho2, table = covariant(rho, f, clifford.unitary_for(L), g, partial(gf4.mat_vec, L),
+    rho2, table = covariant(rho, f, clifford.unitary_for(L), g, linear_perm(L),
                             f"transport by L={symplectic.to_text(L)}")
     return rho2, g, table
 
@@ -199,7 +218,6 @@ def census() -> dict:
         "orbit_counts": orbit_counts,
         "e0_orbit_count": orbit_counts.get(0, 0),
         "e0_member_count": class_counts.get(0, 0),
-        "canonical_orbit_reps": canonical_reps,
         "canonical_covers_e0": canonical_reps == {r for r, e in orbit_class.items() if e == 0},
     }
 
@@ -243,9 +261,9 @@ def rotational_symmetry_check(L: SympMat, states=None) -> dict:
         )
 
     u_l = clifford.unitary_for(L)
-    v = u_l @ clifford.rotation_unitary() @ u_l.dagger()
+    v = clifford.conjugate(u_l, clifford.rotation_unitary())
     for rho in states:
-        covariant(rho, f_l, v, f_l, partial(gf4.mat_vec, r_l),
+        covariant(rho, f_l, v, f_l, linear_perm(r_l),
                   f"conjugated rotation for L={symplectic.to_text(L)}")
     return {"period": period, "striations_cycled": len(seen), "states": len(states)}
 
@@ -264,7 +282,7 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
             raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
         checked += 1
     for beta in gf4.all_points():
-        covariant(rho, f, clifford.displacement(beta), f, partial(gf4.vec_add, beta),
+        covariant(rho, f, clifford.displacement(beta), f, translation_perm(beta),
                   f"displacement by beta={beta}")
     return {"lines": checked, "displacements": 16}
 

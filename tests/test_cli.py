@@ -12,7 +12,7 @@ import pytest
 
 import qphase4
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import MAX_JSON_DIGITS, Scalar
+from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar
 from qphase4.gf4 import OMEGA, OMEGA_BAR
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -238,10 +238,41 @@ def test_verify_transport_counterexample_exits_1(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("FAIL transport: ")
 
 
+def test_wrong_permutation_for_one_L_fails_verify_transport(capsys, monkeypatch):
+    # Point i's value goes where point i + 1 belongs: still a bijection, wrong for R only.
+    linear_perm = wigner.linear_perm
+    monkeypatch.setattr(wigner, "linear_perm", lambda L: linear_perm(L)[1:] + linear_perm(L)[:1]
+                        if L == symplectic.R else linear_perm(L))
+    code, out, err = run(capsys, "verify", "transport")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"FAIL transport: transport by L={symplectic.to_text(symplectic.R)} ")
+
+
+@pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
+def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
+    # U rho U^dag is two products per distinct (unitary, state) pair, whatever the frame.
+    for L in symplectic.enumerate_group():
+        clifford.unitary_for(L)
+    clifford.conjugate.cache_clear()
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    code, _, _ = run(capsys, "verify", scope)
+    assert code == 0
+    assert len(products) == 2 * pairs
+
+
 def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):
     # A displacement that moves nothing breaks the covariance of every D[q,p] step.
+    # translation_perm is cached, so it is rebuilt from the patched addition and dropped after.
     monkeypatch.setattr(gf4, "vec_add", lambda u, v: v)
-    code, out, err = run(capsys, "apply", "--state", "up*up", "D[1,0]")
+    wigner.translation_perm.cache_clear()
+    try:
+        code, out, err = run(capsys, "apply", "--state", "up*up", "D[1,0]")
+    finally:
+        wigner.translation_perm.cache_clear()
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("FAIL apply: D[1,0] ")

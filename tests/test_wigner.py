@@ -244,14 +244,28 @@ def test_transport_identity():
 def test_covariant_rejects_a_wrong_move_or_frame():
     up_up = wigner.density_from_vector([1, 0, 0, 0])
     d = clifford.displacement((1, 0))
-    shift = partial(gf4.vec_add, (1, 0))
+    shift = wigner.translation_perm((1, 0))
     rho2, table = wigner.covariant(up_up, ZERO_INDEX, d, ZERO_INDEX, shift, "D[1,0]")
     assert rho2 == d @ up_up @ d.dagger()
     assert table == wigner.wigner_table(rho2, ZERO_INDEX)
     # f_0 = 1 relabels the computational basis, the one basis up*up is not unbiased to.
-    for g, move in ((ZERO_INDEX, lambda alpha: alpha), ((1, 0, 0, 0, 0), shift)):
+    for g, move in ((ZERO_INDEX, tuple(range(16))), ((1, 0, 0, 0, 0), shift)):
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
             wigner.covariant(up_up, ZERO_INDEX, d, g, move, "D[1,0]")
+
+
+def test_cached_point_permutations_match_the_field_arithmetic():
+    # The 60 L, the 60 conjugated rotations R_L = L R L^-1 and the 16 beta.
+    points = gf4.all_points()
+    group = symplectic.enumerate_group()
+    rotations = [symplectic.product(symplectic.product(L, symplectic.R), symplectic.inverse(L))
+                 for L in group]
+    cases = [(wigner.linear_perm(L), partial(gf4.mat_vec, L)) for L in (*group, *rotations)]
+    cases += [(wigner.translation_perm(beta), partial(gf4.vec_add, beta)) for beta in points]
+    assert len(cases) == 136
+    for perm, image in cases:
+        assert sorted(perm) == list(range(16))
+        assert [points[j] for j in perm] == [image(alpha) for alpha in points]
 
 
 def test_similarity_class_values():
