@@ -277,10 +277,8 @@ def cmd_apply(args) -> int:
     for text in args.ops:
         kind, op = parse_op(text)
         if kind == "displace":
-            name = f"D{fmt_index(op)}"
-            rho, table = wigner.covariant(rho, f, clifford.displacement(op), f,
-                                          wigner.translation_perm(op), name)
-            steps.append((name, rho, table))
+            rho, f, table = wigner.displace(rho, f, op)
+            steps.append((f"D{fmt_index(op)}", rho, table))
         else:
             rho, f, table = wigner.transport(rho, f, op)
             steps.append((symplectic.to_text(op), rho, table))

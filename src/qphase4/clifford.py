@@ -121,16 +121,11 @@ def unitary_for(L: SympMat) -> Matrix:
     return _U_R_POWERS[d.r] @ generator_unitary(d.x) @ _U_R_POWERS[d.s]
 
 
-@lru_cache(maxsize=256)  # verify meets 136 unitaries: 60 U_L, 16 D_beta, 60 V
-def _adjoint(u: Matrix) -> Matrix:
-    return u.dagger()
-
-
 @lru_cache(maxsize=16)  # one state's 16 displacements; fresh states never hit it
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:
     """u rho u^dag, which no frame changes: a sweep that varies only the
     frame conjugates each (u, rho) once."""
-    return u @ rho @ _adjoint(u)
+    return u @ rho @ u.dagger()
 
 
 @lru_cache(maxsize=None)

@@ -48,7 +48,7 @@ def point_index(alpha: Vec2) -> Index:
 
 def displace_index(idx: Index, beta: Vec2) -> Index:
     """Index after displacement by beta: add beta_q Q + beta_p P."""
-    return tuple(gf4.add(a, b) for a, b in zip(idx, point_index(beta)))
+    return index_add(idx, point_index(beta))
 
 
 def index_add(a: Index, b: Index) -> Index:

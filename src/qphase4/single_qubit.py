@@ -84,14 +84,11 @@ def single_qubit_demo() -> dict:
                 raise AssertionError("reinterpretation identity failed")
 
     # Obstruction: X -> Z, Z -> X, Y -> Y is a Bloch-sphere reflection.
-    # Its action on (x, y, z) coordinates has determinant -1, while unitary
-    # conjugation always induces a rotation (determinant +1).
-    bloch_map = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-    det = (
-        bloch_map[0][0] * (bloch_map[1][1] * bloch_map[2][2] - bloch_map[1][2] * bloch_map[2][1])
-        - bloch_map[0][1] * (bloch_map[1][0] * bloch_map[2][2] - bloch_map[1][2] * bloch_map[2][0])
-        + bloch_map[0][2] * (bloch_map[1][0] * bloch_map[2][1] - bloch_map[1][1] * bloch_map[2][0])
-    )
+    # Its action on (x, y, z) coordinates is the axis permutation (2, 1, 0),
+    # whose determinant is its sign, -1, while unitary conjugation always
+    # induces a rotation (determinant +1).
+    axes = (2, 1, 0)
+    det = (-1) ** sum(axes[i] > axes[j] for i in range(3) for j in range(i + 1, 3))
     if det != -1:
         raise AssertionError("Bloch reflection determinant check failed")
 

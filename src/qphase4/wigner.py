@@ -9,13 +9,15 @@ reconstruction sums the 20 projectors weighted by line sums, both on
 clifford.mub_projector's cached integer matrices; frame() builds the 16
 operators from mub_vector and the displacements as the test oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
-map while reinterpreting the frame.  covariant() is the one check of that:
-transport (U_L, f -> S_L f + f_L, alpha -> L alpha), the displacements of
-marginal_check and of the CLI's apply (D_beta, f -> f, alpha -> alpha + beta)
-and the conjugated rotations (V, f_L -> f_L, alpha -> R_L alpha) all call it.
-Each map is a cached permutation of the 16 positions of gf4.all_points()
-(linear_perm, translation_perm), and rho' comes from clifford.conjugate, so
-a sweep over frames conjugates each state once per unitary.
+map while reinterpreting the frame.  A step is performed by one of two
+routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
+(D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
+use only these.  Both, and the conjugated rotations of
+rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
+by covariant().  Each map is a cached permutation of the 16 positions of
+gf4.all_points() (linear_perm, translation_perm), and rho' comes from
+clifford.conjugate, so a sweep over frames conjugates each state once per
+unitary.
 """
 
 from __future__ import annotations
@@ -169,24 +171,22 @@ def transport(rho: Matrix, f: Index, L: SympMat):
     return rho2, g, table
 
 
-# Quadratic form classifying frame definitions into similarity classes.
-_E_R = (gf4.OMEGA,) * 5
-_E_M = (
-    (0, 1, gf4.OMEGA, 0, 0),
-    (0, 0, 1, gf4.OMEGA, 0),
-    (0, 0, 0, 1, gf4.OMEGA),
-    (gf4.OMEGA, 0, 0, 0, 1),
-    (1, gf4.OMEGA, 0, 0, 0),
-)
+def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
+    """Apply D_beta: returns (rho', f, table), checked by covariant() along
+    alpha -> alpha + beta in the unchanged frame; a failure names the step
+    as the CLI's apply op D[q,p]."""
+    name = "D[" + ",".join(map(gf4.to_token, beta)) + "]"
+    rho2, table = covariant(rho, f, clifford.displacement(beta), f, translation_perm(beta), name)
+    return rho2, f, table
 
 
 def similarity_class(f: Index) -> int:
-    """E(f) = r^T f + f^T M f; the canonical twelve frames all have E == 0."""
+    """E(f) = sum_n f_n (w + f_(n+1) + w f_(n+2)), indices mod 5: the quadratic
+    form classifying frame definitions; the canonical twelve frames have E == 0."""
     e = 0
     for n in range(5):
-        e = gf4.add(e, gf4.mul(_E_R[n], f[n]))
-        for m in range(5):
-            e = gf4.add(e, gf4.mul(f[n], gf4.mul(_E_M[n][m], f[m])))
+        cross = gf4.add(f[(n + 1) % 5], gf4.mul(gf4.OMEGA, f[(n + 2) % 5]))
+        e = gf4.add(e, gf4.mul(f[n], gf4.add(gf4.OMEGA, cross)))
     return e
 
 
@@ -229,15 +229,13 @@ def standard_test_states() -> list[Matrix]:
     return basis + [density_from_vector([1, 1, 0, 0]), MAXIMALLY_MIXED]
 
 
-def rotational_symmetry_check(L: SympMat, states=None) -> dict:
+def rotational_symmetry_check(L: SympMat) -> dict:
     """Check the conjugated-rotation covariance of the f_L frame.
 
     R_L = L R L^-1 must have period five and cycle all five striations, and
-    V = U_L U_R U_L^dag must move the f_L-table of each test state along
-    alpha -> R_L alpha.
+    V = U_L U_R U_L^dag must move the f_L-table of each standard test state
+    along alpha -> R_L alpha.
     """
-    if states is None:
-        states = standard_test_states()
     f_l = phasespace.shift_vector(L)
     r_l = symplectic.product(
         symplectic.product(L, symplectic.R), symplectic.inverse(L)
@@ -262,10 +260,10 @@ def rotational_symmetry_check(L: SympMat, states=None) -> dict:
 
     u_l = clifford.unitary_for(L)
     v = clifford.conjugate(u_l, clifford.rotation_unitary())
-    for rho in states:
+    for rho in standard_test_states():
         covariant(rho, f_l, v, f_l, linear_perm(r_l),
                   f"conjugated rotation for L={symplectic.to_text(L)}")
-    return {"period": period, "striations_cycled": len(seen), "states": len(states)}
+    return {"period": period, "striations_cycled": len(seen)}
 
 
 def marginal_check(rho: Matrix, f: Index) -> dict:
@@ -282,8 +280,7 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
             raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
         checked += 1
     for beta in gf4.all_points():
-        covariant(rho, f, clifford.displacement(beta), f, translation_perm(beta),
-                  f"displacement by beta={beta}")
+        displace(rho, f, beta)
     return {"lines": checked, "displacements": 16}
 
 

@@ -3,6 +3,7 @@
 import ast
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -98,6 +99,18 @@ def test_apply_golden(capsys):
     code, out, _ = run(capsys, "apply", "--state", "up*right", G_TEXT, G_TEXT)
     assert code == 0
     assert out == golden("apply_g_twice.txt")
+
+
+def test_verify_all_golden(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert out == golden("verify_all.txt")
+
+
+def test_census_golden(capsys):
+    code, out, _ = run(capsys, "census")
+    assert code == 0
+    assert out == golden("census.txt")
 
 
 # --- simple commands ----------------------------------------------------------
@@ -216,7 +229,7 @@ def test_verify_fast_scopes(capsys):
         ("marginals", wigner, "marginal_check", {"lines": 3, "displacements": 2},
          "marginals: 72/72 (frame, state) pairs, 3 lines + 2 displacements each"),
         ("symmetry", wigner, "rotational_symmetry_check",
-         {"period": 3, "striations_cycled": 2, "states": 6},
+         {"period": 3, "striations_cycled": 2},
          "symmetry: 60/60 conjugated rotations, period 3, 2 striations cycled"),
     ],
     ids=["metaplectic", "marginals", "symmetry"],
@@ -276,6 +289,22 @@ def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("FAIL apply: D[1,0] ")
+
+
+def test_marginals_counterexample_names_a_replayable_op(capsys, monkeypatch):
+    # The same broken translation, met by verify: its witness must be an op apply accepts.
+    monkeypatch.setattr(gf4, "vec_add", lambda u, v: v)
+    wigner.translation_perm.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "marginals")
+    finally:
+        wigner.translation_perm.cache_clear()
+    assert code == 1
+    assert out == ""
+    m = re.fullmatch(r"FAIL marginals: (D\[\S+\]) is not covariant in frame f=\(.*\)\n", err)
+    assert m, err
+    kind, beta = cli.parse_op(m.group(1))
+    assert kind == "displace" and f"D{cli.fmt_index(beta)}" == m.group(1)
 
 
 def test_src_has_no_bare_assert():
