@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Iterable, Sequence
 
 #: Largest decimal length of a numerator or denominator read from JSON.
@@ -45,9 +45,6 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         return Scalar(-self.re, -self.im)
 
-    def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -76,10 +73,6 @@ class Scalar:
             if any(abs(x) >= 10**MAX_JSON_DIGITS for x in part):
                 raise ValueError(f"scalar parts must have at most {MAX_JSON_DIGITS} digits")
         return cls(Fraction(*parts[0]), Fraction(*parts[1]))
-
-
-#: i^k for k = 0..3.
-I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
 
 
 def dot(a, b) -> int:
@@ -217,13 +210,6 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
     return tuple(Scalar(Fraction(dot(r, v_re), den), Fraction(dot(r, v_im), den)) for r in rows)
 
 
-def inner(u: Vector, v: Vector) -> Scalar:
-    """Hermitian inner product <u|v>, conjugate-linear in the first slot."""
-    (ur, ui, ud), (vr, vi, vd) = numerators(u), numerators(v)
-    return Scalar(Fraction(dot(ur, vr) + dot(ui, vi), ud * vd),
-                  Fraction(dot(ur, vi) - dot(ui, vr), ud * vd))
-
-
 def norm_sq(v: Vector) -> Fraction:
     vr, vi, d = numerators(v)
     return Fraction(dot(vr, vr) + dot(vi, vi), d * d)
@@ -239,7 +225,13 @@ def outer(u: Vector, v: Vector) -> Matrix:
 
 def proportional(a: Matrix, b: Matrix):
     """Return k with a == i^k * b, or None if no power of i relates them
-    (a unit ratio of Gaussian-rational unitaries is always a power of i)."""
+    (a unit ratio of Gaussian-rational unitaries is always a power of i).
+    i^k b keeps b's denominator, and its numerators are (re, im), (-im, re),
+    (-re, -im) and (im, -re) for k = 0..3, so only integers are compared."""
     if a == b and not any(a.re + a.im):
         raise ValueError("proportionality of two zero matrices is undefined")
-    return next((k for k, phase in enumerate(I_POWERS) if a == b.scaled(phase)), None)
+    if a.den != b.den:
+        return None
+    re, im, neg_re, neg_im = b.re, b.im, tuple(map(neg, b.re)), tuple(map(neg, b.im))
+    pairs = ((re, im), (neg_im, re), (neg_re, neg_im), (im, neg_re))
+    return next((k for k, pair in enumerate(pairs) if pair == (a.re, a.im)), None)

@@ -111,6 +111,7 @@ def shift_vector(L: SympMat) -> Index:
     return tuple(out)
 
 
+@lru_cache(maxsize=720)  # the 12 canonical frames times 60 L of verify and stream
 def compose_frame(f: Index, L: SympMat) -> Index:
     """Frame reached from f after performing U_L: S_L f + f_L."""
     return index_add(apply_index_operator(index_operator(L), f), shift_vector(L))

@@ -115,6 +115,7 @@ def decompose(L: SympMat) -> Decomposition:
     return Decomposition(r, x, s)
 
 
+@lru_cache(maxsize=256)  # every 2x2 matrix over GF(4); transport names L on each call
 def to_text(m: Mat2) -> str:
     rows = ",".join(
         "[" + ",".join(gf4.to_token(e) for e in row) + "]" for row in m

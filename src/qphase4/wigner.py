@@ -17,7 +17,8 @@ rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
 by covariant().  Each map is a cached permutation of the 16 positions of
 gf4.all_points() (linear_perm, translation_perm), and rho' comes from
 clifford.conjugate, so a sweep over frames conjugates each state once per
-unitary.
+unitary.  Every table carries its canonical integer form (WignerTable.key),
+so covariant() compares integers, not Fractions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import NamedTuple
 
 from . import clifford, gf4, phasespace, symplectic
@@ -40,10 +42,22 @@ class StateError(ValueError):
 
 
 class WignerTable(NamedTuple):
-    """16 exact rational Wigner values together with their frame."""
+    """16 exact rational Wigner values together with their frame and their
+    integer form key = (den, nums): the values' numerators over their least
+    common denominator, in gf4.all_points() order.  The form is canonical, so
+    two tables hold equal values at every point exactly when their keys are
+    equal."""
 
     f: Index
     values: dict  # Vec2 -> Fraction
+    key: tuple  # (int, tuple[int, ...])
+
+    @classmethod
+    def of(cls, f: Index, values: dict) -> "WignerTable":
+        """The table of `values`, with its integer form built from them."""
+        vals = [values[alpha] for alpha in gf4.all_points()]
+        den = lcm(*(v.denominator for v in vals))
+        return cls(f, values, (den, tuple(v.numerator * (den // v.denominator) for v in vals)))
 
     def total(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
@@ -128,7 +142,7 @@ def wigner_table(rho: Matrix, f: Index) -> WignerTable:
         prob = clifford.born_probability(rho, n, label)
         for alpha in phasespace.line_points(n, k):
             sums[alpha] += prob
-    return WignerTable(f, {alpha: s / 4 for alpha, s in sums.items()})
+    return WignerTable.of(f, {alpha: s / 4 for alpha, s in sums.items()})
 
 
 @lru_cache(maxsize=None)
@@ -152,12 +166,14 @@ def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str):
     only the frame varies.  Its table in frame g is computed directly and must
     equal the f-table of rho with the value at point i of gf4.all_points()
     moved to point move[i] (a linear_perm or translation_perm); otherwise
-    AssertionError names `what` and f.
+    AssertionError names `what` and f.  The tables are compared by their
+    integer keys: the denominators must be equal and the new numerators, read
+    in the order of move, must be the old ones.
     """
     rho2 = clifford.conjugate(u, rho)
     table = wigner_table(rho2, g)
-    points, old = gf4.all_points(), wigner_table(rho, f).values
-    if any(table.values[points[j]] != old[alpha] for alpha, j in zip(points, move)):
+    den, nums = table.key
+    if (den, tuple(map(nums.__getitem__, move))) != wigner_table(rho, f).key:
         raise AssertionError(f"{what} is not covariant in frame f={f}")
     return rho2, table
 

@@ -12,10 +12,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from qphase4 import clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import Matrix, Scalar, inner, norm_sq
+from qphase4.exact import Matrix, Scalar, norm_sq
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
+from reference import inner
 from test_wigner import operator_index
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -263,6 +263,31 @@ def test_wrong_permutation_for_one_L_fails_verify_transport(capsys, monkeypatch)
     assert err.startswith(f"FAIL transport: transport by L={symplectic.to_text(symplectic.R)} ")
 
 
+def test_wrong_shift_vector_for_one_L_fails_verify_transport(capsys, monkeypatch):
+    # f_R off in component 1: U_R takes the computational basis states into
+    # MUB 1, and the frame reached by R then mislabels that basis's lines.
+    # The 12 swept frames are read first, from the true shift vectors;
+    # compose_frame is cached, so it is rebuilt from the patched f_R and
+    # dropped after.
+    phasespace.canonical_shift_vectors()
+    shift_vector = phasespace.shift_vector
+
+    def wrong(L):
+        f = shift_vector(L)
+        return (f[0], gf4.add(f[1], 1), *f[2:]) if L == symplectic.R else f
+
+    monkeypatch.setattr(phasespace, "shift_vector", wrong)
+    phasespace.compose_frame.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "transport")
+    finally:
+        phasespace.compose_frame.cache_clear()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"FAIL transport: transport by L={symplectic.to_text(symplectic.R)} ")
+
+
 @pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
 def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
     # U rho U^dag is two products per distinct (unitary, state) pair, whatever the frame.

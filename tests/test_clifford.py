@@ -19,8 +19,9 @@ from qphase4.clifford import (
     rotation_unitary,
     unitary_for,
 )
-from qphase4.exact import Matrix, Scalar, inner, norm_sq, outer
+from qphase4.exact import Matrix, Scalar, norm_sq, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
+from reference import inner
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 

@@ -2,22 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
 from qphase4 import clifford, gf4, symplectic
-from qphase4.exact import (
-    I_POWERS,
-    Matrix,
-    Scalar,
-    inner,
-    mat_vec,
-    norm_sq,
-    outer,
-    proportional,
-    vector,
-)
+from qphase4.exact import Matrix, Scalar, mat_vec, norm_sq, outer, proportional, vector
+from reference import I_POWERS, conj, inner
 
 
 def test_scalar_ring_ops():
@@ -27,7 +19,7 @@ def test_scalar_ring_ops():
     assert a * b == Scalar(
         Fraction(1, 2) * 2 + Fraction(1, 3), Fraction(1, 2) - Fraction(2, 3)
     )
-    assert a.conj().conj() == a
+    assert conj(conj(a)) == a
     assert -a + a == Scalar(0)
 
 
@@ -64,8 +56,6 @@ def test_vector_helpers():
 def test_proportional_phases():
     x = Matrix([[0, 1], [1, 0]])
     for k in range(4):
-        from qphase4.exact import I_POWERS
-
         assert proportional(x.scaled(I_POWERS[k]), x) == k
     z = Matrix([[1, 0], [0, -1]])
     assert proportional(x, z) is None
@@ -112,7 +102,7 @@ def test_integer_arithmetic_matches_scalar_reference():
             (-a, [[-x for x in row] for row in a.rows]),
             (a.scaled(c), [[c * x for x in row] for row in a.rows]),
             (a.scaled(Fraction(-4, 6)), [[Scalar(Fraction(-2, 3)) * x for x in row] for row in a.rows]),
-            (a.dagger(), [[x.conj() for x in col] for col in zip(*a.rows)]),
+            (a.dagger(), [[conj(x) for x in col] for col in zip(*a.rows)]),
             (small.kron(a), [[x * y for x in ra for y in rb] for ra in small.rows for rb in a.rows]),
         ]
         for b in pool:
@@ -129,9 +119,9 @@ def test_integer_arithmetic_matches_scalar_reference():
         u, v = _random_matrix(rng).rows[0], _random_matrix(rng).rows[1]
         assert mat_vec(a, u) == tuple(sum((x * y for x, y in zip(row, u)), Scalar(0))
                                       for row in a.rows)
-        assert inner(u, v) == sum((x.conj() * y for x, y in zip(u, v)), Scalar(0))
+        assert inner(u, v) == sum((conj(x) * y for x, y in zip(u, v)), Scalar(0))
         assert norm_sq(u) == sum(x.re * x.re + x.im * x.im for x in u)
-        assert outer(u, v).rows == tuple(tuple(x * y.conj() for y in v) for x in u)
+        assert outer(u, v).rows == tuple(tuple(x * conj(y) for y in v) for x in u)
         for b in (zero, ident, a, *(a.scaled(phase) for phase in I_POWERS), a.scaled(2),
                   _random_matrix(rng)):
             for x, y in ((a, b), (b, a)):
@@ -142,6 +132,26 @@ def test_integer_arithmetic_matches_scalar_reference():
                         proportional(x, y)
                 else:
                     assert proportional(x, y) == expect
+
+
+def test_proportional_reads_the_phase_off_the_numerators():
+    group = symplectic.enumerate_group()
+    units = {L: clifford.unitary_for(L) for L in group}
+    # U_{L1} U_{L2} against U_{L1 L2}: all 3600 ordered pairs.
+    for l1, l2 in product(group, repeat=2):
+        a, b = units[l1] @ units[l2], units[symplectic.product(l1, l2)]
+        assert proportional(a, b) == _ref_proportional(a, b) is not None
+    for u in units.values():
+        for k, phase in enumerate(I_POWERS):
+            assert proportional(u.scaled(phase), u) == _ref_proportional(u.scaled(phase), u) == k
+    # Different denominators, then unrelated matrices with equal ones.
+    u, d = units[symplectic.R], clifford.displacement((1, 0))
+    other = [(u, u.scaled(Fraction(1, 3))), (u.scaled(2), u), (u, d)]
+    same = [(u, units[symplectic.product(symplectic.R, symplectic.R)]),
+            (d, clifford.displacement((0, 1))), (Matrix.identity(4), Matrix.identity(4).scaled(0))]
+    assert [a.den == b.den for a, b in other + same] == [False] * 3 + [True] * 3
+    for a, b in other + same:
+        assert proportional(a, b) is proportional(b, a) is _ref_proportional(a, b) is None
 
 
 def test_equal_values_have_one_form():

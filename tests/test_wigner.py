@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
+from math import gcd
 from operator import mul
 
 import pytest
 
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import Matrix, Scalar, inner, mat_vec
+from qphase4.exact import Matrix, Scalar, mat_vec
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
+from reference import inner
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 UP_RIGHT = wigner.density_from_vector([1, 1, 0, 0])
@@ -208,7 +210,7 @@ def test_tables_and_reconstruction_match_the_operator_oracle():
         # A random table of total 1, in general no state's: still the same map.
         values = {alpha: Fraction(rng.randint(-99, 99), 64) for alpha in gf4.all_points()}
         values[(0, 0)] += 1 - sum(values.values())
-        table = wigner.WignerTable(f=f, values=values)
+        table = wigner.WignerTable.of(f, values)
         assert wigner.reconstruct(table) == _operator_sum(table, ops)
 
 
@@ -269,6 +271,41 @@ def test_covariant_rejects_a_wrong_move_or_frame():
     for g, move in ((ZERO_INDEX, tuple(range(16))), ((1, 0, 0, 0, 0), shift)):
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
             wigner.covariant(up_up, ZERO_INDEX, d, g, move, "D[1,0]")
+
+
+def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(capsys,
+                                                                              monkeypatch):
+    # Every table the sweeps compare: the key is in lowest terms and reads back
+    # the values, so keys and values partition the tables the same way.
+    tables = {}
+    table_of = wigner.wigner_table
+    monkeypatch.setattr(wigner, "wigner_table",
+                        lambda rho, f: tables.setdefault((rho, f), table_of(rho, f)))
+    assert cli.main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert len(tables) == 624
+    points = gf4.all_points()
+    values = [tuple(t.values[alpha] for alpha in points) for t in tables.values()]
+    keys = [t.key for t in tables.values()]
+    for (den, nums), vals in zip(keys, values):
+        assert den > 0 and gcd(den, *nums) == 1
+        assert tuple(Fraction(n, den) for n in nums) == vals
+    assert len(set(values)) == len(set(keys)) == len(set(zip(values, keys))) < len(tables)
+
+
+def test_covariant_sees_one_changed_value_of_the_moved_table(monkeypatch):
+    g = phasespace.compose_frame(ZERO_INDEX, G)
+    rho2, _, good = wigner.transport(GENERIC, ZERO_INDEX, G)
+    table_of = wigner.wigner_table
+    for alpha in gf4.all_points():
+        # One more unit keeps the denominator; 1/1024 more changes it.
+        for delta in (Fraction(1), Fraction(1, 1024)):
+            values = {**good.values, alpha: good.values[alpha] + delta}
+            bad = wigner.WignerTable.of(g, values)
+            monkeypatch.setattr(wigner, "wigner_table", lambda rho, f, bad=bad:
+                                bad if (rho, f) == (rho2, g) else table_of(rho, f))
+            with pytest.raises(AssertionError, match=r"^transport by L=\[\[W,0\],\[0,w\]\] "):
+                wigner.transport(GENERIC, ZERO_INDEX, G)
 
 
 def test_cached_point_permutations_match_the_field_arithmetic():
@@ -407,17 +444,12 @@ def test_reconstruct_roundtrip():
 
 
 def test_reconstruct_uniform_table():
-    uniform = wigner.WignerTable(
-        f=ZERO_INDEX, values={a: Fraction(1, 16) for a in gf4.all_points()}
-    )
+    uniform = wigner.WignerTable.of(ZERO_INDEX, {a: Fraction(1, 16) for a in gf4.all_points()})
     assert wigner.reconstruct(uniform) == wigner.MAXIMALLY_MIXED
 
 
 def test_reconstruct_rejects_corrupt_table():
-    bad = wigner.WignerTable(
-        f=ZERO_INDEX,
-        values={a: Fraction(1, 8) for a in gf4.all_points()},
-    )
+    bad = wigner.WignerTable.of(ZERO_INDEX, {a: Fraction(1, 8) for a in gf4.all_points()})
     with pytest.raises(ValueError):
         wigner.reconstruct(bad)
 
