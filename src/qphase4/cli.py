@@ -192,9 +192,7 @@ _ARROWS = {0: ("^^", "vv", "^v", "v^"), 1: ("->->", "<-<-", "-><-", "<-->")}
 
 
 def render_wigner(table: wigner.WignerTable) -> str:
-    cells = {
-        a: fmt_fraction(v) for a, v in table.values.items()
-    }
+    cells = {a: fmt_fraction(v) for a, v in table.values.items()}
     # Column q is line q of striation 0, row p is line p of striation 1.
     arrows = {(n, k): _ARROWS[n][label] for n, k, label in wigner.line_labels(table.f) if n < 2}
     width = max(3, max(len(c) for c in cells.values()))
@@ -209,13 +207,11 @@ def render_wigner(table: wigner.WignerTable) -> str:
 
 def _table_json(table: wigner.WignerTable) -> dict:
     # axis order 0,1,w,w~; rows p descending so the origin is lower-left.
+    values = table.values
     return {
         "f": _index_json(table.f),
         "values": [
-            [
-                [table.values[(q, p)].numerator, table.values[(q, p)].denominator]
-                for q in _AXIS_ORDER
-            ]
+            [[values[(q, p)].numerator, values[(q, p)].denominator] for q in _AXIS_ORDER]
             for p in reversed(_AXIS_ORDER)
         ],
     }

@@ -261,9 +261,12 @@ def cnot_counterexample() -> dict:
     }
 
 
-def born_probability(rho: Matrix, n: int, k: int) -> Fraction:
-    """Tr(P rho) for P = mub_projector(n, k).  For Hermitian rho that is the
-    real Hilbert-Schmidt product sum_ij P_ij conj(rho_ij) of the integer
-    numerators, one Fraction; the caller checks that rho is Hermitian."""
+def born_numerator(rho: Matrix, n: int, k: int) -> tuple[int, int]:
+    """Tr(P rho) for P = mub_projector(n, k) as (numerator, P.den * rho.den): for
+    Hermitian rho (the caller checks), sum_ij P_ij conj(rho_ij) on numerators."""
     p = mub_projector(n, k)
-    return Fraction(dot(p.re, rho.re) + dot(p.im, rho.im), p.den * rho.den)
+    return dot(p.re, rho.re) + dot(p.im, rho.im), p.den * rho.den
+
+
+def born_probability(rho: Matrix, n: int, k: int) -> Fraction:
+    return Fraction(*born_numerator(rho, n, k))

@@ -4,9 +4,11 @@ A frame is fixed by a five-component GF(4) vector f, a quantum net: line k
 of striation n is read by vector k + f_n of mutually unbiased basis n
 (line_labels), and the phase point operator at alpha is the sum of the
 projectors of the five lines through alpha, minus the identity.  Tables are
-therefore built line by line from the 20 MUB Born probabilities, and
-reconstruction sums the 20 projectors weighted by line sums, both on
-clifford.mub_projector's cached integer matrices; frame() builds the 16
+therefore built line by line from the 20 MUB Born probabilities on
+clifford.mub_projector's cached integer matrices.  A table stores only its
+canonical integer form (WignerTable.key); reconstruct and marginal_check
+read integer line sums off it, and reconstruct weights the projectors'
+numerators by them in one dot product per entry.  frame() builds the 16
 operators from mub_vector and the displacements as the test oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  A step is performed by one of two
@@ -17,8 +19,7 @@ rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
 by covariant().  Each map is a cached permutation of the 16 positions of
 gf4.all_points() (linear_perm, translation_perm), and rho' comes from
 clifford.conjugate, so a sweep over frames conjugates each state once per
-unitary.  Every table carries its canonical integer form (WignerTable.key),
-so covariant() compares integers, not Fractions.
+unitary.  covariant() compares keys: integers, not Fractions.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import clifford, gf4, phasespace, symplectic
-from .exact import Matrix, Scalar, norm_sq, outer, vector
+from .exact import Matrix, Scalar, dot, norm_sq, outer, vector
 from .gf4 import ELEMENTS
 from .phasespace import Index
 from .symplectic import SympMat
@@ -42,34 +43,46 @@ class StateError(ValueError):
 
 
 class WignerTable(NamedTuple):
-    """16 exact rational Wigner values together with their frame and their
+    """16 exact rational Wigner values in frame f, stored only as their
     integer form key = (den, nums): the values' numerators over their least
     common denominator, in gf4.all_points() order.  The form is canonical, so
     two tables hold equal values at every point exactly when their keys are
     equal."""
 
     f: Index
-    values: dict  # Vec2 -> Fraction
     key: tuple  # (int, tuple[int, ...])
 
     @classmethod
     def of(cls, f: Index, values: dict) -> "WignerTable":
-        """The table of `values`, with its integer form built from them."""
+        """The table of `values` (Vec2 -> Fraction), in its integer form."""
         vals = [values[alpha] for alpha in gf4.all_points()]
         den = lcm(*(v.denominator for v in vals))
-        return cls(f, values, (den, tuple(v.numerator * (den // v.denominator) for v in vals)))
+        return cls(f, (den, tuple(v.numerator * (den // v.denominator) for v in vals)))
 
-    def total(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
-
-    def line_sum(self, n: int, k: int) -> Fraction:
-        return sum((self.values[pt] for pt in phasespace.line_points(n, k)), Fraction(0))
+    @property
+    def values(self) -> dict:  # Vec2 -> Fraction, rebuilt from key on every access
+        return {a: Fraction(x, self.key[0]) for a, x in zip(gf4.all_points(), self.key[1])}
 
 
 def line_labels(f: Index) -> tuple[tuple[int, int, int], ...]:
     """The 20 lines of frame f as (n, k, label): line k of striation n is
     read by mub_vector(n, label), label = k + f_n."""
     return tuple((n, k, gf4.add(k, f[n])) for n in range(5) for k in ELEMENTS)
+
+
+@lru_cache(maxsize=None)
+def _line_positions(n: int, k: int) -> tuple[int, ...]:
+    """The positions in gf4.all_points() of the 4 points of line k of striation n."""
+    return tuple(map(gf4.all_points().index, phasespace.line_points(n, k)))
+
+
+@lru_cache(maxsize=1)
+def _projector_columns() -> tuple[tuple[int, ...], ...]:
+    """Per entry of a 4x4 matrix, real parts first: the numerators over 4 at
+    that entry of the 20 MUB projectors, (n, label) at 4n + label, then of I."""
+    ops = [clifford.mub_projector(n, k) for n in range(5) for k in ELEMENTS] + [Matrix.identity(4)]
+    return tuple(tuple(getattr(a, part)[j] * (4 // a.den) for a in ops)
+                 for part in ("re", "im") for j in range(16))
 
 
 @lru_cache(maxsize=None)
@@ -289,10 +302,11 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     line equals the exact Born probability of the associated basis vector;
     and displacing the state shifts the table by the same vector.
     """
-    table = wigner_table(rho, f)
+    den, nums = wigner_table(rho, f).key
     checked = 0
     for n, k, label in line_labels(f):
-        if table.line_sum(n, k) != clifford.born_probability(rho, n, label):
+        prob, prob_den = clifford.born_numerator(rho, n, label)
+        if sum(map(nums.__getitem__, _line_positions(n, k))) * prob_den != prob * den:
             raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
         checked += 1
     for beta in gf4.all_points():
@@ -302,11 +316,16 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
 
 def reconstruct(table: WignerTable) -> Matrix:
     """Inverse transform: rho = sum_alpha W_alpha A^f_alpha, collected per
-    line: line sums times the cached MUB projectors onto the frame's labels,
-    minus the total times I.  The same map on every table."""
-    rho = Matrix.identity(4).scaled(-table.total())
+    line: line sums times the MUB projectors onto the frame's labels, minus
+    the total times I.  The same map on every table, on integers: over 4 den,
+    each entry is the line sums and -total, in numerators over den, dotted
+    with its _projector_columns column; the sum is reduced once."""
+    den, nums = table.key
+    weights = [0] * 20 + [-sum(nums)]
     for n, k, label in line_labels(table.f):
-        rho = rho + clifford.mub_projector(n, label).scaled(table.line_sum(n, k))
-    if not rho.is_hermitian() or rho.trace() != Scalar(1):
+        weights[4 * n + label] = sum(map(nums.__getitem__, _line_positions(n, k)))
+    entries = [dot(column, weights) for column in _projector_columns()]
+    rho = Matrix._reduced(4, entries[:16], entries[16:], 4 * den)
+    if weights[20] != -den or not rho.is_hermitian():
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
     return rho

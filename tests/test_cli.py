@@ -168,13 +168,13 @@ def test_wigner_json_matches_table(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["f"] == ["0", "0", "0", "0", "0"]
-    table = wigner.wigner_table(
+    values = wigner.wigner_table(
         wigner.density_from_vector([1, 1, 0, 0]), phasespace.ZERO_INDEX
-    )
+    ).values
     for i, p in enumerate(reversed(gf4.ELEMENTS)):
         for j, q in enumerate(gf4.ELEMENTS):
             num, den = obj["values"][i][j]
-            assert table.values[(q, p)] == Fraction(num, den)
+            assert values[(q, p)] == Fraction(num, den)
 
 
 def test_apply_json_final_frame(capsys):

@@ -1,16 +1,25 @@
-"""Property tests on random exact inputs, run deterministically: hypothesis
-derives its examples from the test itself and keeps no example database."""
+"""Property tests on random exact inputs, and a fuzz of the CLI's parsers,
+run deterministically: hypothesis derives its examples from the test itself
+and keeps no example database."""
 
-from hypothesis import given, settings
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qphase4 import gf4, phasespace, symplectic, wigner
-from qphase4.exact import Scalar
+from qphase4 import cli, gf4, phasespace, symplectic, wigner
+from qphase4.exact import Matrix, Scalar
+from qphase4.gf4 import ELEMENTS
+from reference import conj, operator_sum
 
 GAUSSIAN = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
-STATES = (st.lists(GAUSSIAN, min_size=4, max_size=4)
-          .filter(lambda v: any(not x.is_zero() for x in v))
-          .map(wigner.density_from_vector))
+VECTORS = st.lists(GAUSSIAN, min_size=4, max_size=4).filter(lambda v: any(not x.is_zero() for x in v))
+STATES = VECTORS.map(wigner.density_from_vector)
 GROUP = st.sampled_from(symplectic.enumerate_group())
 FRAMES = st.sampled_from(phasespace.canonical_shift_vectors())
 
@@ -25,11 +34,124 @@ def test_transport_holds_and_keys_compare_as_values(rho, f, L, other):
     old = wigner.wigner_table(rho, f)
     points = gf4.all_points()
     den, nums = table.key
+    new_values, old_values = table.values, old.values
     verdicts = []
     for move in (wigner.linear_perm(L), wigner.linear_perm(other)):
         by_key = (den, tuple(nums[j] for j in move)) == old.key
-        by_value = all(table.values[points[j]] == old.values[alpha]
+        by_value = all(new_values[points[j]] == old_values[alpha]
                        for alpha, j in zip(points, move))
         assert by_key == by_value
         verdicts.append(by_key)
     assert verdicts[0]
+
+
+ALL_FRAMES = st.tuples(*[st.sampled_from(ELEMENTS)] * 5)
+
+
+def _mixture(u, v, a, b):
+    """(a rho_u + b rho_v) / (a + b) for the pure states of u and v: rank 1 or 2."""
+    return (wigner.density_from_vector(u).scaled(Fraction(a, a + b))
+            + wigner.density_from_vector(v).scaled(Fraction(b, a + b)))
+
+
+def _hermitian(diagonal, upper):
+    """The Hermitian matrix with this real diagonal and these entries above it,
+    over its trace, which must not be zero."""
+    rows = [[Scalar(0)] * 4 for _ in range(4)]
+    for i, d in enumerate(diagonal):
+        rows[i][i] = Scalar(d)
+    for (i, j), x in zip(combinations(range(4), 2), upper):
+        rows[i][j], rows[j][i] = x, conj(x)
+    return Matrix(rows).scaled(Fraction(1, sum(diagonal)))
+
+
+def _is_state(rho) -> bool:
+    try:
+        wigner.validate_density(rho)
+    except wigner.StateError:
+        return False
+    return True
+
+
+STATES_UP_TO_RANK_2 = st.one_of(
+    STATES,
+    st.builds(_mixture, VECTORS, VECTORS, st.integers(1, 5), st.integers(1, 5)))
+NON_STATES = (st.builds(_hermitian, st.lists(st.integers(-4, 4), min_size=4, max_size=4)
+                        .filter(lambda d: sum(d) != 0),
+                        st.lists(GAUSSIAN, min_size=6, max_size=6))
+              .filter(lambda rho: not _is_state(rho)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(STATES_UP_TO_RANK_2, ALL_FRAMES)
+def test_states_round_trip_and_have_born_marginals_in_every_frame(rho, f):
+    assert _is_state(rho)
+    assert wigner.reconstruct(wigner.wigner_table(rho, f)) == rho
+    rep = wigner.marginal_check(rho, f)
+    assert rep == {"lines": 20, "displacements": 16}
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(NON_STATES, ALL_FRAMES)
+def test_hermitian_non_states_of_trace_1_round_trip_in_every_frame(rho, f):
+    # The forward map and its inverse need Hermitian trace-1 input, not positivity.
+    assert wigner.reconstruct(wigner.wigner_table(rho, f)) == rho
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(st.integers(-99, 99), min_size=15, max_size=15), st.integers(1, 64),
+       ALL_FRAMES)
+def test_integer_tables_of_total_1_reconstruct_to_the_operator_sum(nums, den, f):
+    # In general no state's table, so the inverse is checked against
+    # sum_alpha W_alpha A^f_alpha on the operator oracle; total != 1 is rejected.
+    points = gf4.all_points()
+    values = dict(zip(points, (Fraction(x, den) for x in [den - sum(nums), *nums])))
+    table = wigner.WignerTable.of(f, values)
+    assert wigner.reconstruct(table) == operator_sum(table, wigner.frame(f))
+    off = wigner.WignerTable.of(f, {**values, points[0]: values[points[0]] + Fraction(1, den)})
+    with pytest.raises(ValueError, match="corrupted Wigner table"):
+        wigner.reconstruct(off)
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                    lambda inner: st.lists(inner, max_size=5)
+                    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+                    max_leaves=8)
+SCALAR_JSON = st.fixed_dictionaries({"re": JSON, "im": JSON}) | st.fixed_dictionaries(
+    {"re": st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+     "im": st.lists(st.integers(-3, 3), min_size=2, max_size=2)})
+STATE_JSON = st.one_of(
+    JSON, st.fixed_dictionaries({"vector": JSON | st.lists(SCALAR_JSON, max_size=5)}),
+    st.fixed_dictionaries({"density": JSON | st.lists(st.lists(SCALAR_JSON, max_size=5),
+                                                      max_size=5)}))
+TEXT = st.text(max_size=30) | st.text(alphabet="01wW,[]D \n*@{}\"", max_size=30)
+STATE_TEXT = TEXT | STATE_JSON.map(json.dumps) | st.sampled_from(["up*up", "left*right"])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    st.tuples(st.just("state"), STATE_TEXT),
+    st.tuples(st.just("file"), STATE_TEXT),
+    st.tuples(st.just("frame"), TEXT | st.sampled_from(["0,1,w,W,0", "1,1,1,1,1"])),
+    st.tuples(st.just("op"), TEXT | st.sampled_from(["D[1,w]", "[[W,0],[0,w]]", "[[1,1],[1,1]]"]))))
+def test_untrusted_text_ends_in_an_exit_code_and_one_line(tmp_path, case):
+    # Whatever parse_state, parse_frame and parse_op are given, the CLI exits
+    # 0, 2 (parse), 3 (domain) or 4 (state) with at most one stderr line.
+    kind, text = case
+    if kind == "file":
+        (tmp_path / "state.json").write_text(text, encoding="utf-8")
+        kind, text = "state", "@" + str(tmp_path / "state.json")
+    argv = {"state": ["wigner", "--state=" + text],
+            "frame": ["wigner", "--state=up*right", "--frame=" + text],
+            "op": ["apply", "--state=up*right", "--", text]}[kind]
+    code, err = _run_cli(argv)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err and err.count("\n") == (code != 0)

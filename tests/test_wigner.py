@@ -1,6 +1,8 @@
 """Frames, Wigner tables, transport, and the classification of definitions."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -14,7 +16,7 @@ from qphase4.exact import Matrix, Scalar, mat_vec
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
-from reference import inner
+from reference import inner, line_sum, operator_sum, total
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 UP_RIGHT = wigner.density_from_vector([1, 1, 0, 0])
@@ -164,12 +166,6 @@ def test_standard_states_do_not_span_the_hermitian_operators():
     assert _real_rank([clifford.displacement(beta) for beta in gf4.all_points()]) == 16
 
 
-def _operator_sum(table, ops):
-    """sum_alpha W_alpha A^f_alpha over the frame's operators."""
-    return sum((a.scaled(table.values[alpha]) for alpha, a in ops.items()),
-               Matrix.identity(4).scaled(0))
-
-
 def _trace_product(a: Matrix, b: Matrix) -> Scalar:
     """Tr(ab) = sum_ij a_ij b_ji on the integer numerators, without forming ab."""
     n = a.n
@@ -199,19 +195,20 @@ def test_tables_and_reconstruction_match_the_operator_oracle():
     for f in product(ELEMENTS, repeat=5):
         ops = wigner.frame(f)
         for d in spanning if f in orbit_reps else ():
-            table = wigner.wigner_table(d, f)
+            values = wigner.wigner_table(d, f).values
             for alpha, a in ops.items():
-                assert table.values[alpha] == _trace_product(a, d).re / 4
+                assert values[alpha] == _trace_product(a, d).re / 4
         for rho in states:
             table = wigner.wigner_table(rho, f)
+            values = table.values
             for alpha, a in ops.items():
-                assert table.values[alpha] == _trace_product(a, rho).re / 4
-            assert wigner.reconstruct(table) == _operator_sum(table, ops) == rho
+                assert values[alpha] == _trace_product(a, rho).re / 4
+            assert wigner.reconstruct(table) == operator_sum(table, ops) == rho
         # A random table of total 1, in general no state's: still the same map.
         values = {alpha: Fraction(rng.randint(-99, 99), 64) for alpha in gf4.all_points()}
         values[(0, 0)] += 1 - sum(values.values())
         table = wigner.WignerTable.of(f, values)
-        assert wigner.reconstruct(table) == _operator_sum(table, ops)
+        assert wigner.reconstruct(table) == operator_sum(table, ops)
 
 
 def test_wigner_table_rejects_non_hermitian():
@@ -227,7 +224,7 @@ def test_wigner_table_of_product_state():
     nonzero = {(0, 0), (OMEGA, 0), (0, OMEGA_BAR), (OMEGA, OMEGA_BAR)}
     for alpha, v in t.values.items():
         assert v == (quarter if alpha in nonzero else 0)
-    assert t.total() == 1
+    assert total(t) == 1
 
 
 def test_wigner_table_of_maximally_mixed():
@@ -285,7 +282,7 @@ def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(c
     capsys.readouterr()
     assert len(tables) == 624
     points = gf4.all_points()
-    values = [tuple(t.values[alpha] for alpha in points) for t in tables.values()]
+    values = [tuple(map(t.values.__getitem__, points)) for t in tables.values()]
     keys = [t.key for t in tables.values()]
     for (den, nums), vals in zip(keys, values):
         assert den > 0 and gcd(den, *nums) == 1
@@ -297,10 +294,11 @@ def test_covariant_sees_one_changed_value_of_the_moved_table(monkeypatch):
     g = phasespace.compose_frame(ZERO_INDEX, G)
     rho2, _, good = wigner.transport(GENERIC, ZERO_INDEX, G)
     table_of = wigner.wigner_table
+    good_values = good.values
     for alpha in gf4.all_points():
         # One more unit keeps the denominator; 1/1024 more changes it.
         for delta in (Fraction(1), Fraction(1, 1024)):
-            values = {**good.values, alpha: good.values[alpha] + delta}
+            values = {**good_values, alpha: good_values[alpha] + delta}
             bad = wigner.WignerTable.of(g, values)
             monkeypatch.setattr(wigner, "wigner_table", lambda rho, f, bad=bad:
                                 bad if (rho, f) == (rho2, g) else table_of(rho, f))
@@ -404,10 +402,8 @@ def test_marginals_of_transported_state():
     wigner.marginal_check(rho3, g2)
     # first qubit is left-polarized: the two "left" rows sum to 1
     left_rows = [p for p in ELEMENTS if _product_label(1, gf4.add(p, g2[1])).startswith("<-")]
-    total = sum(
-        (table.values[(q, p)] for p in left_rows for q in ELEMENTS), Fraction(0)
-    )
-    assert total == 1
+    values = table.values
+    assert sum((values[(q, p)] for p in left_rows for q in ELEMENTS), Fraction(0)) == 1
 
 
 def _product_label(n, k):
@@ -430,10 +426,7 @@ def test_marginals_maximally_mixed():
     t = wigner.wigner_table(wigner.MAXIMALLY_MIXED, ZERO_INDEX)
     for n in range(5):
         for k in ELEMENTS:
-            s = sum(
-                (t.values[pt] for pt in phasespace.line_points(n, k)), Fraction(0)
-            )
-            assert s == Fraction(1, 4)
+            assert line_sum(t, n, k) == Fraction(1, 4)
 
 
 def test_reconstruct_roundtrip():
@@ -441,6 +434,48 @@ def test_reconstruct_roundtrip():
         for rho in wigner.standard_test_states():
             table = wigner.wigner_table(rho, f)
             assert wigner.reconstruct(table) == rho
+
+
+def test_reconstruct_does_integer_work_only(monkeypatch):
+    # The column table is warm and every state is built before Matrix's
+    # Fraction-scaling and addition start to raise.
+    wigner._projector_columns()
+    states = [*wigner.standard_test_states(), GENERIC]
+
+    def refuse(*args):
+        raise AssertionError("Matrix.scaled or Matrix.__add__ ran")
+
+    monkeypatch.setattr(Matrix, "scaled", refuse)
+    monkeypatch.setattr(Matrix, "__add__", refuse)
+    for rho in states:
+        for f in phasespace.canonical_shift_vectors():
+            rho2, _, table = wigner.transport(rho, f, G)
+            assert wigner.reconstruct(table) == rho2
+
+
+def test_importing_the_cli_builds_no_projector():
+    code = ("import qphase4.cli; from qphase4 import clifford, wigner; print("
+            "wigner._projector_columns.cache_info().currsize, "
+            "clifford.mub_projector.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0 0\n")
+
+
+def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch):
+    assert cli.main(["verify", "marginals"]) == 0
+    assert capsys.readouterr().out == (
+        "marginals: 72/72 (frame, state) pairs, 20 lines + 16 displacements each\n")
+    # (0,0) and (1,0) lie on lines k = 0 and k = 1 of striation 0; swapping
+    # their values keeps the total and breaks both line sums.
+    values = wigner.wigner_table(GENERIC, ZERO_INDEX).values
+    a, b = (0, 0), (1, 0)
+    assert values[a] != values[b]
+    bad = wigner.WignerTable.of(ZERO_INDEX, {**values, a: values[b], b: values[a]})
+    assert total(bad) == 1
+    monkeypatch.setattr(wigner, "wigner_table", lambda rho, f: bad)
+    with pytest.raises(AssertionError,
+                       match=r"^marginal failed at line \(n=0, k=0\), f=\(0, 0, 0, 0, 0\)$"):
+        wigner.marginal_check(GENERIC, ZERO_INDEX)
 
 
 def test_reconstruct_uniform_table():
