@@ -8,6 +8,14 @@ global phase fixed by the generator matrices below -- not merely up to phase.
 
 The first tensor factor is the first qubit, i.e. the coefficient of
 omega-bar in the field-basis expansion.
+
+Every displacement has one nonzero entry, a power of i, per row, so it is
+also read as a signed permutation (signed_permutation): multiplying U_L by
+D_beta on either side only moves U_L's numerators and their signs.  The
+metaplectic sweep compares U_L D_a with +/- D_{La} U_L that way, after one
+dense check U_L U_L^dag == I per L.  The projective-representation sweep
+lays out each U_L once as a left and once as a right factor and multiplies
+the 3600 pairs with exact.Matrix.product, the kernel behind @.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import neg
 
 from . import gf4, symplectic
 from .exact import Matrix, Scalar as _S, Vector, dot, mat_vec, outer, proportional, vector
@@ -147,24 +156,70 @@ def mub_projector(n: int, k: int) -> Matrix:
     return outer(b, b)
 
 
+#: Numerators (re, im) of i^k for k = 0..3.
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def signed_permutation(beta: Vec2) -> tuple[tuple[int, int], ...]:
+    """D_beta as a signed permutation, read off its matrix: per row, the
+    column of its one nonzero entry and the power k of that entry i^k."""
+    d = displacement(beta)
+    rows = []
+    for i in range(0, 16, 4):
+        (j,) = [j for j in range(4) if d.re[i + j] or d.im[i + j]]
+        rows.append((j, _UNITS.index((d.re[i + j], d.im[i + j]))))
+    return tuple(rows)
+
+
+def _signed(u: Matrix) -> tuple[int, ...]:
+    """u's numerators with their negations: re, im, -re, -im, 16 each."""
+    return u.re + u.im + tuple(map(neg, u.re)) + tuple(map(neg, u.im))
+
+
+@lru_cache(maxsize=None)
+def _moves(beta: Vec2) -> tuple[tuple[int, ...], ...]:
+    """Where u D_beta, D_beta u and -D_beta u take their numerators (the 16
+    real, then the 16 imaginary parts) from in _signed(u).  With D_beta's
+    entry i^k at (i, c), column c of u D_beta is i^k times column i of u and
+    row i of D_beta u is i^k times row c of u; the real and imaginary parts
+    of i^k z sit at offsets (0, 16), (48, 0), (32, 48), (16, 32) from z's."""
+    offsets = ((0, 16), (48, 0), (32, 48), (16, 32))
+    right, left = [0] * 32, [0] * 32
+    for i, (c, k) in enumerate(signed_permutation(beta)):
+        re, im = offsets[k]
+        for r in range(4):
+            right[4 * r + c], right[16 + 4 * r + c] = re + 4 * r + i, im + 4 * r + i
+            left[4 * i + r], left[16 + 4 * i + r] = re + 4 * c + r, im + 4 * c + r
+    return tuple(right), tuple(left), tuple((p + 32) % 64 for p in left)
+
+
 def verify_metaplectic() -> dict:
-    """Check U_L D_a U_L^dag == +/- D_{La} over all 60 x 16 pairs."""
+    """Check U_L D_a U_L^dag == +/- D_{La} over all 60 x 16 pairs.
+
+    At a == 0 this is U_L U_L^dag == I, the one dense product per L.  Given
+    that, the identity holds exactly when U_L D_a == +/- D_{La} U_L, and both
+    sides are U_L's numerators moved by signed permutations (_moves), so
+    the other 15 points compare integers."""
     signs = {}
+    identity = Matrix.identity(4)
     for L in symplectic.enumerate_group():
         u = unitary_for(L)
-        ud = u.dagger()
+        at = _signed(u).__getitem__
         for alpha in gf4.all_points():
-            lhs = u @ displacement(alpha) @ ud
-            rhs = displacement(gf4.mat_vec(L, alpha))
-            if lhs == rhs:
-                signs[(L, alpha)] = 1
-            elif lhs == -rhs:
-                signs[(L, alpha)] = -1
+            if alpha == (0, 0):
+                sign = 1 if u @ u.dagger() == identity else None
             else:
+                right = _moves(alpha)[0]
+                _, left, minus_left = _moves(gf4.mat_vec(L, alpha))
+                lhs = tuple(map(at, right))
+                sign = (1 if lhs == tuple(map(at, left))
+                        else -1 if lhs == tuple(map(at, minus_left)) else None)
+            if sign is None:
                 raise AssertionError(
                     f"metaplectic check failed for L={symplectic.to_text(L)}, "
                     f"alpha={alpha}"
                 )
+            signs[(L, alpha)] = sign
     return {"checked": len(signs), "signs": signs}
 
 
@@ -173,6 +228,7 @@ def verify_projective_rep() -> dict:
 
     Also runs the named special cases: exact shear composition, the
     R H_W R == H_W identity, U_R^5 == I, and the shear-rotation-shear family.
+    Each U_L is laid out once as a left and once as a right factor.
     """
     # Special case: shears compose exactly, with no phase.
     for x in ELEMENTS:
@@ -203,11 +259,12 @@ def verify_projective_rep() -> dict:
                 srs_phases[(x, s, y)] = k
 
     group = symplectic.enumerate_group()
+    rights = [unitary_for(L).right_layout() for L in group]
     phases = {}
     for l1 in group:
-        u1 = unitary_for(l1)
-        for l2 in group:
-            prod = u1 @ unitary_for(l2)
+        left = unitary_for(l1).left_layout()
+        for l2, right in zip(group, rights):
+            prod = Matrix.product(left, right)
             k = proportional(prod, unitary_for(symplectic.product(l1, l2)))
             if k is None:
                 raise AssertionError(

@@ -5,7 +5,10 @@ rationals come in or go out, and as the tests' reference arithmetic.
 Matrices (2x2 and 4x4) store integer real and imaginary numerators over one
 shared denominator in lowest terms, so their arithmetic is integer
 arithmetic, nothing rounds, and equality, used directly by the exhaustive
-verification sweeps, compares integer tuples.
+verification sweeps, compares integer tuples.  A product is two steps: lay
+out the left factor's rows and the right factor's columns (left_layout,
+right_layout), then one kernel (Matrix.product); @ is both, and a sweep that
+multiplies the same factors many times lays each out once.
 """
 
 from __future__ import annotations
@@ -135,14 +138,30 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix._reduced(self.n, [-x for x in self.re], [-x for x in self.im], self.den)
 
+    def left_layout(self) -> tuple:
+        """The matrix laid out as the left factor of a product: (rows, den),
+        each row its real then its imaginary numerators."""
+        n = self.n
+        return [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)], self.den
+
+    def right_layout(self) -> tuple:
+        """The matrix laid out as the right factor of a product: (columns,
+        den), each column (re, -im) and (im, re) of its numerators, as v in
+        mat_vec."""
+        n = self.n
+        return [((*cr, *(-x for x in ci)), (*ci, *cr))
+                for cr, ci in ((self.re[j::n], self.im[j::n]) for j in range(n))], self.den
+
+    @staticmethod
+    def product(left: tuple, right: tuple) -> "Matrix":
+        """The product of two laid-out factors: a sweep lays out each factor
+        once and multiplies every pair here."""
+        (rows, a), (cols, b) = left, right
+        return Matrix._reduced(len(rows), [sum(map(mul, r, c)) for r in rows for c, _ in cols],
+                               [sum(map(mul, r, c)) for r in rows for _, c in cols], a * b)
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        n = self.n  # as in mat_vec, with the columns of other for v
-        rows = [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)]
-        cols = [((*cr, *(-x for x in ci)), (*ci, *cr))
-                for cr, ci in ((other.re[j::n], other.im[j::n]) for j in range(n))]
-        return Matrix._reduced(n, [sum(map(mul, r, c)) for r in rows for c, _ in cols],
-                               [sum(map(mul, r, c)) for r in rows for _, c in cols],
-                               self.den * other.den)
+        return Matrix.product(self.left_layout(), other.right_layout())
 
     def scaled(self, c) -> "Matrix":
         if isinstance(c, Scalar):

@@ -125,17 +125,18 @@ def expand(x: int) -> tuple[int, int]:
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
-    return tuple(
-        tuple(add(mul(a[i][0], b[0][j]), mul(a[i][1], b[1][j])) for j in range(2))
-        for i in range(2)
-    )
+    """a b, indexing the tables directly: no call per entry."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    add, mul = _ADD, _MUL
+    return ((add[mul[a00][b00]][mul[a01][b10]], add[mul[a00][b01]][mul[a01][b11]]),
+            (add[mul[a10][b00]][mul[a11][b10]], add[mul[a10][b01]][mul[a11][b11]]))
 
 
 def mat_vec(a: Mat2, v: Vec2) -> Vec2:
-    return (
-        add(mul(a[0][0], v[0]), mul(a[0][1], v[1])),
-        add(mul(a[1][0], v[0]), mul(a[1][1], v[1])),
-    )
+    (a00, a01), (a10, a11) = a
+    q, p = v
+    return (_ADD[_MUL[a00][q]][_MUL[a01][p]], _ADD[_MUL[a10][q]][_MUL[a11][p]])
 
 
 def det(a: Mat2) -> int:

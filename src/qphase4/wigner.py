@@ -251,11 +251,13 @@ def census() -> dict:
     }
 
 
-def standard_test_states() -> list[Matrix]:
-    """Fixed exact test suite: the four basis states, (1,1,0,0), and I/4."""
+@lru_cache(maxsize=1)
+def standard_test_states() -> tuple[Matrix, ...]:
+    """Fixed exact test suite: the four basis states, (1,1,0,0), and I/4,
+    built once."""
     basis = [density_from_vector([1 if i == j else 0 for j in range(4)])
              for i in range(4)]
-    return basis + [density_from_vector([1, 1, 0, 0]), MAXIMALLY_MIXED]
+    return (*basis, density_from_vector([1, 1, 0, 0]), MAXIMALLY_MIXED)
 
 
 def rotational_symmetry_check(L: SympMat) -> dict:
@@ -319,13 +321,14 @@ def reconstruct(table: WignerTable) -> Matrix:
     line: line sums times the MUB projectors onto the frame's labels, minus
     the total times I.  The same map on every table, on integers: over 4 den,
     each entry is the line sums and -total, in numerators over den, dotted
-    with its _projector_columns column; the sum is reduced once."""
+    with its _projector_columns column; the sum is reduced once.  Integer
+    weights on Hermitian projectors give a Hermitian sum, so only a total
+    other than 1 can reject a table."""
     den, nums = table.key
     weights = [0] * 20 + [-sum(nums)]
+    if weights[20] != -den:
+        raise ValueError("corrupted Wigner table: reconstruction is not a state")
     for n, k, label in line_labels(table.f):
         weights[4 * n + label] = sum(map(nums.__getitem__, _line_positions(n, k)))
     entries = [dot(column, weights) for column in _projector_columns()]
-    rho = Matrix._reduced(4, entries[:16], entries[16:], 4 * den)
-    if weights[20] != -den or not rho.is_hermitian():
-        raise ValueError("corrupted Wigner table: reconstruction is not a state")
-    return rho
+    return Matrix._reduced(4, entries[:16], entries[16:], 4 * den)

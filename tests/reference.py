@@ -1,10 +1,11 @@
 """Exact helpers only the tests use: complex conjugation, the powers of i,
-the Hermitian inner product, and a Wigner table's Fraction line sums, total
-and operator sum, beside qphase4's integer arithmetic."""
+the Hermitian inner product, a Wigner table's Fraction line sums, total and
+operator sum, and the metaplectic check on dense products, beside qphase4's
+integer arithmetic."""
 
 from fractions import Fraction
 
-from qphase4 import phasespace
+from qphase4 import clifford, gf4, phasespace, symplectic
 from qphase4.exact import Matrix, Scalar, dot, numerators
 
 #: i^k for k = 0..3.
@@ -37,3 +38,20 @@ def operator_sum(table, ops) -> Matrix:
     values = table.values
     return sum((a.scaled(values[alpha]) for alpha, a in ops.items()),
                Matrix.identity(4).scaled(0))
+
+
+def dense_metaplectic_signs(unitary_for=clifford.unitary_for) -> dict:
+    """(L, alpha) -> s with U_L D_alpha U_L^dag == s D_{L alpha}, from two dense
+    products per pair; raises AssertionError with verify_metaplectic's text
+    at the first pair where no sign fits."""
+    signs = {}
+    for L in symplectic.enumerate_group():
+        u = unitary_for(L)
+        for alpha in gf4.all_points():
+            lhs = u @ clifford.displacement(alpha) @ u.dagger()
+            rhs = clifford.displacement(gf4.mat_vec(L, alpha))
+            if lhs not in (rhs, -rhs):
+                raise AssertionError(f"metaplectic check failed for "
+                                     f"L={symplectic.to_text(L)}, alpha={alpha}")
+            signs[(L, alpha)] = 1 if lhs == rhs else -1
+    return signs

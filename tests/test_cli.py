@@ -15,6 +15,7 @@ import qphase4
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
 from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar
 from qphase4.gf4 import OMEGA, OMEGA_BAR
+from reference import dense_metaplectic_signs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 G_TEXT = "[[W,0],[0,w]]"
@@ -300,6 +301,54 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
     code, _, _ = run(capsys, "verify", scope)
     assert code == 0
     assert len(products) == 2 * pairs
+
+
+def test_verify_metaplectic_makes_one_dense_product_per_unitary(capsys, monkeypatch):
+    # U_L U_L^dag == I is the one dense check; every U_L D_a == +/- D_{La} U_L is
+    # U_L's numerators moved by signed permutations.  Counted at the product kernel.
+    for L in symplectic.enumerate_group():
+        clifford.unitary_for(L)
+    products = []
+    product = Matrix.product
+    monkeypatch.setattr(Matrix, "product",
+                        staticmethod(lambda a, b: products.append(1) or product(a, b)))
+    code, _, _ = run(capsys, "verify", "metaplectic")
+    assert code == 0
+    assert len(products) == 60
+
+
+def _flip(p):
+    """Negate entry p (row-major) of a matrix."""
+    def flip(u):
+        re, im = list(u.re), list(u.im)
+        re[p], im[p] = -re[p], -im[p]
+        return Matrix._reduced(4, re, im, u.den)
+    return flip
+
+
+@pytest.mark.parametrize("L, mutate, alpha", [
+    # U U^dag == 4 I: only the dense check at alpha == 0 sees a scaled unitary.
+    (symplectic.R, lambda u: u.scaled(2), "(0, 0)"),
+    # U_R has no zero entry: one sign flip breaks unitarity.
+    (symplectic.R, _flip(0), "(0, 0)"),
+    # U_H1 has one entry per row, so it stays unitary and a permuted comparison fails.
+    (symplectic.shear(1), _flip(3), None),
+])
+def test_metaplectic_counterexample_matches_the_dense_check(capsys, monkeypatch, L, mutate, alpha):
+    unitary_for = clifford.unitary_for
+
+    def mutated(m):
+        return mutate(unitary_for(m)) if m == L else unitary_for(m)
+
+    with pytest.raises(AssertionError) as dense:
+        dense_metaplectic_signs(mutated)
+    monkeypatch.setattr(clifford, "unitary_for", mutated)
+    code, out, err = run(capsys, "verify", "metaplectic")
+    assert code == 1
+    assert out == ""
+    assert err == f"FAIL metaplectic: {dense.value}\n"
+    assert f"L={symplectic.to_text(L)}," in err
+    assert (f"alpha={alpha}\n" in err) if alpha else "alpha=(0, 0)" not in err
 
 
 def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):

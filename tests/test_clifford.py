@@ -21,7 +21,7 @@ from qphase4.clifford import (
 )
 from qphase4.exact import Matrix, Scalar, norm_sq, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import inner
+from reference import I_POWERS, dense_metaplectic_signs, inner
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -141,6 +141,33 @@ def test_verify_metaplectic():
         assert rep["signs"][(symplectic.IDENTITY, alpha)] == 1
 
 
+def test_signed_permutations_match_the_dense_products():
+    # Each D_beta has one entry i^k per row; moving U_L's numerators by it is U_L D_beta
+    # and D_beta U_L, as the dense products give them.
+    for beta in gf4.all_points():
+        d = displacement(beta)
+        assert Matrix([[I_POWERS[k] if j == c else 0 for j in range(4)]
+                       for c, k in clifford.signed_permutation(beta)]) == d
+        right, left, minus_left = clifford._moves(beta)
+        for L in symplectic.enumerate_group():
+            u = unitary_for(L)
+            signed = clifford._signed(u)
+
+            def moved(move):
+                return Matrix._reduced(4, [signed[p] for p in move[:16]],
+                                       [signed[p] for p in move[16:]], u.den)
+
+            assert moved(right) == u @ d
+            assert moved(left) == d @ u
+            assert moved(minus_left) == -(d @ u)
+
+
+def test_metaplectic_signs_match_the_dense_oracle():
+    # Same signs in the same order: one dense check per L, integer comparisons otherwise.
+    signs = clifford.verify_metaplectic()["signs"]
+    assert list(signs.items()) == list(dense_metaplectic_signs().items())
+
+
 def test_verify_projective_rep():
     rep = clifford.verify_projective_rep()
     assert rep["checked"] == 3600
@@ -150,6 +177,26 @@ def test_verify_projective_rep():
     assert set(rep["shear_rotation_shear"]) == {
         (x, s, y) for x in ELEMENTS for s in range(5) for y in ELEMENTS
     }
+
+
+def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
+    # The 3600 group products go straight to the kernel, over one left and one
+    # right layout per U_L; the named special cases multiply with @.
+    for L in symplectic.enumerate_group():
+        unitary_for(L)
+    calls = {"__matmul__": 0, "product": 0, "left_layout": 0, "right_layout": 0}
+    for name in calls:
+        fn = getattr(Matrix, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(Matrix, name, staticmethod(counted) if name == "product" else counted)
+    assert clifford.verify_projective_rep()["checked"] == 3600
+    matmul = calls["__matmul__"]
+    assert calls["product"] - matmul == 3600
+    assert calls["left_layout"] - matmul == calls["right_layout"] - matmul == 60
 
 
 def test_cnot_counterexample():

@@ -112,6 +112,21 @@ def test_matrix_inverse_roundtrip():
         assert gf4.mat_mul(m, gf4.inverse(m)) == gf4.MAT_IDENTITY
 
 
+def test_matrix_products_follow_the_field_tables():
+    # mat_mul and mat_vec index the tables directly; add and mul define them.
+    import itertools
+
+    mats = [((a, b), (c, d)) for a, b, c, d in itertools.product(ELEMENTS, repeat=4)]
+    for a in mats:
+        for v in itertools.product(ELEMENTS, repeat=2):
+            assert gf4.mat_vec(a, v) == tuple(
+                gf4.add(gf4.mul(a[i][0], v[0]), gf4.mul(a[i][1], v[1])) for i in range(2))
+        for b in mats:
+            assert gf4.mat_mul(a, b) == tuple(
+                tuple(gf4.add(gf4.mul(a[i][0], b[0][j]), gf4.mul(a[i][1], b[1][j]))
+                      for j in range(2)) for i in range(2))
+
+
 def test_tokens_roundtrip():
     assert [gf4.to_token(a) for a in ELEMENTS] == ["0", "1", "w", "W"]
     assert gf4.to_ascii(OMEGA_BAR) == "w~"

@@ -104,10 +104,14 @@ def test_hermitian_non_states_of_trace_1_round_trip_in_every_frame(rho, f):
 def test_integer_tables_of_total_1_reconstruct_to_the_operator_sum(nums, den, f):
     # In general no state's table, so the inverse is checked against
     # sum_alpha W_alpha A^f_alpha on the operator oracle; total != 1 is rejected.
+    # reconstruct does not check Hermiticity: real weights on the Hermitian
+    # phase point operators must give it.
     points = gf4.all_points()
     values = dict(zip(points, (Fraction(x, den) for x in [den - sum(nums), *nums])))
     table = wigner.WignerTable.of(f, values)
-    assert wigner.reconstruct(table) == operator_sum(table, wigner.frame(f))
+    rho = wigner.reconstruct(table)
+    assert rho == operator_sum(table, wigner.frame(f))
+    assert rho.is_hermitian()
     off = wigner.WignerTable.of(f, {**values, points[0]: values[points[0]] + Fraction(1, den)})
     with pytest.raises(ValueError, match="corrupted Wigner table"):
         wigner.reconstruct(off)
