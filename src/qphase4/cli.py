@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import clifford, gf4, phasespace, symplectic, wigner
 from .exact import Matrix, Scalar
@@ -124,20 +123,16 @@ def parse_op(text: str):
 # ---------------------------------------------------------------------------
 # rendering
 
-def fmt_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def fmt_scalar(s: Scalar) -> str:
     if s.im == 0:
-        return fmt_fraction(s.re)
-    im = fmt_fraction(abs(s.im)) + "i"
+        return str(s.re)
+    im = f"{abs(s.im)}i"
     if im == "1i":
         im = "i"
     if s.re == 0:
         return im if s.im > 0 else "-" + im
     sign = "+" if s.im > 0 else "-"
-    return f"{fmt_fraction(s.re)}{sign}{im}"
+    return f"{s.re}{sign}{im}"
 
 
 def fmt_operator(m: Matrix) -> str:
@@ -192,7 +187,7 @@ _ARROWS = {0: ("^^", "vv", "^v", "v^"), 1: ("->->", "<-<-", "-><-", "<-->")}
 
 
 def render_wigner(table: wigner.WignerTable) -> str:
-    cells = {a: fmt_fraction(v) for a, v in table.values.items()}
+    cells = {a: str(v) for a, v in table.values.items()}
     # Column q is line q of striation 0, row p is line p of striation 1.
     arrows = {(n, k): _ARROWS[n][label] for n, k, label in wigner.line_labels(table.f) if n < 2}
     width = max(3, max(len(c) for c in cells.values()))

@@ -26,7 +26,7 @@ from itertools import accumulate
 from operator import neg
 
 from . import gf4, symplectic
-from .exact import Matrix, Scalar as _S, Vector, dot, mat_vec, outer, proportional, vector
+from .exact import Matrix, Scalar as _S, Vector, dot, outer, proportional
 from .gf4 import ELEMENTS, Vec2
 from .symplectic import SympMat
 
@@ -37,19 +37,13 @@ PAULI_X = Matrix([[0, 1], [1, 0]])
 PAULI_Y = Matrix([[_S(0), _S(0, -1)], [_S(0, 1), _S(0)]])
 PAULI_Z = Matrix([[1, 0], [0, -1]])
 
-# Single-qubit Pauli indexed by (x-power, z-power); XZ is replaced by Y.
-_PAULI_XZ = {
-    (0, 0): PAULI_I,
-    (1, 0): PAULI_X,
-    (0, 1): PAULI_Z,
-    (1, 1): PAULI_Y,
-}
-
-_PAULI_NAMES = {
-    (0, 0): "I",
-    (1, 0): "X",
-    (0, 1): "Z",
-    (1, 1): "Y",
+# Single-qubit Pauli (name, matrix) indexed by (x-power, z-power); XZ is
+# replaced by Y.
+_PAULIS = {
+    (0, 0): ("I", PAULI_I),
+    (1, 0): ("X", PAULI_X),
+    (0, 1): ("Z", PAULI_Z),
+    (1, 1): ("Y", PAULI_Y),
 }
 
 
@@ -58,13 +52,13 @@ def displacement(beta: Vec2) -> Matrix:
     """The Hermitian unitary Pauli tensor displacing phase space by beta."""
     q1, q2 = gf4.expand(beta[0])
     p1, p2 = gf4.expand(beta[1])
-    return _PAULI_XZ[(q1, p1)].kron(_PAULI_XZ[(q2, p2)])
+    return _PAULIS[(q1, p1)][1].kron(_PAULIS[(q2, p2)][1])
 
 
 def displacement_name(beta: Vec2) -> str:
     q1, q2 = gf4.expand(beta[0])
     p1, p2 = gf4.expand(beta[1])
-    return f"{_PAULI_NAMES[(q1, p1)]}⊗{_PAULI_NAMES[(q2, p2)]}"
+    return f"{_PAULIS[(q1, p1)][0]}⊗{_PAULIS[(q2, p2)][0]}"
 
 
 def generator_unitary(x: int) -> Matrix:
@@ -139,14 +133,13 @@ def conjugate(u: Matrix, rho: Matrix) -> Matrix:
 
 @lru_cache(maxsize=None)
 def mub_vector(n: int, k: int) -> Vector:
-    """Vector k of mutually unbiased basis n: U_R^n D_(k,0) |0>.
+    """Vector k of mutually unbiased basis n: U_R^n D_(k,0) |0>, the first
+    column of the product U_R^n D_(k,0).
 
     Basis 0 is the computational basis; the others follow by repeated
     rotation.  All 20 vectors have exact unit norm.
     """
-    e0 = vector([1, 0, 0, 0])
-    v = mat_vec(displacement((k, 0)), e0)
-    return mat_vec(_U_R_POWERS[n % 5], v)
+    return tuple(row[0] for row in (_U_R_POWERS[n % 5] @ displacement((k, 0))).rows)
 
 
 @lru_cache(maxsize=None)
@@ -276,45 +269,6 @@ def verify_projective_rep() -> dict:
         "checked": len(phases),
         "phases": phases,
         "shear_rotation_shear": srs_phases,
-    }
-
-
-def cnot_counterexample() -> dict:
-    """Show that CNOT's displacement permutation is not GF(4)-linear.
-
-    Conjugation by CNOT permutes the 16 displacement operators, but no
-    symplectic matrix realizes the induced permutation of phase-space labels,
-    so CNOT is a Clifford operation outside the restricted group.
-    """
-    cnot = Matrix(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ]
-    )
-    perm = {}
-    for beta in gf4.all_points():
-        conj = cnot @ displacement(beta) @ cnot.dagger()
-        image = None
-        for target in gf4.all_points():
-            if proportional(conj, displacement(target)) is not None:
-                image = target
-                break
-        if image is None:
-            raise AssertionError(f"CNOT conjugate of D_{beta} is not a displacement")
-        perm[beta] = image
-    matches = [
-        L
-        for L in symplectic.enumerate_group()
-        if all(gf4.mat_vec(L, b) == perm[b] for b in perm)
-    ]
-    return {
-        "permutation": perm,
-        "fixes_origin": perm[(0, 0)] == (0, 0),
-        "linear": bool(matches),
-        "matching_matrices": matches,
     }
 
 

@@ -1,14 +1,14 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars carry Fraction real and imaginary parts; they serve where user
-rationals come in or go out, and as the tests' reference arithmetic.
-Matrices (2x2 and 4x4) store integer real and imaginary numerators over one
-shared denominator in lowest terms, so their arithmetic is integer
-arithmetic, nothing rounds, and equality, used directly by the exhaustive
-verification sweeps, compares integer tuples.  A product is two steps: lay
-out the left factor's rows and the right factor's columns (left_layout,
-right_layout), then one kernel (Matrix.product); @ is both, and a sweep that
-multiplies the same factors many times lays each out once.
+Scalars carry Fraction real and imaginary parts and have no arithmetic:
+they serve only where user rationals come in or go out (construction, JSON,
+printing).  Matrices (2x2 and 4x4) store integer real and imaginary
+numerators over one shared denominator in lowest terms, so their arithmetic
+is integer arithmetic, nothing rounds, and equality, used directly by the
+exhaustive verification sweeps, compares integer tuples.  A product is two
+steps: lay out the left factor's rows and the right factor's columns
+(left_layout, right_layout), then one kernel (Matrix.product); @ is both,
+and a sweep that multiplies the same factors many times lays each out once.
 """
 
 from __future__ import annotations
@@ -34,19 +34,6 @@ class Scalar:
     def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         self.re = re if type(re) is Fraction else Fraction(re)
         self.im = im if type(im) is Fraction else Fraction(im)
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re * other.re - self.im * other.im,
-                      self.re * other.im + self.im * other.re)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -146,8 +133,8 @@ class Matrix:
 
     def right_layout(self) -> tuple:
         """The matrix laid out as the right factor of a product: (columns,
-        den), each column (re, -im) and (im, re) of its numerators, as v in
-        mat_vec."""
+        den), each column (re, -im) and (im, re) of its numerators, so that
+        a left row dotted with them gives the real and imaginary part."""
         n = self.n
         return [((*cr, *(-x for x in ci)), (*ci, *cr))
                 for cr, ci in ((self.re[j::n], self.im[j::n]) for j in range(n))], self.den
@@ -163,13 +150,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return Matrix.product(self.left_layout(), other.right_layout())
 
-    def scaled(self, c) -> "Matrix":
-        if isinstance(c, Scalar):
-            (cr,), (ci,), q = numerators([c])
-        else:  # an int or a Fraction
-            cr, ci, q = c.numerator, 0, c.denominator
-        return Matrix._reduced(self.n, [x * cr - y * ci for x, y in zip(self.re, self.im)],
-                               [x * ci + y * cr for x, y in zip(self.re, self.im)], self.den * q)
+    def scaled(self, c: int | Fraction) -> "Matrix":
+        return Matrix._reduced(self.n, [x * c.numerator for x in self.re],
+                               [x * c.numerator for x in self.im], self.den * c.denominator)
 
     def dagger(self) -> "Matrix":
         n = self.n
@@ -218,15 +201,6 @@ Vector = tuple[Scalar, ...]
 
 def vector(values: Iterable) -> Vector:
     return tuple(v if isinstance(v, Scalar) else Scalar(v) for v in values)
-
-
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    """m v on numerators: a row's real then imaginary numerators dotted with
-    (vr, -vi) and (vi, vr) give the real and imaginary part."""
-    vr, vi, d = numerators(v)
-    n, den, v_re, v_im = m.n, m.den * d, (*vr, *(-x for x in vi)), (*vi, *vr)
-    rows = [m.re[i:i + n] + m.im[i:i + n] for i in range(0, n * n, n)]
-    return tuple(Scalar(Fraction(dot(r, v_re), den), Fraction(dot(r, v_im), den)) for r in rows)
 
 
 def norm_sq(v: Vector) -> Fraction:

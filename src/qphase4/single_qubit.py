@@ -13,21 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import gf4
 from .clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
 from .exact import Matrix, Scalar
 
 _POINTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-# Matrices over F2 = {0, 1}; arithmetic is mod 2.
+# Matrices over F2 = {0, 1}, the subfield of GF(4): gf4.mat_vec applies them.
 _R2 = ((1, 1), (1, 0))
 _F2 = ((0, 1), (1, 0))
-
-
-def _mat_vec2(m, v):
-    return (
-        (m[0][0] * v[0] + m[0][1] * v[1]) % 2,
-        (m[1][0] * v[0] + m[1][1] * v[1]) % 2,
-    )
 
 
 def _phase_point_ops(sign: int) -> dict:
@@ -69,7 +63,7 @@ def single_qubit_demo() -> dict:
         if _conjugate_scaled(u_r, 2, src) != dst:
             raise AssertionError("U_R does not cycle X -> Y -> Z -> X")
     for alpha in _POINTS:
-        if _conjugate_scaled(u_r, 2, a[alpha]) != a[_mat_vec2(_R2, alpha)]:
+        if _conjugate_scaled(u_r, 2, a[alpha]) != a[gf4.mat_vec(_R2, alpha)]:
             raise AssertionError("U_R does not move phase point operators by R")
 
     # U_F = (Z - X)/sqrt(2): permuting Wigner values by the axis swap F is
@@ -80,7 +74,7 @@ def single_qubit_demo() -> dict:
     for rho in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
         moved = _conjugate_scaled(u_f, 2, rho)
         for alpha in _POINTS:
-            if (a_tilde[alpha] @ moved).trace() != (a[_mat_vec2(_F2, alpha)] @ rho).trace():
+            if (a_tilde[alpha] @ moved).trace() != (a[gf4.mat_vec(_F2, alpha)] @ rho).trace():
                 raise AssertionError("reinterpretation identity failed")
 
     # Obstruction: X -> Z, Z -> X, Y -> Y is a Bloch-sphere reflection.

@@ -6,10 +6,13 @@ of striation n is read by vector k + f_n of mutually unbiased basis n
 projectors of the five lines through alpha, minus the identity.  Tables are
 therefore built line by line from the 20 MUB Born probabilities on
 clifford.mub_projector's cached integer matrices.  A table stores only its
-canonical integer form (WignerTable.key); reconstruct and marginal_check
-read integer line sums off it, and reconstruct weights the projectors'
-numerators by them in one dot product per entry.  frame() builds the 16
-operators from mub_vector and the displacements as the test oracle.
+canonical integer form (WignerTable.key), which wigner_table builds
+directly.  Every routine reads a line as its four positions in
+gf4.all_points() (_line_positions): wigner_table adds each line's
+probability there, reconstruct and marginal_check read integer line sums
+there, and reconstruct weights the projectors' numerators by them in one
+dot product per entry.  frame() builds the 16 operators from mub_vector and
+the displacements as the test oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
@@ -51,13 +54,6 @@ class WignerTable(NamedTuple):
 
     f: Index
     key: tuple  # (int, tuple[int, ...])
-
-    @classmethod
-    def of(cls, f: Index, values: dict) -> "WignerTable":
-        """The table of `values` (Vec2 -> Fraction), in its integer form."""
-        vals = [values[alpha] for alpha in gf4.all_points()]
-        den = lcm(*(v.denominator for v in vals))
-        return cls(f, (den, tuple(v.numerator * (den // v.denominator) for v in vals)))
 
     @property
     def values(self) -> dict:  # Vec2 -> Fraction, rebuilt from key on every access
@@ -146,16 +142,20 @@ def validate_density(rho: Matrix) -> Matrix:
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     """W^f_alpha = Tr(A^f_alpha rho) / 4: the Born probabilities of the five
     lines through alpha minus Tr(rho), over 4.  Every point starts at
-    -Tr(rho) and each line adds its probability to its four points.  These
-    are exact for Hermitian rho only; any other rho raises ValueError."""
+    -Tr(rho) and each line adds its probability at its four positions in
+    gf4.all_points(); the key is the values' numerators over their least
+    common denominator.  These are exact for Hermitian rho only; any other
+    rho raises ValueError."""
     if not rho.is_hermitian():
         raise ValueError("Wigner table of a non-Hermitian operator")
-    sums = dict.fromkeys(gf4.all_points(), -rho.trace().re)
+    sums = [-rho.trace().re] * 16
     for n, k, label in line_labels(f):
         prob = clifford.born_probability(rho, n, label)
-        for alpha in phasespace.line_points(n, k):
-            sums[alpha] += prob
-    return WignerTable.of(f, {alpha: s / 4 for alpha, s in sums.items()})
+        for i in _line_positions(n, k):
+            sums[i] += prob
+    values = [s / 4 for s in sums]
+    den = lcm(*(v.denominator for v in values))
+    return WignerTable(f, (den, tuple(v.numerator * (den // v.denominator) for v in values)))
 
 
 @lru_cache(maxsize=None)

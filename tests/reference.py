@@ -1,19 +1,56 @@
-"""Exact helpers only the tests use: complex conjugation, the powers of i,
-the Hermitian inner product, a Wigner table's Fraction line sums, total and
-operator sum, and the metaplectic check on dense products, beside qphase4's
-integer arithmetic."""
+"""Exact helpers only the tests use, beside qphase4's integer arithmetic:
+the Gaussian-rational ring operations on Scalars (the library has none),
+scaling a matrix by a Scalar, a matrix times a vector, complex conjugation,
+the powers of i, the Hermitian inner product, a Wigner table from its
+Fraction values, its Fraction line sums, total and operator sum, and the
+metaplectic check on dense products."""
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from qphase4 import clifford, gf4, phasespace, symplectic
 from qphase4.exact import Matrix, Scalar, dot, numerators
+from qphase4.wigner import WignerTable
 
 #: i^k for k = 0..3.
 I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
 
 
+def add(x: Scalar, y: Scalar) -> Scalar:
+    return Scalar(x.re + y.re, x.im + y.im)
+
+
+def sub(x: Scalar, y: Scalar) -> Scalar:
+    return Scalar(x.re - y.re, x.im - y.im)
+
+
+def mul(x: Scalar, y: Scalar) -> Scalar:
+    return Scalar(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def neg(x: Scalar) -> Scalar:
+    return Scalar(-x.re, -x.im)
+
+
+def scalar_sum(xs) -> Scalar:
+    return reduce(add, xs, Scalar(0))
+
+
 def conj(x: Scalar) -> Scalar:
     return Scalar(x.re, -x.im)
+
+
+def scaled(m: Matrix, c: Scalar) -> Matrix:
+    """c m on numerators: (x + iy)(cr + i ci) over m.den times c's denominator."""
+    (cr,), (ci,), q = numerators([c])
+    return Matrix._reduced(m.n, [x * cr - y * ci for x, y in zip(m.re, m.im)],
+                           [x * ci + y * cr for x, y in zip(m.re, m.im)], m.den * q)
+
+
+def mat_vec(m: Matrix, v) -> tuple:
+    """m v by Scalar ring operations, row by row."""
+    return tuple(scalar_sum(map(mul, row, v)) for row in m.rows)
 
 
 def inner(u, v) -> Scalar:
@@ -22,6 +59,14 @@ def inner(u, v) -> Scalar:
     (ur, ui, ud), (vr, vi, vd) = numerators(u), numerators(v)
     return Scalar(Fraction(dot(ur, vr) + dot(ui, vi), ud * vd),
                   Fraction(dot(ur, vi) - dot(ui, vr), ud * vd))
+
+
+def table_of(f, values: dict) -> WignerTable:
+    """The table of `values` (Vec2 -> Fraction) in frame f, in its integer
+    form: the values' numerators over their least common denominator."""
+    vals = [values[alpha] for alpha in gf4.all_points()]
+    den = lcm(*(v.denominator for v in vals))
+    return WignerTable(f, (den, tuple(v.numerator * (den // v.denominator) for v in vals)))
 
 
 def total(table) -> Fraction:

@@ -21,7 +21,7 @@ from qphase4.clifford import (
 )
 from qphase4.exact import Matrix, Scalar, norm_sq, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import I_POWERS, dense_metaplectic_signs, inner
+from reference import I_POWERS, dense_metaplectic_signs, inner, mat_vec
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -98,8 +98,6 @@ def test_product_unitary_proportional():
 def test_mub_vector_base_cases():
     e0 = mub_vector(0, 0)
     assert e0 == tuple(Scalar(v) for v in (1, 0, 0, 0))
-    from qphase4.exact import mat_vec
-
     assert mub_vector(0, 1) == mat_vec(displacement((1, 0)), e0)
 
 
@@ -199,8 +197,47 @@ def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
     assert calls["left_layout"] - matmul == calls["right_layout"] - matmul == 60
 
 
+def cnot_counterexample() -> dict:
+    """Show that CNOT's displacement permutation is not GF(4)-linear.
+
+    Conjugation by CNOT permutes the 16 displacement operators, but no
+    symplectic matrix realizes the induced permutation of phase-space labels,
+    so CNOT is a Clifford operation outside the restricted group.
+    """
+    cnot = Matrix(
+        [
+            [1, 0, 0, 0],
+            [0, 1, 0, 0],
+            [0, 0, 0, 1],
+            [0, 0, 1, 0],
+        ]
+    )
+    perm = {}
+    for beta in gf4.all_points():
+        conj = cnot @ displacement(beta) @ cnot.dagger()
+        image = None
+        for target in gf4.all_points():
+            if proportional(conj, displacement(target)) is not None:
+                image = target
+                break
+        if image is None:
+            raise AssertionError(f"CNOT conjugate of D_{beta} is not a displacement")
+        perm[beta] = image
+    matches = [
+        L
+        for L in symplectic.enumerate_group()
+        if all(gf4.mat_vec(L, b) == perm[b] for b in perm)
+    ]
+    return {
+        "permutation": perm,
+        "fixes_origin": perm[(0, 0)] == (0, 0),
+        "linear": bool(matches),
+        "matching_matrices": matches,
+    }
+
+
 def test_cnot_counterexample():
-    rep = clifford.cnot_counterexample()
+    rep = cnot_counterexample()
     assert rep["fixes_origin"]
     assert not rep["linear"]
     assert rep["matching_matrices"] == []

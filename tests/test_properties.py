@@ -1,11 +1,11 @@
 """Property tests on random exact inputs, and a fuzz of the CLI's parsers,
-run deterministically: hypothesis derives its examples from the test itself
-and keeps no example database."""
+run deterministically under the hypothesis profile that conftest.py loads."""
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -15,36 +15,13 @@ from hypothesis import strategies as st
 from qphase4 import cli, gf4, phasespace, symplectic, wigner
 from qphase4.exact import Matrix, Scalar
 from qphase4.gf4 import ELEMENTS
-from reference import conj, operator_sum
+from reference import conj, operator_sum, table_of
 
 GAUSSIAN = st.builds(Scalar, st.integers(-3, 3), st.integers(-3, 3))
 VECTORS = st.lists(GAUSSIAN, min_size=4, max_size=4).filter(lambda v: any(not x.is_zero() for x in v))
 STATES = VECTORS.map(wigner.density_from_vector)
 GROUP = st.sampled_from(symplectic.enumerate_group())
 FRAMES = st.sampled_from(phasespace.canonical_shift_vectors())
-
-
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(STATES, FRAMES, GROUP, GROUP)
-def test_transport_holds_and_keys_compare_as_values(rho, f, L, other):
-    # transport raises unless the moved table is the new frame's table.  Its
-    # key comparison must agree with a value-by-value comparison, for the
-    # right move and for that of another L (equal or not).
-    _, _, table = wigner.transport(rho, f, L)
-    old = wigner.wigner_table(rho, f)
-    points = gf4.all_points()
-    den, nums = table.key
-    new_values, old_values = table.values, old.values
-    verdicts = []
-    for move in (wigner.linear_perm(L), wigner.linear_perm(other)):
-        by_key = (den, tuple(nums[j] for j in move)) == old.key
-        by_value = all(new_values[points[j]] == old_values[alpha]
-                       for alpha, j in zip(points, move))
-        assert by_key == by_value
-        verdicts.append(by_key)
-    assert verdicts[0]
-
-
 ALL_FRAMES = st.tuples(*[st.sampled_from(ELEMENTS)] * 5)
 
 
@@ -73,16 +50,54 @@ def _is_state(rho) -> bool:
     return True
 
 
-STATES_UP_TO_RANK_2 = st.one_of(
-    STATES,
-    st.builds(_mixture, VECTORS, VECTORS, st.integers(1, 5), st.integers(1, 5)))
+MIXTURES = st.builds(_mixture, VECTORS, VECTORS, st.integers(1, 5), st.integers(1, 5))
+STATES_UP_TO_RANK_2 = st.one_of(STATES, MIXTURES)
 NON_STATES = (st.builds(_hermitian, st.lists(st.integers(-4, 4), min_size=4, max_size=4)
                         .filter(lambda d: sum(d) != 0),
                         st.lists(GAUSSIAN, min_size=6, max_size=6))
               .filter(lambda rho: not _is_state(rho)))
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=150)
+@given(st.one_of(STATES, MIXTURES, NON_STATES), FRAMES, GROUP, GROUP)
+def test_transport_holds_and_keys_compare_as_values(rho, f, L, other):
+    # Pure states, rank-2 mixtures and Hermitian trace-1 non-states: transport
+    # raises unless the moved table is the new frame's table, and the moved
+    # table reconstructs the moved operator.  Its key comparison must agree
+    # with a value-by-value comparison, for the right move and for that of
+    # another L (equal or not).
+    rho2, _, table = wigner.transport(rho, f, L)
+    assert wigner.reconstruct(table) == rho2
+    old = wigner.wigner_table(rho, f)
+    points = gf4.all_points()
+    den, nums = table.key
+    new_values, old_values = table.values, old.values
+    verdicts = []
+    for move in (wigner.linear_perm(L), wigner.linear_perm(other)):
+        by_key = (den, tuple(nums[j] for j in move)) == old.key
+        by_value = all(new_values[points[j]] == old_values[alpha]
+                       for alpha, j in zip(points, move))
+        assert by_key == by_value
+        verdicts.append(by_key)
+    assert verdicts[0]
+
+
+@settings(max_examples=100)
+@given(ALL_FRAMES, st.lists(GROUP, min_size=1, max_size=4))
+def test_folding_steps_with_apply_reaches_the_frame_of_their_product(f, steps):
+    # U_Lk ... U_L1 is U_(Lk...L1) up to a phase, so performing the steps one
+    # by one ends in the frame compose_frame gives for their product.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["apply", "--json", "--state", "up*right",
+                         "--frame", ",".join(map(gf4.to_token, f)),
+                         *map(symplectic.to_text, steps)]) == 0
+    final = json.loads(out.getvalue())[-1]["table"]["f"]
+    product = reduce(lambda acc, L: symplectic.product(L, acc), steps, symplectic.IDENTITY)
+    assert tuple(map(gf4.from_token, final)) == phasespace.compose_frame(f, product)
+
+
+@settings(max_examples=60)
 @given(STATES_UP_TO_RANK_2, ALL_FRAMES)
 def test_states_round_trip_and_have_born_marginals_in_every_frame(rho, f):
     assert _is_state(rho)
@@ -91,14 +106,14 @@ def test_states_round_trip_and_have_born_marginals_in_every_frame(rho, f):
     assert rep == {"lines": 20, "displacements": 16}
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(NON_STATES, ALL_FRAMES)
 def test_hermitian_non_states_of_trace_1_round_trip_in_every_frame(rho, f):
     # The forward map and its inverse need Hermitian trace-1 input, not positivity.
     assert wigner.reconstruct(wigner.wigner_table(rho, f)) == rho
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.integers(-99, 99), min_size=15, max_size=15), st.integers(1, 64),
        ALL_FRAMES)
 def test_integer_tables_of_total_1_reconstruct_to_the_operator_sum(nums, den, f):
@@ -108,11 +123,11 @@ def test_integer_tables_of_total_1_reconstruct_to_the_operator_sum(nums, den, f)
     # phase point operators must give it.
     points = gf4.all_points()
     values = dict(zip(points, (Fraction(x, den) for x in [den - sum(nums), *nums])))
-    table = wigner.WignerTable.of(f, values)
+    table = table_of(f, values)
     rho = wigner.reconstruct(table)
     assert rho == operator_sum(table, wigner.frame(f))
     assert rho.is_hermitian()
-    off = wigner.WignerTable.of(f, {**values, points[0]: values[points[0]] + Fraction(1, den)})
+    off = table_of(f, {**values, points[0]: values[points[0]] + Fraction(1, den)})
     with pytest.raises(ValueError, match="corrupted Wigner table"):
         wigner.reconstruct(off)
 
@@ -139,8 +154,7 @@ TEXT = st.text(max_size=30) | st.text(alphabet="01wW,[]D \n*@{}\"", max_size=30)
 STATE_TEXT = TEXT | STATE_JSON.map(json.dumps) | st.sampled_from(["up*up", "left*right"])
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(
     st.tuples(st.just("state"), STATE_TEXT),
     st.tuples(st.just("file"), STATE_TEXT),

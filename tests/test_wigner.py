@@ -12,11 +12,12 @@ from operator import mul
 import pytest
 
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import Matrix, Scalar, mat_vec
+from qphase4.exact import Matrix, Scalar
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
-from reference import inner, line_sum, operator_sum, total
+from reference import add, inner, line_sum, mat_vec, operator_sum, sub, table_of, total
+from reference import mul as scalar_mul
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 UP_RIGHT = wigner.density_from_vector([1, 1, 0, 0])
@@ -126,8 +127,8 @@ def _det(rows):
     total = Scalar(0)
     for j, head in enumerate(rows[0]):
         minor = [[r[c] for c in range(len(rows)) if c != j] for r in rows[1:]]
-        term = head * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
+        term = scalar_mul(head, _det(minor))
+        total = add(total, term) if j % 2 == 0 else sub(total, term)
     return total
 
 
@@ -207,7 +208,7 @@ def test_tables_and_reconstruction_match_the_operator_oracle():
         # A random table of total 1, in general no state's: still the same map.
         values = {alpha: Fraction(rng.randint(-99, 99), 64) for alpha in gf4.all_points()}
         values[(0, 0)] += 1 - sum(values.values())
-        table = wigner.WignerTable.of(f, values)
+        table = table_of(f, values)
         assert wigner.reconstruct(table) == operator_sum(table, ops)
 
 
@@ -275,9 +276,9 @@ def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(c
     # Every table the sweeps compare: the key is in lowest terms and reads back
     # the values, so keys and values partition the tables the same way.
     tables = {}
-    table_of = wigner.wigner_table
+    built = wigner.wigner_table
     monkeypatch.setattr(wigner, "wigner_table",
-                        lambda rho, f: tables.setdefault((rho, f), table_of(rho, f)))
+                        lambda rho, f: tables.setdefault((rho, f), built(rho, f)))
     assert cli.main(["verify", "all"]) == 0
     capsys.readouterr()
     assert len(tables) == 624
@@ -293,15 +294,15 @@ def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(c
 def test_covariant_sees_one_changed_value_of_the_moved_table(monkeypatch):
     g = phasespace.compose_frame(ZERO_INDEX, G)
     rho2, _, good = wigner.transport(GENERIC, ZERO_INDEX, G)
-    table_of = wigner.wigner_table
+    built = wigner.wigner_table
     good_values = good.values
     for alpha in gf4.all_points():
         # One more unit keeps the denominator; 1/1024 more changes it.
         for delta in (Fraction(1), Fraction(1, 1024)):
             values = {**good_values, alpha: good_values[alpha] + delta}
-            bad = wigner.WignerTable.of(g, values)
+            bad = table_of(g, values)
             monkeypatch.setattr(wigner, "wigner_table", lambda rho, f, bad=bad:
-                                bad if (rho, f) == (rho2, g) else table_of(rho, f))
+                                bad if (rho, f) == (rho2, g) else built(rho, f))
             with pytest.raises(AssertionError, match=r"^transport by L=\[\[W,0\],\[0,w\]\] "):
                 wigner.transport(GENERIC, ZERO_INDEX, G)
 
@@ -470,7 +471,7 @@ def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch
     values = wigner.wigner_table(GENERIC, ZERO_INDEX).values
     a, b = (0, 0), (1, 0)
     assert values[a] != values[b]
-    bad = wigner.WignerTable.of(ZERO_INDEX, {**values, a: values[b], b: values[a]})
+    bad = table_of(ZERO_INDEX, {**values, a: values[b], b: values[a]})
     assert total(bad) == 1
     monkeypatch.setattr(wigner, "wigner_table", lambda rho, f: bad)
     with pytest.raises(AssertionError,
@@ -479,12 +480,12 @@ def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch
 
 
 def test_reconstruct_uniform_table():
-    uniform = wigner.WignerTable.of(ZERO_INDEX, {a: Fraction(1, 16) for a in gf4.all_points()})
+    uniform = table_of(ZERO_INDEX, {a: Fraction(1, 16) for a in gf4.all_points()})
     assert wigner.reconstruct(uniform) == wigner.MAXIMALLY_MIXED
 
 
 def test_reconstruct_rejects_corrupt_table():
-    bad = wigner.WignerTable.of(ZERO_INDEX, {a: Fraction(1, 8) for a in gf4.all_points()})
+    bad = table_of(ZERO_INDEX, {a: Fraction(1, 8) for a in gf4.all_points()})
     with pytest.raises(ValueError):
         wigner.reconstruct(bad)
 
