@@ -5,6 +5,8 @@ that every displacement operator is Hermitian as well as unitary.  The
 unitary attached to a symplectic matrix L is the literal product
 U_R^r U_{H_x} U_R^s given by the canonical decomposition of L, with the
 global phase fixed by the generator matrices below -- not merely up to phase.
+unitary_for is the only route from L to U_L: every sweep, the named
+identities of the representation included, checks the unitaries it gives.
 
 The first tensor factor is the first qubit, i.e. the coefficient of
 omega-bar in the field-basis expansion.
@@ -13,9 +15,10 @@ Every displacement has one nonzero entry, a power of i, per row, so it is
 also read as a signed permutation (signed_permutation): multiplying U_L by
 D_beta on either side only moves U_L's numerators and their signs.  The
 metaplectic sweep compares U_L D_a with +/- D_{La} U_L that way, after one
-dense check U_L U_L^dag == I per L.  The projective-representation sweep
-lays out each U_L once as a left and once as a right factor and multiplies
-the 3600 pairs with exact.Matrix.product, the kernel behind @.
+dense check U_L^dag U_L == I per L.  The projective-representation sweep
+lays out each U_L once as a left and once as a right factor, multiplies
+the 3600 pairs with exact.Matrix.product, the kernel behind @, and reads
+its named special cases off the resulting phase table.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ def displacement_name(beta: Vec2) -> str:
     return f"{_PAULIS[(q1, p1)][0]}⊗{_PAULIS[(q2, p2)][0]}"
 
 
-def generator_unitary(x: int) -> Matrix:
-    """The fixed 4x4 unitary attached to the vertical shear H_x."""
-    return _GENERATORS[x]
-
-
 def _i(n=1):
     return _S(0, n)
 
@@ -107,12 +105,6 @@ _U_R = Matrix(
     ]
 )
 
-
-def rotation_unitary() -> Matrix:
-    """The order-5 unitary attached to the rotation matrix R."""
-    return _U_R
-
-
 #: U_R^n for n = 0..4.
 _U_R_POWERS = tuple(accumulate([_U_R] * 4, Matrix.__matmul__, initial=Matrix.identity(4)))
 
@@ -121,7 +113,7 @@ _U_R_POWERS = tuple(accumulate([_U_R] * 4, Matrix.__matmul__, initial=Matrix.ide
 def unitary_for(L: SympMat) -> Matrix:
     """U_L = U_R^r U_{H_x} U_R^s from the canonical decomposition of L."""
     d = symplectic.decompose(L)
-    return _U_R_POWERS[d.r] @ generator_unitary(d.x) @ _U_R_POWERS[d.s]
+    return _U_R_POWERS[d.r] @ _GENERATORS[d.x] @ _U_R_POWERS[d.s]
 
 
 @lru_cache(maxsize=16)  # one state's 16 displacements; fresh states never hit it
@@ -189,18 +181,17 @@ def _moves(beta: Vec2) -> tuple[tuple[int, ...], ...]:
 def verify_metaplectic() -> dict:
     """Check U_L D_a U_L^dag == +/- D_{La} over all 60 x 16 pairs.
 
-    At a == 0 this is U_L U_L^dag == I, the one dense product per L.  Given
-    that, the identity holds exactly when U_L D_a == +/- D_{La} U_L, and both
-    sides are U_L's numerators moved by signed permutations (_moves), so
-    the other 15 points compare integers."""
+    At a == 0 this is U_L^dag U_L == I (Matrix.is_unitary), the one dense
+    product per L.  Given that, the identity holds exactly when
+    U_L D_a == +/- D_{La} U_L, and both sides are U_L's numerators moved by
+    signed permutations (_moves), so the other 15 points compare integers."""
     signs = {}
-    identity = Matrix.identity(4)
     for L in symplectic.enumerate_group():
         u = unitary_for(L)
         at = _signed(u).__getitem__
         for alpha in gf4.all_points():
             if alpha == (0, 0):
-                sign = 1 if u @ u.dagger() == identity else None
+                sign = 1 if u.is_unitary() else None
             else:
                 right = _moves(alpha)[0]
                 _, left, minus_left = _moves(gf4.mat_vec(L, alpha))
@@ -219,38 +210,11 @@ def verify_metaplectic() -> dict:
 def verify_projective_rep() -> dict:
     """Check U_{L1} U_{L2} == i^k U_{L1 L2} over all 3600 ordered pairs.
 
-    Also runs the named special cases: exact shear composition, the
+    Each U_L is laid out once as a left and once as a right factor.  The
+    named special cases are entries of the same phase table, on the
+    unitaries unitary_for gives: exact shear composition, the
     R H_W R == H_W identity, U_R^5 == I, and the shear-rotation-shear family.
-    Each U_L is laid out once as a left and once as a right factor.
     """
-    # Special case: shears compose exactly, with no phase.
-    for x in ELEMENTS:
-        for y in ELEMENTS:
-            lhs = generator_unitary(x) @ generator_unitary(y)
-            if lhs != generator_unitary(gf4.add(x, y)):
-                raise AssertionError(f"shear composition failed for x={x}, y={y}")
-    if _U_R @ generator_unitary(gf4.OMEGA_BAR) @ _U_R != generator_unitary(gf4.OMEGA_BAR):
-        raise AssertionError("U_R U_HW U_R != U_HW")
-    if _U_R @ _U_R_POWERS[4] != Matrix.identity(4):
-        raise AssertionError("U_R does not have order 5")
-
-    # Shear-rotation-shear family, the crux case of the composition proof.
-    srs_phases = {}
-    for x in ELEMENTS:
-        for s in range(5):
-            for y in ELEMENTS:
-                lhs = generator_unitary(x) @ _U_R_POWERS[s] @ generator_unitary(y)
-                mat = symplectic.product(
-                    symplectic.shear(x),
-                    symplectic.product(symplectic.R_POWERS[s], symplectic.shear(y)),
-                )
-                k = proportional(lhs, unitary_for(mat))
-                if k is None:
-                    raise AssertionError(
-                        f"shear-rotation-shear check failed for x={x}, s={s}, y={y}"
-                    )
-                srs_phases[(x, s, y)] = k
-
     group = symplectic.enumerate_group()
     rights = [unitary_for(L).right_layout() for L in group]
     phases = {}
@@ -265,11 +229,25 @@ def verify_projective_rep() -> dict:
                     f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}"
                 )
             phases[(l1, l2)] = k
-    return {
-        "checked": len(phases),
-        "phases": phases,
-        "shear_rotation_shear": srs_phases,
+
+    shear, R, R_POWERS = symplectic.shear, symplectic.R, symplectic.R_POWERS
+    # Shears compose exactly, with no phase.
+    for x in ELEMENTS:
+        for y in ELEMENTS:
+            if phases[(shear(x), shear(y))]:
+                raise AssertionError(f"shear composition failed for x={x}, y={y}")
+    if phases[(R, symplectic.product(shear(gf4.OMEGA_BAR), R))]:
+        raise AssertionError("U_R U_HW U_R != U_HW")
+    if phases[(R, R_POWERS[4])]:
+        raise AssertionError("U_R does not have order 5")
+    # Shear-rotation-shear family, the crux case of the composition proof:
+    # U_{H_x R^s} U_{H_y} == i^k U_{H_x R^s H_y}.
+    srs_phases = {
+        (x, s, y): phases[(symplectic.product(shear(x), R_POWERS[s]), shear(y))]
+        for x in ELEMENTS for s in range(5) for y in ELEMENTS
     }
+    return {"checked": len(phases), "phases": phases,
+            "shear_rotation_shear": srs_phases}
 
 
 def born_numerator(rho: Matrix, n: int, k: int) -> tuple[int, int]:

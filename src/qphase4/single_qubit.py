@@ -11,11 +11,9 @@ scale, which cancels exactly under conjugation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import gf4
-from .clifford import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
-from .exact import Matrix, Scalar
+from .clifford import HALF, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+from .exact import Matrix, Scalar, proportional
 
 _POINTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -26,7 +24,7 @@ _F2 = ((0, 1), (1, 0))
 
 def _phase_point_ops(sign: int) -> dict:
     """The four A operators built from (I +/- X +/- Y +/- Z)/2."""
-    a00 = (PAULI_I + (PAULI_X + PAULI_Y + PAULI_Z).scaled(sign)).scaled(Fraction(1, 2))
+    a00 = (PAULI_I + (PAULI_X + PAULI_Y + PAULI_Z).scaled(sign)).scaled(HALF)
     return {
         (0, 0): a00,
         (1, 0): PAULI_X @ a00 @ PAULI_X,
@@ -35,9 +33,9 @@ def _phase_point_ops(sign: int) -> dict:
     }
 
 
-def _conjugate_scaled(m: Matrix, denom: int, a: Matrix) -> Matrix:
-    """(m/sqrt(denom)) a (m/sqrt(denom))^dag, exactly."""
-    return (m @ a @ m.dagger()).scaled(Fraction(1, denom))
+def _conjugate_scaled(m: Matrix, a: Matrix) -> Matrix:
+    """(m/sqrt(2)) a (m/sqrt(2))^dag, exactly."""
+    return (m @ a @ m.dagger()).scaled(HALF)
 
 
 def single_qubit_demo() -> dict:
@@ -56,14 +54,14 @@ def single_qubit_demo() -> dict:
                     raise AssertionError("phase point operators not orthogonal")
 
     # U_R = (1/sqrt(2)) [[1, -i], [1, i]]; conjugation is exact with the
-    # scale tracked as denom=2.
+    # squared scale 1/2 applied after the integer products.
     u_r = Matrix([[Scalar(1), Scalar(0, -1)], [Scalar(1), Scalar(0, 1)]])
     pauli_cycle = [(PAULI_X, PAULI_Y), (PAULI_Y, PAULI_Z), (PAULI_Z, PAULI_X)]
     for src, dst in pauli_cycle:
-        if _conjugate_scaled(u_r, 2, src) != dst:
+        if _conjugate_scaled(u_r, src) != dst:
             raise AssertionError("U_R does not cycle X -> Y -> Z -> X")
     for alpha in _POINTS:
-        if _conjugate_scaled(u_r, 2, a[alpha]) != a[gf4.mat_vec(_R2, alpha)]:
+        if _conjugate_scaled(u_r, a[alpha]) != a[gf4.mat_vec(_R2, alpha)]:
             raise AssertionError("U_R does not move phase point operators by R")
 
     # U_F = (Z - X)/sqrt(2): permuting Wigner values by the axis swap F is
@@ -72,17 +70,18 @@ def single_qubit_demo() -> dict:
     # Tr(A rho): the Wigner values' common factor 1/2 cancels.
     u_f = PAULI_Z - PAULI_X
     for rho in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z):
-        moved = _conjugate_scaled(u_f, 2, rho)
+        moved = _conjugate_scaled(u_f, rho)
         for alpha in _POINTS:
             if (a_tilde[alpha] @ moved).trace() != (a[gf4.mat_vec(_F2, alpha)] @ rho).trace():
                 raise AssertionError("reinterpretation identity failed")
 
     # Obstruction: X -> Z, Z -> X, Y -> Y is a Bloch-sphere reflection.
-    # Its action on (x, y, z) coordinates is the axis permutation (2, 1, 0),
-    # whose determinant is its sign, -1, while unitary conjugation always
-    # induces a rotation (determinant +1).
-    axes = (2, 1, 0)
-    det = (-1) ** sum(axes[i] > axes[j] for i in range(3) for j in range(i + 1, 3))
+    # Y == i^j XZ == i^k ZX, so conjugation by any unitary that swaps X and Z
+    # sends Y to i^(j-k) Y.  Unitary conjugation induces a rotation
+    # (determinant +1), so keeping Y fixed has determinant i^(j-k) == -1.
+    j = proportional(PAULI_Y, PAULI_X @ PAULI_Z)
+    k = proportional(PAULI_Y, PAULI_Z @ PAULI_X)
+    det = {0: 1, 2: -1}.get((j - k) % 4)
     if det != -1:
         raise AssertionError("Bloch reflection determinant check failed")
 

@@ -53,19 +53,14 @@ def enumerate_group() -> tuple[SympMat, ...]:
     """All 60 symplectic matrices, in the canonical four-family order.
 
     Families: H_0 R^s, H_W R^s, R^r H_1 R^s, R^r H_w R^s, with the rotation
-    exponents ascending within each family.
+    exponents ascending within each family; each is its Decomposition's matrix.
     """
-    out = []
-    for x in (0, OMEGA_BAR):
-        for s in range(5):
-            out.append(gf4.mat_mul(shear(x), R_POWERS[s]))
-    for x in (1, OMEGA):
-        for r in range(5):
-            for s in range(5):
-                out.append(gf4.mat_mul(R_POWERS[r], gf4.mat_mul(shear(x), R_POWERS[s])))
+    triples = [(0, x, s) for x in (0, OMEGA_BAR) for s in range(5)]
+    triples += [(r, x, s) for x in (1, OMEGA) for r in range(5) for s in range(5)]
+    out = tuple(Decomposition(*t).matrix() for t in triples)
     if len(set(out)) != 60:
         raise AssertionError("group enumeration did not give 60 distinct matrices")
-    return tuple(out)
+    return out
 
 
 class Decomposition(NamedTuple):

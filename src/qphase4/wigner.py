@@ -290,7 +290,7 @@ def rotational_symmetry_check(L: SympMat) -> dict:
         )
 
     u_l = clifford.unitary_for(L)
-    v = clifford.conjugate(u_l, clifford.rotation_unitary())
+    v = clifford.conjugate(u_l, clifford.unitary_for(symplectic.R))
     for rho in standard_test_states():
         covariant(rho, f_l, v, f_l, linear_perm(r_l),
                   f"conjugated rotation for L={symplectic.to_text(L)}")

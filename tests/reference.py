@@ -2,15 +2,16 @@
 the Gaussian-rational ring operations on Scalars (the library has none),
 scaling a matrix by a Scalar, a matrix times a vector, complex conjugation,
 the powers of i, the Hermitian inner product, a Wigner table from its
-Fraction values, its Fraction line sums, total and operator sum, and the
-metaplectic check on dense products."""
+Fraction values, its Fraction line sums, total and operator sum, the
+metaplectic check and the shear-rotation-shear phases on dense products, and
+the 60 group elements spelled out with gf4.mat_mul."""
 
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
 from qphase4 import clifford, gf4, phasespace, symplectic
-from qphase4.exact import Matrix, Scalar, dot, numerators
+from qphase4.exact import Matrix, Scalar, dot, numerators, proportional
 from qphase4.wigner import WignerTable
 
 #: i^k for k = 0..3.
@@ -100,3 +101,38 @@ def dense_metaplectic_signs(unitary_for=clifford.unitary_for) -> dict:
                                      f"L={symplectic.to_text(L)}, alpha={alpha}")
             signs[(L, alpha)] = 1 if lhs == rhs else -1
     return signs
+
+
+def shear_rotation_shear_phases() -> dict:
+    """(x, s, y) -> k with G_x U_R^s G_y == i^k U_{H_x R^s H_y}, the left side a
+    dense product of the literal generator matrices and U_R, the right side
+    unitary_for's; raises AssertionError where no power of i fits."""
+    phases = {}
+    for x in gf4.ELEMENTS:
+        left = clifford._GENERATORS[x]
+        for s in range(5):
+            for y in gf4.ELEMENTS:
+                L = symplectic.product(symplectic.shear(x), symplectic.product(
+                    symplectic.R_POWERS[s], symplectic.shear(y)))
+                k = proportional(left @ clifford._GENERATORS[y], clifford.unitary_for(L))
+                if k is None:
+                    raise AssertionError(f"shear-rotation-shear check failed for "
+                                         f"x={x}, s={s}, y={y}")
+                phases[(x, s, y)] = k
+            left = left @ clifford._U_R
+    return phases
+
+
+def group_by_mat_mul() -> tuple:
+    """The 60 symplectic matrices in enumerate_group's order, each R^r H_x R^s
+    spelled out with gf4.mat_mul: H_0 R^s, H_W R^s, R^r H_1 R^s, R^r H_w R^s."""
+    R_POWERS, shear = symplectic.R_POWERS, symplectic.shear
+    out = []
+    for x in (0, gf4.OMEGA_BAR):
+        for s in range(5):
+            out.append(gf4.mat_mul(shear(x), R_POWERS[s]))
+    for x in (1, gf4.OMEGA):
+        for r in range(5):
+            for s in range(5):
+                out.append(gf4.mat_mul(R_POWERS[r], gf4.mat_mul(shear(x), R_POWERS[s])))
+    return tuple(out)

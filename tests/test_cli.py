@@ -351,6 +351,36 @@ def test_metaplectic_counterexample_matches_the_dense_check(capsys, monkeypatch,
     assert (f"alpha={alpha}\n" in err) if alpha else "alpha=(0, 0)" not in err
 
 
+@pytest.mark.parametrize("mutation, message", [
+    # U_R -> -U_R: every product stays proportional, but U_R U_R^4 == -I.
+    ("clifford._U_R_POWERS = tuple(-u if n % 2 else u for n, u in enumerate(clifford._U_R_POWERS))",
+     "U_R does not have order 5"),
+    # U_{H_1} -> -U_{H_1}: U_{H_1} U_{H_w} == -U_{H_W}.
+    ("clifford._GENERATORS[1] = -clifford._GENERATORS[1]",
+     "shear composition failed for x=1, y=2"),
+], ids=["U_R-sign", "H_1-sign"])
+def test_rep_counterexample_is_one_fail_line(capsys, monkeypatch, mutation, message):
+    # A sign change leaves U a projective representation; only the named
+    # identities, read off the phase table of unitary_for's U_L, see it.  The
+    # two monkeypatch calls record the originals for undo; unitary_for is
+    # cached, so it is cleared before and after.
+    monkeypatch.setattr(clifford, "_U_R_POWERS", clifford._U_R_POWERS)
+    monkeypatch.setitem(clifford._GENERATORS, 1, clifford._GENERATORS[1])
+    clifford.unitary_for.cache_clear()
+    try:
+        exec(mutation, {"clifford": clifford})
+        code, out, err = run(capsys, "verify", "rep")
+    finally:
+        monkeypatch.undo()
+        clifford.unitary_for.cache_clear()
+    assert (code, out, err) == (1, "", f"FAIL rep: {message}\n")
+    # -O drops assert statements; the identities must still be checked.
+    program = f"import sys\nfrom qphase4 import cli, clifford\n{mutation}\n" \
+              "sys.exit(cli.main(['verify', 'rep']))"
+    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"FAIL rep: {message}\n")
+
+
 def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):
     # A displacement that moves nothing breaks the covariance of every D[q,p] step.
     # translation_perm is cached, so it is rebuilt from the patched addition and dropped after.

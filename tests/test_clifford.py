@@ -12,16 +12,15 @@ from qphase4.clifford import (
     PAULI_Z,
     displacement,
     displacement_name,
-    generator_unitary,
     mub_projector,
     mub_vector,
     proportional,
-    rotation_unitary,
     unitary_for,
 )
 from qphase4.exact import Matrix, Scalar, norm_sq, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import I_POWERS, dense_metaplectic_signs, inner, mat_vec
+from reference import (I_POWERS, dense_metaplectic_signs, inner, mat_vec,
+                       shear_rotation_shear_phases)
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -53,16 +52,17 @@ def test_displacement_composition_rule():
 
 
 def test_generator_matrices():
-    assert generator_unitary(0) == Matrix.identity(4)
+    # The literal matrices, not unitary_for's products of them.
+    generators, u_r = clifford._GENERATORS, clifford._U_R
+    assert generators[0] == Matrix.identity(4)
     for x in ELEMENTS:
-        assert generator_unitary(x).is_unitary()
-    u_r = rotation_unitary()
+        assert generators[x].is_unitary()
     assert u_r.is_unitary()
     prod = Matrix.identity(4)
     for _ in range(5):
         prod = prod @ u_r
     assert prod == Matrix.identity(4)
-    h_wb = generator_unitary(OMEGA_BAR)
+    h_wb = generators[OMEGA_BAR]
     assert u_r @ h_wb @ u_r == h_wb
 
 
@@ -77,10 +77,10 @@ def test_unitary_for_is_exact_product():
         d = symplectic.decompose(L)
         u = Matrix.identity(4)
         for _ in range(d.r):
-            u = u @ rotation_unitary()
-        u = u @ generator_unitary(d.x)
+            u = u @ clifford._U_R
+        u = u @ clifford._GENERATORS[d.x]
         for _ in range(d.s):
-            u = u @ rotation_unitary()
+            u = u @ clifford._U_R
         assert unitary_for(L) == u
 
 
@@ -90,7 +90,7 @@ def test_unitary_for_rejects_non_symplectic():
 
 
 def test_product_unitary_proportional():
-    prod = rotation_unitary() @ generator_unitary(1)
+    prod = clifford._U_R @ clifford._GENERATORS[1]
     mat = symplectic.product(symplectic.R, symplectic.shear(1))
     assert proportional(prod, unitary_for(mat)) is not None
 
@@ -177,9 +177,25 @@ def test_verify_projective_rep():
     }
 
 
+def test_shear_rotation_shear_phases_match_the_dense_products():
+    # rep reads the family off its phase table as U_{H_x R^s} U_{H_y}; the
+    # reference multiplies G_x U_R^s G_y from the literal matrices.
+    for x in ELEMENTS:
+        for s in range(5):
+            u = clifford._GENERATORS[x]
+            for _ in range(s):
+                u = u @ clifford._U_R
+            assert unitary_for(symplectic.product(symplectic.shear(x),
+                                                  symplectic.R_POWERS[s])) == u
+    srs = clifford.verify_projective_rep()["shear_rotation_shear"]
+    assert len(srs) == 80
+    assert srs == shear_rotation_shear_phases()
+
+
 def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
     # The 3600 group products go straight to the kernel, over one left and one
-    # right layout per U_L; the named special cases multiply with @.
+    # right layout per U_L; the named special cases are read off the phase
+    # table, so nothing multiplies with @.
     for L in symplectic.enumerate_group():
         unitary_for(L)
     calls = {"__matmul__": 0, "product": 0, "left_layout": 0, "right_layout": 0}
@@ -192,9 +208,9 @@ def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
 
         monkeypatch.setattr(Matrix, name, staticmethod(counted) if name == "product" else counted)
     assert clifford.verify_projective_rep()["checked"] == 3600
-    matmul = calls["__matmul__"]
-    assert calls["product"] - matmul == 3600
-    assert calls["left_layout"] - matmul == calls["right_layout"] - matmul == 60
+    assert calls["__matmul__"] == 0
+    assert calls["product"] == 3600
+    assert calls["left_layout"] == calls["right_layout"] == 60
 
 
 def cnot_counterexample() -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from qphase4 import gf4, symplectic
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
+from reference import group_by_mat_mul
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -46,6 +47,12 @@ def test_enumeration_matches_brute_force():
     assert len(set(group)) == 60
     assert symplectic.IDENTITY in group
     assert set(group) == brute_force_group()
+
+
+def test_enumeration_is_the_mat_mul_spelling_in_order():
+    # Built from the canonical triples through Decomposition.matrix: the same
+    # 60 matrices, in the same order, as the products spelled out directly.
+    assert symplectic.enumerate_group() == group_by_mat_mul()
 
 
 def test_group_closure_and_inverses():

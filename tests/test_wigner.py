@@ -548,7 +548,7 @@ def test_psd_check_matches_principal_minors():
 
 def test_psd_check_sees_past_a_flat_diagonal():
     # Eigenvalues 1/2, 1/3, 1/4, -1/12: trace 1, and only e_4 is negative.
-    u = clifford.rotation_unitary()
+    u = clifford._U_R
     diag = Matrix([[Fraction(1, 2), 0, 0, 0], [0, Fraction(1, 3), 0, 0],
                    [0, 0, Fraction(1, 4), 0], [0, 0, 0, Fraction(-1, 12)]])
     rho = u @ diag @ u.dagger()
