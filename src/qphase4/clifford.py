@@ -16,9 +16,9 @@ also read as a signed permutation (signed_permutation): multiplying U_L by
 D_beta on either side only moves U_L's numerators and their signs.  The
 metaplectic sweep compares U_L D_a with +/- D_{La} U_L that way, after one
 dense check U_L^dag U_L == I per L.  The projective-representation sweep
-lays out each U_L once as a left and once as a right factor, multiplies
-the 3600 pairs with exact.Matrix.product, the kernel behind @, and reads
-its named special cases off the resulting phase table.
+packs each U_L once per side (Matrix.packed_left, packed_right), makes each of
+the 3600 products one big-int dot, finds its phase k against the packed i^k U_{L1 L2}
+without unpacking, and reads its named special cases off the phase table.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import accumulate
 from operator import neg
 
 from . import gf4, symplectic
-from .exact import Matrix, Scalar as _S, Vector, dot, outer, proportional
+from .exact import Matrix, Scalar as _S, Vector, dot, lane_width, outer, pack
 from .gf4 import ELEMENTS, Vec2
 from .symplectic import SympMat
 
@@ -64,33 +64,29 @@ def displacement_name(beta: Vec2) -> str:
     return f"{_PAULIS[(q1, p1)][0]}⊗{_PAULIS[(q2, p2)][0]}"
 
 
-def _i(n=1):
-    return _S(0, n)
-
-
 _GENERATORS = {
     0: Matrix.identity(4),
     1: Matrix(
         [
-            [0, 0, 0, _i(-1)],
+            [0, 0, 0, _S(0, -1)],
             [0, 0, 1, 0],
             [0, 1, 0, 0],
-            [_i(1), 0, 0, 0],
+            [_S(0, 1), 0, 0, 0],
         ]
     ),
     gf4.OMEGA: Matrix(
         [
-            [0, _i(-1), 0, 0],
-            [_i(1), 0, 0, 0],
+            [0, _S(0, -1), 0, 0],
+            [_S(0, 1), 0, 0, 0],
             [0, 0, 0, 1],
             [0, 0, 1, 0],
         ]
     ),
     gf4.OMEGA_BAR: Matrix(
         [
-            [0, 0, _i(-1), 0],
+            [0, 0, _S(0, -1), 0],
             [0, 0, 0, 1],
-            [_i(1), 0, 0, 0],
+            [_S(0, 1), 0, 0, 0],
             [0, 1, 0, 0],
         ]
     ),
@@ -210,24 +206,30 @@ def verify_metaplectic() -> dict:
 def verify_projective_rep() -> dict:
     """Check U_{L1} U_{L2} == i^k U_{L1 L2} over all 3600 ordered pairs.
 
-    Each U_L is laid out once as a left and once as a right factor.  The
+    Each U_L is packed once as a left and once as a right factor; the
+    product c of a pair is one dot of big integers, and its phase the k with
+    c t == packed(i^k U_{L1 L2}) a b, for a, b, t the three denominators.  The
     named special cases are entries of the same phase table, on the
     unitaries unitary_for gives: exact shear composition, the
     R H_W R == H_W identity, U_R^5 == I, and the shear-rotation-shear family.
     """
     group = symplectic.enumerate_group()
-    rights = [unitary_for(L).right_layout() for L in group]
+    units = [unitary_for(L) for L in group]
+    w = lane_width(units)
+    rights = [u.packed_right(w) for u in units]
+    # The rows of a right packing, 8 lanes apart, are U and i U in a product's lanes.
+    targets = {L: (u.den, pack(r[::2], 8 * w), pack(r[1::2], 8 * w))
+               for L, u, r in zip(group, units, rights)}
     phases = {}
-    for l1 in group:
-        left = unitary_for(l1).left_layout()
-        for l2, right in zip(group, rights):
-            prod = Matrix.product(left, right)
-            k = proportional(prod, unitary_for(symplectic.product(l1, l2)))
+    for l1, u1 in zip(group, units):
+        left = u1.packed_left(w)
+        for l2, u2, right in zip(group, units, rights):
+            t, p, ip = targets[symplectic.product(l1, l2)]
+            lhs, ab = dot(left, right) * t, u1.den * u2.den
+            k = next((k for k, rhs in enumerate((p, ip, -p, -ip)) if lhs == rhs * ab), None)
             if k is None:
-                raise AssertionError(
-                    f"projective representation failed for "
-                    f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}"
-                )
+                raise AssertionError(f"projective representation failed for "
+                                     f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}")
             phases[(l1, l2)] = k
 
     shear, R, R_POWERS = symplectic.shear, symplectic.R, symplectic.R_POWERS
@@ -242,12 +244,9 @@ def verify_projective_rep() -> dict:
         raise AssertionError("U_R does not have order 5")
     # Shear-rotation-shear family, the crux case of the composition proof:
     # U_{H_x R^s} U_{H_y} == i^k U_{H_x R^s H_y}.
-    srs_phases = {
-        (x, s, y): phases[(symplectic.product(shear(x), R_POWERS[s]), shear(y))]
-        for x in ELEMENTS for s in range(5) for y in ELEMENTS
-    }
-    return {"checked": len(phases), "phases": phases,
-            "shear_rotation_shear": srs_phases}
+    srs_phases = {(x, s, y): phases[(symplectic.product(shear(x), R_POWERS[s]), shear(y))]
+                  for x in ELEMENTS for s in range(5) for y in ELEMENTS}
+    return {"checked": len(phases), "phases": phases, "shear_rotation_shear": srs_phases}
 
 
 def born_numerator(rho: Matrix, n: int, k: int) -> tuple[int, int]:

@@ -5,10 +5,10 @@ they serve only where user rationals come in or go out (construction, JSON,
 printing).  Matrices (2x2 and 4x4) store integer real and imaginary
 numerators over one shared denominator in lowest terms, so their arithmetic
 is integer arithmetic, nothing rounds, and equality, used directly by the
-exhaustive verification sweeps, compares integer tuples.  A product is two
-steps: lay out the left factor's rows and the right factor's columns
-(left_layout, right_layout), then one kernel (Matrix.product); @ is both,
-and a sweep that multiplies the same factors many times lays each out once.
+exhaustive verification sweeps, compares integer tuples.  A sweep of many
+products packs each factor once, a big integer per column or row with every
+numerator in a lane of lane_width bits (packed_left, packed_right), and one
+dot of two packings then holds every entry of their product in its own lane.
 """
 
 from __future__ import annotations
@@ -125,30 +125,28 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix._reduced(self.n, [-x for x in self.re], [-x for x in self.im], self.den)
 
-    def left_layout(self) -> tuple:
-        """The matrix laid out as the left factor of a product: (rows, den),
-        each row its real then its imaginary numerators."""
-        n = self.n
-        return [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)], self.den
-
-    def right_layout(self) -> tuple:
-        """The matrix laid out as the right factor of a product: (columns,
-        den), each column (re, -im) and (im, re) of its numerators, so that
-        a left row dotted with them gives the real and imaginary part."""
-        n = self.n
-        return [((*cr, *(-x for x in ci)), (*ci, *cr))
-                for cr, ci in ((self.re[j::n], self.im[j::n]) for j in range(n))], self.den
-
-    @staticmethod
-    def product(left: tuple, right: tuple) -> "Matrix":
-        """The product of two laid-out factors: a sweep lays out each factor
-        once and multiplies every pair here."""
-        (rows, a), (cols, b) = left, right
-        return Matrix._reduced(len(rows), [sum(map(mul, r, c)) for r in rows for c, _ in cols],
-                               [sum(map(mul, r, c)) for r in rows for _, c in cols], a * b)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        return Matrix.product(self.left_layout(), other.right_layout())
+        n = self.n  # row: real then imaginary numerators; column: (re, -im) and (im, re)
+        rows = [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)]
+        cols = [((*cr, *(-x for x in ci)), (*ci, *cr))
+                for cr, ci in ((other.re[j::n], other.im[j::n]) for j in range(n))]
+        return Matrix._reduced(n, [sum(map(mul, r, c)) for r in rows for c, _ in cols],
+                               [sum(map(mul, r, c)) for r in rows for _, c in cols],
+                               self.den * other.den)
+
+    def packed_left(self, w: int) -> tuple[int, ...]:
+        """Packed as a left factor: per column k, its real and its imaginary
+        numerators, row i in lane 2 n i (lanes of w bits; see pack)."""
+        n = self.n
+        return tuple(pack(part[k::n], 2 * n * w) for k in range(n) for part in (self.re, self.im))
+
+    def packed_right(self, w: int) -> tuple[int, ...]:
+        """Packed as a right factor: per row k, that row and i times it, entry j
+        in lanes 2j (re) and 2j + 1 (im).  Dotted with a.packed_left(w), entry
+        (i, j) of a @ self over a.den * self.den is in lanes 2(n i + j), +1."""
+        n, parts = self.n, ((self.re, self.im), (tuple(map(neg, self.im)), self.re))
+        return tuple(pack([x for pair in zip(a[p:p + n], b[p:p + n]) for x in pair], w)
+                     for p in range(0, n * n, n) for a, b in parts)
 
     def scaled(self, c: int | Fraction) -> "Matrix":
         return Matrix._reduced(self.n, [x * c.numerator for x in self.re],
@@ -214,6 +212,19 @@ def outer(u: Vector, v: Vector) -> Matrix:
     u, v = list(zip(ur, ui)), list(zip(vr, vi))
     return Matrix._reduced(len(u), [a * c + b * d for a, b in u for c, d in v],
                            [b * c - a * d for a, b in u for c, d in v], ud * vd)
+
+
+def pack(lanes: Sequence[int], w: int) -> int:
+    """The sum of lanes[l] * 2^(l w).  With every |lane| < 2^(w-1) the lanes
+    are its balanced base-2^w digits, so equal packings have equal lanes."""
+    return sum(x << (l * w) for l, x in enumerate(lanes))
+
+
+def lane_width(matrices: Sequence[Matrix]) -> int:
+    """Bits per lane so that, for numerators up to m and denominators up to d,
+    a product's lane times one denominator and an entry times two stay below 2^(w-1)."""
+    m, d = max(max(map(abs, u.re + u.im)) for u in matrices), max(u.den for u in matrices)
+    return (2 * matrices[0].n * m * m * d * d).bit_length() + 1
 
 
 def proportional(a: Matrix, b: Matrix):

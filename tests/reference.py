@@ -103,6 +103,15 @@ def dense_metaplectic_signs(unitary_for=clifford.unitary_for) -> dict:
     return signs
 
 
+def dense_rep_phases() -> dict:
+    """(L1, L2) -> k with U_{L1} U_{L2} == i^k U_{L1 L2} (None where no power of
+    i fits) over all 3600 ordered pairs in verify_projective_rep's order, each
+    a dense @ product tested with proportional."""
+    group, u = symplectic.enumerate_group(), clifford.unitary_for
+    return {(l1, l2): proportional(u(l1) @ u(l2), u(symplectic.product(l1, l2)))
+            for l1 in group for l2 in group}
+
+
 def shear_rotation_shear_phases() -> dict:
     """(x, s, y) -> k with G_x U_R^s G_y == i^k U_{H_x R^s H_y}, the left side a
     dense product of the literal generator matrices and U_R, the right side

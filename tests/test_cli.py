@@ -305,13 +305,12 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
 
 def test_verify_metaplectic_makes_one_dense_product_per_unitary(capsys, monkeypatch):
     # U_L U_L^dag == I is the one dense check; every U_L D_a == +/- D_{La} U_L is
-    # U_L's numerators moved by signed permutations.  Counted at the product kernel.
+    # U_L's numerators moved by signed permutations.  Counted at @, the dense kernel.
     for L in symplectic.enumerate_group():
         clifford.unitary_for(L)
     products = []
-    product = Matrix.product
-    monkeypatch.setattr(Matrix, "product",
-                        staticmethod(lambda a, b: products.append(1) or product(a, b)))
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     code, _, _ = run(capsys, "verify", "metaplectic")
     assert code == 0
     assert len(products) == 60
@@ -379,6 +378,40 @@ def test_rep_counterexample_is_one_fail_line(capsys, monkeypatch, mutation, mess
               "sys.exit(cli.main(['verify', 'rep']))"
     proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"FAIL rep: {message}\n")
+
+
+# unitary_for(R) with entry 0 negated: no longer unitary, so products with it
+# stop being powers of i times U_{L1 L2}.
+_NEGATE_AN_ENTRY_OF_U_R = """
+unitary_for = clifford.unitary_for
+def mutated(L):
+    u = unitary_for(L)
+    if L != symplectic.R:
+        return u
+    return Matrix._reduced(4, (-u.re[0], *u.re[1:]), (-u.im[0], *u.im[1:]), u.den)
+clifford.unitary_for = mutated
+"""
+
+
+def test_rep_non_proportional_product_is_one_fail_line(capsys, monkeypatch):
+    # The first pair whose product is no power of i times U_{L1 L2} is (R, R).
+    monkeypatch.setattr(clifford, "unitary_for", clifford.unitary_for)
+    try:
+        exec(_NEGATE_AN_ENTRY_OF_U_R, {"clifford": clifford, "symplectic": symplectic,
+                                       "Matrix": Matrix})
+        code, out, err = run(capsys, "verify", "rep")
+    finally:
+        monkeypatch.undo()
+    r = symplectic.to_text(symplectic.R)
+    assert r == "[[W,1],[1,0]]"
+    expect = (1, "", f"FAIL rep: projective representation failed for {r}, {r}\n")
+    assert (code, out, err) == expect
+    # -O drops assert statements; the sweep must still raise.
+    program = ("import sys\nfrom qphase4 import cli, clifford, symplectic\n"
+               "from qphase4.exact import Matrix\n" + _NEGATE_AN_ENTRY_OF_U_R
+               + "sys.exit(cli.main(['verify', 'rep']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expect
 
 
 def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):

@@ -14,12 +14,11 @@ from qphase4.clifford import (
     displacement_name,
     mub_projector,
     mub_vector,
-    proportional,
     unitary_for,
 )
-from qphase4.exact import Matrix, Scalar, norm_sq, outer
+from qphase4.exact import Matrix, Scalar, norm_sq, outer, proportional
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import (I_POWERS, dense_metaplectic_signs, inner, mat_vec,
+from reference import (I_POWERS, dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
                        shear_rotation_shear_phases)
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -192,13 +191,20 @@ def test_shear_rotation_shear_phases_match_the_dense_products():
     assert srs == shear_rotation_shear_phases()
 
 
+def test_rep_phases_match_the_dense_oracle():
+    # Same 3600 phases in the same order as dense @ products tested with proportional.
+    phases = clifford.verify_projective_rep()["phases"]
+    assert list(phases.items()) == list(dense_rep_phases().items())
+
+
 def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
-    # The 3600 group products go straight to the kernel, over one left and one
-    # right layout per U_L; the named special cases are read off the phase
-    # table, so nothing multiplies with @.
+    # Each U_L is packed once as a left and once as a right factor (its targets
+    # come from the right packing); the 3600 products are dots of big integers
+    # and the named special cases are read off the phase table, so no dense
+    # product runs (@ is the dense kernel) and no Matrix is built.
     for L in symplectic.enumerate_group():
         unitary_for(L)
-    calls = {"__matmul__": 0, "product": 0, "left_layout": 0, "right_layout": 0}
+    calls = dict.fromkeys(("__matmul__", "_reduced", "packed_left", "packed_right"), 0)
     for name in calls:
         fn = getattr(Matrix, name)
 
@@ -206,11 +212,9 @@ def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(Matrix, name, staticmethod(counted) if name == "product" else counted)
+        monkeypatch.setattr(Matrix, name, counted)
     assert clifford.verify_projective_rep()["checked"] == 3600
-    assert calls["__matmul__"] == 0
-    assert calls["product"] == 3600
-    assert calls["left_layout"] == calls["right_layout"] == 60
+    assert calls == {"__matmul__": 0, "_reduced": 0, "packed_left": 60, "packed_right": 60}
 
 
 def cnot_counterexample() -> dict:

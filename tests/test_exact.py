@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 
 from qphase4 import clifford, gf4, symplectic
-from qphase4.exact import Matrix, Scalar, norm_sq, outer, proportional, vector
+from qphase4.exact import (MAX_JSON_DIGITS, Matrix, Scalar, dot, lane_width, norm_sq, outer,
+                           pack, proportional, vector)
 from reference import I_POWERS, add, conj, inner, mul, neg, scalar_sum, scaled, sub
 
 
@@ -149,6 +150,62 @@ def test_proportional_reads_the_phase_off_the_numerators():
     assert [a.den == b.den for a, b in other + same] == [False] * 3 + [True] * 3
     for a, b in other + same:
         assert proportional(a, b) is proportional(b, a) is _ref_proportional(a, b) is None
+
+
+def _unpack(x, w, lanes):
+    """The balanced base-2^w digits of x, lowest lane first; x must fit."""
+    out = []
+    for _ in range(lanes):
+        digit = x & ((1 << w) - 1)
+        digit -= (digit >> (w - 1)) << w
+        out.append(digit)
+        x = (x - digit) >> w
+    assert x == 0
+    return out
+
+
+def _interleaved(re, im):
+    return [x for pair in zip(re, im) for x in pair]
+
+
+def _assert_packed_product(a, b):
+    """Every lane of the packed product at a's and b's own lane width is an
+    entry of a @ b over a.den * b.den; cross-multiplied with the packed dense
+    product at the width of all three, as the rep sweep compares them."""
+    c = a @ b
+    scale = a.den * b.den // c.den
+    w = lane_width([a, b])
+    lanes = _unpack(dot(a.packed_left(w), b.packed_right(w)), w, 32)
+    assert lanes == [x * scale for x in _interleaved(c.re, c.im)]
+    # c and i c, packed as the rep sweep packs its targets: c's right rows 8 lanes apart.
+    w = lane_width([a, b, c])
+    rows = c.packed_right(w)
+    p, ip = pack(rows[::2], 8 * w), pack(rows[1::2], 8 * w)
+    assert _unpack(p, w, 32) == _interleaved(c.re, c.im)
+    assert _unpack(ip, w, 32) == _interleaved([-x for x in c.im], c.re)
+    assert dot(a.packed_left(w), b.packed_right(w)) * c.den == p * a.den * b.den
+
+
+# One pair at the JSON bound: its lanes are over 40,000 bits wide, about 1 s a pair.
+@pytest.mark.parametrize("digits, pairs", [(1, 6), (3, 6), (MAX_JSON_DIGITS, 1)])
+def test_packed_product_is_the_packed_dense_product(digits, pairs):
+    rng = random.Random(digits)
+    bound = 10**digits
+
+    def part():  # numerator and denominator of up to `digits` digits, as JSON allows
+        return Fraction(rng.randrange(1 - bound, bound), rng.randrange(1, bound))
+
+    for _ in range(pairs):
+        a, b = (Matrix([[Scalar(part(), part()) for _ in range(4)] for _ in range(4)])
+                for _ in range(2))
+        _assert_packed_product(a, b)
+    # Every lane of the product at its largest: 4 terms of 2 m^2, all one sign.
+    m = bound - 1
+    a = Matrix([[Scalar(m, -m)] * 4] * 4)
+    b = Matrix([[Scalar(m, m)] * 4] * 4)
+    _assert_packed_product(a, b)
+    _assert_packed_product(a, -b)
+    assert (a @ b).re == (8 * m * m,) * 16
 
 
 def test_equal_values_have_one_form():
