@@ -329,7 +329,7 @@ def _verify_transport() -> str:
     for L in symplectic.enumerate_group():  # frames innermost: one U_L rho U_L^dag each
         for rho in states:
             for f in phasespace.canonical_shift_vectors():
-                wigner.transport(rho, f, L)
+                wigner.transported(rho, f, L)
                 count += 1
     return f"transport: {count}/{count} (L, frame, state) triples exact"
 

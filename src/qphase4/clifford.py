@@ -249,12 +249,22 @@ def verify_projective_rep() -> dict:
     return {"checked": len(phases), "phases": phases, "shear_rotation_shear": srs_phases}
 
 
-def born_numerator(rho: Matrix, n: int, k: int) -> tuple[int, int]:
-    """Tr(P rho) for P = mub_projector(n, k) as (numerator, P.den * rho.den): for
-    Hermitian rho (the caller checks), sum_ij P_ij conj(rho_ij) on numerators."""
-    p = mub_projector(n, k)
-    return dot(p.re, rho.re) + dot(p.im, rho.im), p.den * rho.den
+@lru_cache(maxsize=1)
+def projector_numerators() -> tuple[tuple[int, ...], ...]:
+    """Per MUB projector mub_projector(n, label), at 4n + label: its real then
+    its imaginary numerators, row-major, over 4."""
+    return tuple(tuple(x * (4 // p.den) for x in p.re + p.im)
+                 for p in (mub_projector(n, k) for n in range(5) for k in ELEMENTS))
 
 
-def born_probability(rho: Matrix, n: int, k: int) -> Fraction:
-    return Fraction(*born_numerator(rho, n, k))
+@lru_cache(maxsize=16)  # a state's 16 displacements, D_0 rho D_0 = rho among them
+def born_probability(rho: Matrix) -> tuple[int, tuple[int, ...]]:
+    """The 20 Born probabilities Tr(P rho) of the MUB projectors P =
+    mub_projector(n, label), as (den, nums): nums[4n + label] over the one
+    denominator den = 4 rho.den.  Each is the real Hilbert-Schmidt product
+    sum_ij P_ij conj(rho_ij) on numerators, exact for Hermitian rho only; any
+    other rho raises ValueError."""
+    if not rho.is_hermitian():
+        raise ValueError("Born probabilities of a non-Hermitian operator")
+    entries = rho.re + rho.im
+    return 4 * rho.den, tuple(dot(p, entries) for p in projector_numerators())

@@ -52,6 +52,8 @@ def displace_index(idx: Index, beta: Vec2) -> Index:
 
 
 def index_add(a: Index, b: Index) -> Index:
+    if len(a) != len(b):
+        raise AssertionError(f"index lengths differ: {len(a)} and {len(b)}")
     return tuple(gf4.add(x, y) for x, y in zip(a, b))
 
 

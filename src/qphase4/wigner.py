@@ -4,25 +4,29 @@ A frame is fixed by a five-component GF(4) vector f, a quantum net: line k
 of striation n is read by vector k + f_n of mutually unbiased basis n
 (line_labels), and the phase point operator at alpha is the sum of the
 projectors of the five lines through alpha, minus the identity.  Tables are
-therefore built line by line from the 20 MUB Born probabilities on
-clifford.mub_projector's cached integer matrices.  A table stores only its
-canonical integer form (WignerTable.key), which wigner_table builds
-directly.  Every routine reads a line as its four positions in
-gf4.all_points() (_line_positions): wigner_table adds each line's
-probability there, reconstruct and marginal_check read integer line sums
-there, and reconstruct weights the projectors' numerators by them in one
-dot product per entry.  frame() builds the 16 operators from mub_vector and
-the displacements as the test oracle.
+therefore built line by line from the 20 MUB Born probabilities, which
+clifford.born_probability gives as integer numerators over one denominator.
+A table stores only its canonical integer form (WignerTable.key), which
+wigner_table builds directly.  Every routine reads a line as its four
+positions in gf4.all_points() (_line_positions): wigner_table adds each
+line's probability there, reconstruct and marginal_check read integer line
+sums there, and reconstruct weights the projectors' numerators by them in
+one dot product per entry.  frame() builds the 16 operators from mub_vector
+and the displacements as the test oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
 (D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
-use only these.  Both, and the conjugated rotations of
+use only these, and the verify sweep uses transported, transport without
+the new table.  Both, and the conjugated rotations of
 rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
 by covariant().  Each map is a cached permutation of the 16 positions of
 gf4.all_points() (linear_perm, translation_perm), and rho' comes from
 clifford.conjugate, so a sweep over frames conjugates each state once per
-unitary.  covariant() compares keys: integers, not Fractions.
+unitary.  A table is a fixed bijective function of the 20 line
+probabilities, so covariant() builds no table: it compares the Born
+numerators of rho' with those of rho through the map's action on the 20
+lines (_line_map, one per map), on integers.
 """
 
 from __future__ import annotations
@@ -72,13 +76,19 @@ def _line_positions(n: int, k: int) -> tuple[int, ...]:
     return tuple(map(gf4.all_points().index, phasespace.line_points(n, k)))
 
 
+@lru_cache(maxsize=None)
+def _label_positions(f: Index) -> tuple[int, ...]:
+    """Per line 4n + k, the position 4n + k + f_n of the probability that
+    frame f reads it by in clifford.born_probability's numerators."""
+    return tuple(4 * n + label for n, _, label in line_labels(f))
+
+
 @lru_cache(maxsize=1)
 def _projector_columns() -> tuple[tuple[int, ...], ...]:
     """Per entry of a 4x4 matrix, real parts first: the numerators over 4 at
     that entry of the 20 MUB projectors, (n, label) at 4n + label, then of I."""
-    ops = [clifford.mub_projector(n, k) for n in range(5) for k in ELEMENTS] + [Matrix.identity(4)]
-    return tuple(tuple(getattr(a, part)[j] * (4 // a.den) for a in ops)
-                 for part in ("re", "im") for j in range(16))
+    identity = [4 * (j in (0, 5, 10, 15)) for j in range(32)]
+    return tuple(zip(*clifford.projector_numerators(), identity))
 
 
 @lru_cache(maxsize=None)
@@ -134,23 +144,23 @@ def validate_density(rho: Matrix) -> Matrix:
     return rho
 
 
-# Bounded by the sweep it serves: verify all's working set is 624 keys, so
-# it never evicts, while a stream of fresh states never hits an entry left by
-# an earlier request and would otherwise only add memory.  It stays an
-# lru_cache because the benchmark reads wigner_table.cache_info().
-@lru_cache(maxsize=640)
+# Bounded by the sweep it serves: verify all's working set is 108 keys, the
+# marginals scope's states and their displacements in the 12 canonical
+# frames, so it never evicts, while a stream of fresh states never hits an
+# entry left by an earlier request and would otherwise only add memory.  It
+# stays an lru_cache because the benchmark reads wigner_table.cache_info().
+@lru_cache(maxsize=128)
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     """W^f_alpha = Tr(A^f_alpha rho) / 4: the Born probabilities of the five
     lines through alpha minus Tr(rho), over 4.  Every point starts at
-    -Tr(rho) and each line adds its probability at its four positions in
-    gf4.all_points(); the key is the values' numerators over their least
-    common denominator.  These are exact for Hermitian rho only; any other
-    rho raises ValueError."""
-    if not rho.is_hermitian():
-        raise ValueError("Wigner table of a non-Hermitian operator")
+    -Tr(rho) and each line adds its probability from
+    clifford.born_probability at its four positions in gf4.all_points(); the
+    key is the values' numerators over their least common denominator.
+    These are exact for Hermitian rho only; any other rho raises ValueError."""
+    den, nums = clifford.born_probability(rho)
     sums = [-rho.trace().re] * 16
     for n, k, label in line_labels(f):
-        prob = clifford.born_probability(rho, n, label)
+        prob = Fraction(nums[4 * n + label], den)
         for i in _line_positions(n, k):
             sums[i] += prob
     values = [s / 4 for s in sums]
@@ -172,32 +182,56 @@ def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
     return tuple(points.index(gf4.vec_add(beta, alpha)) for alpha in points)
 
 
-def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str):
-    """Perform u and check it against the phase-space map: returns (rho', table).
+@lru_cache(maxsize=None)
+def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Line 4n + k goes to 4m + k' when move (a linear_perm or
+    translation_perm) takes its four _line_positions onto those of line k' of
+    striation m; None when the image of some line is not a line."""
+    lines = {frozenset(_line_positions(n, k)): 4 * n + k for n in range(5) for k in ELEMENTS}
+    image = tuple(lines.get(frozenset(map(move.__getitem__, _line_positions(n, k))))
+                  for n in range(5) for k in ELEMENTS)
+    return None if None in image else image
+
+
+def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str) -> Matrix:
+    """Perform u and check it against the phase-space map: returns rho'.
 
     rho' = u rho u^dag comes from clifford.conjugate, once per (u, rho) while
-    only the frame varies.  Its table in frame g is computed directly and must
-    equal the f-table of rho with the value at point i of gf4.all_points()
-    moved to point move[i] (a linear_perm or translation_perm); otherwise
-    AssertionError names `what` and f.  The tables are compared by their
-    integer keys: the denominators must be equal and the new numerators, read
-    in the order of move, must be the old ones.
+    only the frame varies.  Its g-table must be the f-table of rho with the
+    value at point i of gf4.all_points() moved to point move[i].  A table is
+    a fixed bijective function of the 20 line probabilities, so this holds
+    exactly when move takes lines to lines and each line k of striation n,
+    read in frame f by label k + f_n, has the Born probability under rho
+    that its image, line k' of striation m read in frame g by label
+    k' + g_m, has under rho'; otherwise AssertionError names `what` and f.
+    The probabilities are clifford.born_probability's integer numerators,
+    cross-multiplied by the two denominators.
     """
     rho2 = clifford.conjugate(u, rho)
-    table = wigner_table(rho2, g)
-    den, nums = table.key
-    if (den, tuple(map(nums.__getitem__, move))) != wigner_table(rho, f).key:
+    image = _line_map(move)
+    den, nums = clifford.born_probability(rho)
+    den2, nums2 = clifford.born_probability(rho2)
+    at_g = _label_positions(g)
+    if image is None or ([nums2[at_g[j]] * den for j in image]
+                         != [nums[i] * den2 for i in _label_positions(f)]):
         raise AssertionError(f"{what} is not covariant in frame f={f}")
-    return rho2, table
+    return rho2
+
+
+def transported(rho: Matrix, f: Index, L: SympMat) -> tuple[Matrix, Index]:
+    """Perform U_L: returns (rho', new frame g = S_L f + f_L), checked by
+    covariant() along alpha -> L alpha."""
+    g = phasespace.compose_frame(f, L)
+    rho2 = covariant(rho, f, clifford.unitary_for(L), g, linear_perm(L),
+                     f"transport by L={symplectic.to_text(L)}")
+    return rho2, g
 
 
 def transport(rho: Matrix, f: Index, L: SympMat):
-    """Apply U_L: returns (rho', new frame g = S_L f + f_L, table), checked
-    by covariant() along alpha -> L alpha."""
-    g = phasespace.compose_frame(f, L)
-    rho2, table = covariant(rho, f, clifford.unitary_for(L), g, linear_perm(L),
-                            f"transport by L={symplectic.to_text(L)}")
-    return rho2, g, table
+    """Apply U_L: returns (rho', g, table), transported() and the table of
+    rho' in the new frame g."""
+    rho2, g = transported(rho, f, L)
+    return rho2, g, wigner_table(rho2, g)
 
 
 def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
@@ -205,8 +239,8 @@ def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
     alpha -> alpha + beta in the unchanged frame; a failure names the step
     as the CLI's apply op D[q,p]."""
     name = "D[" + ",".join(map(gf4.to_token, beta)) + "]"
-    rho2, table = covariant(rho, f, clifford.displacement(beta), f, translation_perm(beta), name)
-    return rho2, f, table
+    rho2 = covariant(rho, f, clifford.displacement(beta), f, translation_perm(beta), name)
+    return rho2, f, wigner_table(rho2, f)
 
 
 def similarity_class(f: Index) -> int:
@@ -305,10 +339,11 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     and displacing the state shifts the table by the same vector.
     """
     den, nums = wigner_table(rho, f).key
+    prob_den, probs = clifford.born_probability(rho)
     checked = 0
     for n, k, label in line_labels(f):
-        prob, prob_den = clifford.born_numerator(rho, n, label)
-        if sum(map(nums.__getitem__, _line_positions(n, k))) * prob_den != prob * den:
+        line_sum = sum(map(nums.__getitem__, _line_positions(n, k)))
+        if line_sum * prob_den != probs[4 * n + label] * den:
             raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
         checked += 1
     for beta in gf4.all_points():

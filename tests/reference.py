@@ -2,9 +2,10 @@
 the Gaussian-rational ring operations on Scalars (the library has none),
 scaling a matrix by a Scalar, a matrix times a vector, complex conjugation,
 the powers of i, the Hermitian inner product, a Wigner table from its
-Fraction values, its Fraction line sums, total and operator sum, the
-metaplectic check and the shear-rotation-shear phases on dense products, and
-the 60 group elements spelled out with gf4.mat_mul."""
+Fraction values, covariance by comparing moved tables, a table's Fraction
+line sums, total and operator sum, the metaplectic check and the
+shear-rotation-shear phases on dense products, and the 60 group elements
+spelled out with gf4.mat_mul."""
 
 from fractions import Fraction
 from functools import reduce
@@ -12,7 +13,7 @@ from math import lcm
 
 from qphase4 import clifford, gf4, phasespace, symplectic
 from qphase4.exact import Matrix, Scalar, dot, numerators, proportional
-from qphase4.wigner import WignerTable
+from qphase4.wigner import WignerTable, wigner_table
 
 #: i^k for k = 0..3.
 I_POWERS = (Scalar(1), Scalar(0, 1), Scalar(-1), Scalar(0, -1))
@@ -68,6 +69,14 @@ def table_of(f, values: dict) -> WignerTable:
     vals = [values[alpha] for alpha in gf4.all_points()]
     den = lcm(*(v.denominator for v in vals))
     return WignerTable(f, (den, tuple(v.numerator * (den // v.denominator) for v in vals)))
+
+
+def tables_covariant(rho: Matrix, f, u: Matrix, g, move) -> bool:
+    """The table route to wigner.covariant's verdict: the g-table of
+    u rho u^dag, a dense product, equals the f-table of rho with the value at
+    point i of gf4.all_points() moved to point move[i], compared by keys."""
+    den, nums = wigner_table(u @ rho @ u.dagger(), g).key
+    return (den, tuple(map(nums.__getitem__, move))) == wigner_table(rho, f).key
 
 
 def total(table) -> Fraction:

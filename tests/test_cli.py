@@ -289,6 +289,21 @@ def test_wrong_shift_vector_for_one_L_fails_verify_transport(capsys, monkeypatch
     assert err.startswith(f"FAIL transport: transport by L={symplectic.to_text(symplectic.R)} ")
 
 
+def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
+    # An extra component, as a range(6) loop in shift_vector would give: the
+    # index sum must refuse it, not let zip drop it.  compose_frame is cached,
+    # so it is rebuilt from the patched shift vectors and dropped after.
+    phasespace.canonical_shift_vectors()
+    shift_vector = phasespace.shift_vector
+    monkeypatch.setattr(phasespace, "shift_vector", lambda L: (*shift_vector(L), 0))
+    phasespace.compose_frame.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "transport")
+    finally:
+        phasespace.compose_frame.cache_clear()
+    assert (code, out, err) == (1, "", "FAIL transport: index lengths differ: 5 and 6\n")
+
+
 @pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
 def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
     # U rho U^dag is two products per distinct (unitary, state) pair, whatever the frame.

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -12,11 +13,12 @@ from operator import mul
 import pytest
 
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import Matrix, Scalar
+from qphase4.exact import Matrix, Scalar, dot, numerators
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
-from reference import add, inner, line_sum, mat_vec, operator_sum, sub, table_of, total
+from reference import (add, inner, line_sum, mat_vec, operator_sum, sub, table_of,
+                       tables_covariant, total)
 from reference import mul as scalar_mul
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -40,6 +42,15 @@ def _generic_state():
 GENERIC = _generic_state()
 
 
+def _mat_vec(m: Matrix, v) -> tuple:
+    """m v on numerators: a row's real then imaginary numerators dotted with
+    (vr, -vi) and (vi, vr) give the real and imaginary part."""
+    vr, vi, d = numerators(v)
+    n, den, v_re, v_im = m.n, m.den * d, (*vr, *(-x for x in vi)), (*vi, *vr)
+    rows = [m.re[i:i + n] + m.im[i:i + n] for i in range(0, n * n, n)]
+    return tuple(Scalar(Fraction(dot(r, v_re), den), Fraction(dot(r, v_im), den)) for r in rows)
+
+
 def operator_index(a: Matrix) -> phasespace.Index:
     """Index of a phase point operator: per basis, the unique unit overlap."""
     out = []
@@ -47,7 +58,7 @@ def operator_index(a: Matrix) -> phasespace.Index:
         hits = []
         for k in ELEMENTS:
             b = clifford.mub_vector(m, k)
-            val = inner(b, mat_vec(a, b))
+            val = inner(b, _mat_vec(a, b))
             if val == Scalar(1):
                 hits.append(k)
             elif not val.is_zero():
@@ -78,6 +89,9 @@ def test_frame_orthogonality():
 
 def test_operator_index():
     std = wigner.frame(ZERO_INDEX)
+    for op in std.values():
+        for b in (clifford.mub_vector(n, k) for n in range(5) for k in ELEMENTS):
+            assert _mat_vec(op, b) == mat_vec(op, b)
     assert operator_index(std[(0, 0)]) == ZERO_INDEX
     for alpha, op in std.items():
         assert operator_index(op) == phasespace.point_index(alpha)
@@ -262,13 +276,22 @@ def test_covariant_rejects_a_wrong_move_or_frame():
     up_up = wigner.density_from_vector([1, 0, 0, 0])
     d = clifford.displacement((1, 0))
     shift = wigner.translation_perm((1, 0))
-    rho2, table = wigner.covariant(up_up, ZERO_INDEX, d, ZERO_INDEX, shift, "D[1,0]")
+    rho2 = wigner.covariant(up_up, ZERO_INDEX, d, ZERO_INDEX, shift, "D[1,0]")
     assert rho2 == d @ up_up @ d.dagger()
-    assert table == wigner.wigner_table(rho2, ZERO_INDEX)
+    assert wigner.displace(up_up, ZERO_INDEX, (1, 0)) == (
+        rho2, ZERO_INDEX, wigner.wigner_table(rho2, ZERO_INDEX))
     # f_0 = 1 relabels the computational basis, the one basis up*up is not unbiased to.
-    for g, move in ((ZERO_INDEX, tuple(range(16))), ((1, 0, 0, 0, 0), shift)):
+    # Swapping the first two points takes lines off the lines, which no state
+    # survives, not even I/4, whose table every point permutation keeps.
+    swap = (1, 0, *range(2, 16))
+    cases = [(up_up, d, ZERO_INDEX, tuple(range(16))), (up_up, d, (1, 0, 0, 0, 0), shift),
+             (up_up, d, ZERO_INDEX, swap),
+             (wigner.MAXIMALLY_MIXED, Matrix.identity(4), ZERO_INDEX, swap)]
+    for rho, u, g, move in cases:
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
-            wigner.covariant(up_up, ZERO_INDEX, d, g, move, "D[1,0]")
+            wigner.covariant(rho, ZERO_INDEX, u, g, move, "D[1,0]")
+    assert tables_covariant(wigner.MAXIMALLY_MIXED, ZERO_INDEX, Matrix.identity(4), ZERO_INDEX,
+                            swap)
 
 
 def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(capsys,
@@ -281,7 +304,7 @@ def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(c
                         lambda rho, f: tables.setdefault((rho, f), built(rho, f)))
     assert cli.main(["verify", "all"]) == 0
     capsys.readouterr()
-    assert len(tables) == 624
+    assert len(tables) == 108
     points = gf4.all_points()
     values = [tuple(map(t.values.__getitem__, points)) for t in tables.values()]
     keys = [t.key for t in tables.values()]
@@ -292,19 +315,51 @@ def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(c
 
 
 def test_covariant_sees_one_changed_value_of_the_moved_table(monkeypatch):
-    g = phasespace.compose_frame(ZERO_INDEX, G)
-    rho2, _, good = wigner.transport(GENERIC, ZERO_INDEX, G)
-    built = wigner.wigner_table
-    good_values = good.values
-    for alpha in gf4.all_points():
-        # One more unit keeps the denominator; 1/1024 more changes it.
-        for delta in (Fraction(1), Fraction(1, 1024)):
-            values = {**good_values, alpha: good_values[alpha] + delta}
-            bad = table_of(g, values)
-            monkeypatch.setattr(wigner, "wigner_table", lambda rho, f, bad=bad:
-                                bad if (rho, f) == (rho2, g) else built(rho, f))
-            with pytest.raises(AssertionError, match=r"^transport by L=\[\[W,0\],\[0,w\]\] "):
-                wigner.transport(GENERIC, ZERO_INDEX, G)
+    # Each of rho''s 20 Born numerators one unit more in turn, then its
+    # denominator one more: every one changes a value of the moved table.
+    rho2, _, _ = wigner.transport(GENERIC, ZERO_INDEX, G)
+    born = clifford.born_probability
+    den, nums = born(rho2)
+    wrong = [(den, (*nums[:i], nums[i] + 1, *nums[i + 1:])) for i in range(20)]
+    for probs in [*wrong, (den + 1, nums)]:
+        monkeypatch.setattr(clifford, "born_probability", lambda rho, probs=probs:
+                            probs if rho == rho2 else born(rho))
+        with pytest.raises(AssertionError, match=r"^transport by L=\[\[W,0\],\[0,w\]\] "):
+            wigner.transport(GENERIC, ZERO_INDEX, G)
+
+
+def test_covariant_passes_exactly_when_the_moved_tables_match():
+    # covariant's line route against reference.tables_covariant.  Each right
+    # step (60 L x the 12 canonical frames, then 16 beta x 16 sampled frames)
+    # also runs with a wrong target frame or another element's move, which
+    # still takes lines to lines, so both verdicts occur.
+    rng = random.Random(1604)
+    states = [*wigner.standard_test_states(), GENERIC,
+              wigner.density_from_vector(_random_vector(rng))]
+    group = symplectic.enumerate_group()
+    steps = [(clifford.unitary_for(L), f, phasespace.compose_frame(f, L), wigner.linear_perm(L),
+              wigner.linear_perm(group[i - 1]))
+             for i, L in enumerate(group) for f in phasespace.canonical_shift_vectors()]
+    frames = rng.sample(list(product(ELEMENTS, repeat=5)), 16)
+    points = gf4.all_points()
+    steps += [(clifford.displacement(beta), f, f, wigner.translation_perm(beta),
+               wigner.translation_perm(points[i - 1]))
+              for i, beta in enumerate(points) for f in frames]
+    verdicts = Counter()
+    for rho in states:
+        for i, (u, f, g, move, other) in enumerate(steps):
+            n = i % 5
+            wrong_g = (*g[:n], gf4.add(g[n], 1 + i % 3), *g[n + 1:])
+            for case in ((g, move), (wrong_g, move) if i % 2 else (g, other)):
+                try:
+                    wigner.covariant(rho, f, u, *case, "step")
+                    verdict = True
+                except AssertionError:
+                    verdict = False
+                assert verdict == tables_covariant(rho, f, u, *case)
+                verdicts[case == (g, move), verdict] += 1
+    assert verdicts[True, False] == 0
+    assert verdicts[False, True] and verdicts[False, False]
 
 
 def test_cached_point_permutations_match_the_field_arithmetic():
