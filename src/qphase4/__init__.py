@@ -1,8 +1,10 @@
 """Exact two-qubit discrete phase space over GF(4).
 
-Subpackages: gf4 (field arithmetic), symplectic (the 60-element group),
+Modules: gf4 (field arithmetic), exact (integer-numerator Gaussian-rational
+matrices and the packed product kernel), symplectic (the 60-element group),
 clifford (displacements, metaplectic unitaries, MUBs), phasespace (index
-calculus), wigner (frames, tables, transport, classification), cli.
+calculus), wigner (frames, tables, transport, classification), single_qubit
+(the single-qubit demonstration), cli.
 """
 
 from . import clifford, gf4, phasespace, symplectic, wigner  # noqa: F401

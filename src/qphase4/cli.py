@@ -2,13 +2,15 @@
 census, and the exhaustive verification suites.
 
 Exit codes: 0 pass, 1 verification counterexample, 2 parse error,
-3 domain error (non-symplectic input), 4 invalid state.
+3 domain error (non-symplectic input), 4 invalid state, 141 (128 + SIGPIPE)
+when the reader of stdout went away.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -22,6 +24,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_STATE = 4
+EXIT_PIPE = 141  # what a shell reports for a filter ended by SIGPIPE
 
 
 class ParseError(Exception):
@@ -435,7 +438,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, which matches our parse-error code
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with no fd 1: print discards
+            sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing more can be read: point stdout at /dev/null so the flush at exit succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

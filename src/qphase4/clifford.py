@@ -11,14 +11,10 @@ identities of the representation included, checks the unitaries it gives.
 The first tensor factor is the first qubit, i.e. the coefficient of
 omega-bar in the field-basis expansion.
 
-Every displacement has one nonzero entry, a power of i, per row, so it is
-also read as a signed permutation (signed_permutation): multiplying U_L by
-D_beta on either side only moves U_L's numerators and their signs.  The
-metaplectic sweep compares U_L D_a with +/- D_{La} U_L that way, after one
-dense check U_L^dag U_L == I per L.  The projective-representation sweep
-packs each U_L once per side (Matrix.packed_left, packed_right), makes each of
-the 3600 products one big-int dot, finds its phase k against the packed i^k U_{L1 L2}
-without unpacking, and reads its named special cases off the phase table.
+Both sweeps pack each factor once per side (Matrix.packed_left, packed_right)
+and compare each exact product, one big-int dot, with its packed target:
+U_L D_a with +/- D_{La} U_L after one dense check U_L^dag U_L == I per L, and
+U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the named identities.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from operator import neg
 
 from . import gf4, symplectic
 from .exact import Matrix, Scalar as _S, Vector, dot, lane_width, outer, pack
@@ -137,68 +132,29 @@ def mub_projector(n: int, k: int) -> Matrix:
     return outer(b, b)
 
 
-#: Numerators (re, im) of i^k for k = 0..3.
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
-def signed_permutation(beta: Vec2) -> tuple[tuple[int, int], ...]:
-    """D_beta as a signed permutation, read off its matrix: per row, the
-    column of its one nonzero entry and the power k of that entry i^k."""
-    d = displacement(beta)
-    rows = []
-    for i in range(0, 16, 4):
-        (j,) = [j for j in range(4) if d.re[i + j] or d.im[i + j]]
-        rows.append((j, _UNITS.index((d.re[i + j], d.im[i + j]))))
-    return tuple(rows)
-
-
-def _signed(u: Matrix) -> tuple[int, ...]:
-    """u's numerators with their negations: re, im, -re, -im, 16 each."""
-    return u.re + u.im + tuple(map(neg, u.re)) + tuple(map(neg, u.im))
-
-
-@lru_cache(maxsize=None)
-def _moves(beta: Vec2) -> tuple[tuple[int, ...], ...]:
-    """Where u D_beta, D_beta u and -D_beta u take their numerators (the 16
-    real, then the 16 imaginary parts) from in _signed(u).  With D_beta's
-    entry i^k at (i, c), column c of u D_beta is i^k times column i of u and
-    row i of D_beta u is i^k times row c of u; the real and imaginary parts
-    of i^k z sit at offsets (0, 16), (48, 0), (32, 48), (16, 32) from z's."""
-    offsets = ((0, 16), (48, 0), (32, 48), (16, 32))
-    right, left = [0] * 32, [0] * 32
-    for i, (c, k) in enumerate(signed_permutation(beta)):
-        re, im = offsets[k]
-        for r in range(4):
-            right[4 * r + c], right[16 + 4 * r + c] = re + 4 * r + i, im + 4 * r + i
-            left[4 * i + r], left[16 + 4 * i + r] = re + 4 * c + r, im + 4 * c + r
-    return tuple(right), tuple(left), tuple((p + 32) % 64 for p in left)
-
-
 def verify_metaplectic() -> dict:
     """Check U_L D_a U_L^dag == +/- D_{La} over all 60 x 16 pairs.
 
-    At a == 0 this is U_L^dag U_L == I (Matrix.is_unitary), the one dense
-    product per L.  Given that, the identity holds exactly when
-    U_L D_a == +/- D_{La} U_L, and both sides are U_L's numerators moved by
-    signed permutations (_moves), so the other 15 points compare integers."""
+    U_L^dag U_L == I (Matrix.is_unitary) is the one dense product per L.
+    Given that, the identity holds exactly when U_L D_a == +/- D_{La} U_L.
+    As in verify_projective_rep, each U_L and each D_beta is packed once per
+    side, and each side of a pair is one dot of big integers; every D_beta
+    has denominator 1, so both dots are over U_L's denominator."""
+    group, points = symplectic.enumerate_group(), gf4.all_points()
+    units, ds = [unitary_for(L) for L in group], [displacement(b) for b in points]
+    w = lane_width(units + ds)
+    d_lefts = {b: d.packed_left(w) for b, d in zip(points, ds)}
+    d_rights = [d.packed_right(w) for d in ds]
     signs = {}
-    for L in symplectic.enumerate_group():
-        u = unitary_for(L)
-        at = _signed(u).__getitem__
-        for alpha in gf4.all_points():
-            if alpha == (0, 0):
-                sign = 1 if u.is_unitary() else None
-            else:
-                right = _moves(alpha)[0]
-                _, left, minus_left = _moves(gf4.mat_vec(L, alpha))
-                lhs = tuple(map(at, right))
-                sign = (1 if lhs == tuple(map(at, left))
-                        else -1 if lhs == tuple(map(at, minus_left)) else None)
-            if sign is None:
-                raise AssertionError(
-                    f"metaplectic check failed for L={symplectic.to_text(L)}, "
-                    f"alpha={alpha}"
-                )
+    for L, u in zip(group, units):
+        # Without unitarity the identity already fails at alpha == (0, 0), the first point.
+        unitary, left, right = u.is_unitary(), u.packed_left(w), u.packed_right(w)
+        for alpha, d_right in zip(points, d_rights):
+            lhs, rhs = dot(left, d_right), dot(d_lefts[gf4.mat_vec(L, alpha)], right)
+            sign = 1 if lhs == rhs else -1 if lhs == -rhs else None
+            if sign is None or not unitary:
+                raise AssertionError(f"metaplectic check failed for "
+                                     f"L={symplectic.to_text(L)}, alpha={alpha}")
             signs[(L, alpha)] = sign
     return {"checked": len(signs), "signs": signs}
 

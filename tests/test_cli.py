@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -318,9 +319,36 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
     assert len(products) == 2 * pairs
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["verify", "metaplectic"], ["tables"]], ids=["verify", "tables"])
+def test_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    # A reader that went away is not a counterexample: exit 128 + SIGPIPE, as a
+    # shell reports for a filter, whether the write fails at once or at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qphase4.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_stdout_absent_from_the_start_is_not_an_error():
+    # With fd 1 closed before start-up, Python has no sys.stdout and print
+    # discards: the flush that detects a departed reader must not trip on it.
+    proc = subprocess.run([sys.executable, "-m", "qphase4.cli", "tables"],
+                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_verify_metaplectic_makes_one_dense_product_per_unitary(capsys, monkeypatch):
     # U_L U_L^dag == I is the one dense check; every U_L D_a == +/- D_{La} U_L is
-    # U_L's numerators moved by signed permutations.  Counted at @, the dense kernel.
+    # two dots of packed factors.  Counted at @, the dense kernel.
     for L in symplectic.enumerate_group():
         clifford.unitary_for(L)
     products = []
@@ -345,7 +373,7 @@ def _flip(p):
     (symplectic.R, lambda u: u.scaled(2), "(0, 0)"),
     # U_R has no zero entry: one sign flip breaks unitarity.
     (symplectic.R, _flip(0), "(0, 0)"),
-    # U_H1 has one entry per row, so it stays unitary and a permuted comparison fails.
+    # U_H1 has one entry per row, so it stays unitary and a packed comparison fails.
     (symplectic.shear(1), _flip(3), None),
 ])
 def test_metaplectic_counterexample_matches_the_dense_check(capsys, monkeypatch, L, mutate, alpha):

@@ -19,7 +19,7 @@ from qphase4.clifford import (
 )
 from qphase4.exact import Matrix, Scalar, norm_sq, outer, proportional
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import (I_POWERS, dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
+from reference import (dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
                        shear_rotation_shear_phases)
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -140,27 +140,6 @@ def test_verify_metaplectic():
         assert rep["signs"][(symplectic.IDENTITY, alpha)] == 1
 
 
-def test_signed_permutations_match_the_dense_products():
-    # Each D_beta has one entry i^k per row; moving U_L's numerators by it is U_L D_beta
-    # and D_beta U_L, as the dense products give them.
-    for beta in gf4.all_points():
-        d = displacement(beta)
-        assert Matrix([[I_POWERS[k] if j == c else 0 for j in range(4)]
-                       for c, k in clifford.signed_permutation(beta)]) == d
-        right, left, minus_left = clifford._moves(beta)
-        for L in symplectic.enumerate_group():
-            u = unitary_for(L)
-            signed = clifford._signed(u)
-
-            def moved(move):
-                return Matrix._reduced(4, [signed[p] for p in move[:16]],
-                                       [signed[p] for p in move[16:]], u.den)
-
-            assert moved(right) == u @ d
-            assert moved(left) == d @ u
-            assert moved(minus_left) == -(d @ u)
-
-
 def test_metaplectic_signs_match_the_dense_oracle():
     # Same signs in the same order: one dense check per L, integer comparisons otherwise.
     signs = clifford.verify_metaplectic()["signs"]
@@ -200,14 +179,25 @@ def test_rep_phases_match_the_dense_oracle():
     assert list(phases.items()) == list(dense_rep_phases().items())
 
 
-def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
-    # Each U_L is packed once as a left and once as a right factor (its targets
-    # come from the right packing); the 3600 products are dots of big integers
-    # and the named special cases are read off the phase table, so no dense
-    # product runs (@ is the dense kernel) and no Matrix is built.
+@pytest.mark.parametrize("sweep, checked, counts", [
+    # The 3600 products are dots of big integers and the named special cases are
+    # read off the phase table, so no dense product runs and no Matrix is built.
+    (clifford.verify_projective_rep, 3600,
+     {"__matmul__": 0, "_reduced": 0, "packed_left": 60, "packed_right": 60}),
+    # U_L^dag U_L == I is the one dense product per L, and builds U_L^dag, the
+    # product and I; the 960 pairs are dots of the 60 U_L and 16 D_beta packed
+    # once per side.
+    (clifford.verify_metaplectic, 960,
+     {"__matmul__": 60, "_reduced": 180, "packed_left": 76, "packed_right": 76}),
+], ids=["rep", "metaplectic"])
+def test_clifford_sweeps_lay_out_each_unitary_once(monkeypatch, sweep, checked, counts):
+    # Each U_L is packed once as a left and once as a right factor; @ is the
+    # dense kernel, _reduced builds every Matrix.
     for L in symplectic.enumerate_group():
         unitary_for(L)
-    calls = dict.fromkeys(("__matmul__", "_reduced", "packed_left", "packed_right"), 0)
+    for beta in gf4.all_points():
+        displacement(beta)
+    calls = dict.fromkeys(counts, 0)
     for name in calls:
         fn = getattr(Matrix, name)
 
@@ -216,8 +206,8 @@ def test_verify_projective_rep_lays_out_each_unitary_once(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(Matrix, name, counted)
-    assert clifford.verify_projective_rep()["checked"] == 3600
-    assert calls == {"__matmul__": 0, "_reduced": 0, "packed_left": 60, "packed_right": 60}
+    assert sweep()["checked"] == checked
+    assert calls == counts
 
 
 def cnot_counterexample() -> dict:
