@@ -3,7 +3,7 @@ census, and the exhaustive verification suites.
 
 Exit codes: 0 pass, 1 verification counterexample, 2 parse error,
 3 domain error (non-symplectic input), 4 invalid state, 141 (128 + SIGPIPE)
-when the reader of stdout went away.
+when the reader of stdout went away before the command could fail.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from . import clifford, gf4, phasespace, symplectic, wigner
 from .exact import Matrix, Scalar
@@ -184,22 +185,21 @@ def render_tables() -> str:
     return "\n".join(parts)
 
 
-# Arrow labels of the product states mub_vector(n, k) of the vertical (n = 0,
-# up/down per qubit) and horizontal (n = 1, right/left) striations, by k.
-_ARROWS = {0: ("^^", "vv", "^v", "v^"), 1: ("->->", "<-<-", "-><-", "<-->")}
+# Arrows of the product states mub_vector(n, k) at 4n + k: up/down (n = 0), right/left (n = 1).
+_ARROWS = ("^^", "vv", "^v", "v^", "->->", "<-<-", "-><-", "<-->")
 
 
 def render_wigner(table: wigner.WignerTable) -> str:
     cells = {a: str(v) for a, v in table.values.items()}
-    # Column q is line q of striation 0, row p is line p of striation 1.
-    arrows = {(n, k): _ARROWS[n][label] for n, k, label in wigner.line_labels(table.f) if n < 2}
+    # Column q is line q of striation 0, row p is line 4 + p of striation 1.
+    arrows = [_ARROWS[label] for label in wigner.line_labels(table.f)[:8]]
     width = max(3, max(len(c) for c in cells.values()))
     lines = [f"frame {fmt_index(table.f)}"]
     for p in reversed(_AXIS_ORDER):
         row = "  ".join(cells[(q, p)].rjust(width) for q in _AXIS_ORDER)
-        lines.append(f" {gf4.to_ascii(p).ljust(2)}| {row} | {arrows[1, p]}")
+        lines.append(f" {gf4.to_ascii(p).ljust(2)}| {row} | {arrows[4 + p]}")
     lines.append("     " + "  ".join(gf4.to_ascii(q).rjust(width) for q in _AXIS_ORDER))
-    lines.append("     " + "  ".join(arrows[0, q].rjust(width) for q in _AXIS_ORDER))
+    lines.append("     " + "  ".join(arrows[q].rjust(width) for q in _AXIS_ORDER))
     return "\n".join(lines)
 
 
@@ -384,6 +384,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)  # one tree per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qphase4",
@@ -437,6 +438,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on bad usage, which matches our parse-error code
         return int(e.code or 0)
+    code = 0
     try:
         code = args.func(args)
         if sys.stdout is not None:  # None when started with no fd 1: print discards
@@ -445,7 +447,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # Nothing more can be read: point stdout at /dev/null so the flush at exit succeeds.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
+        return code or EXIT_PIPE  # a command that already failed keeps its code
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

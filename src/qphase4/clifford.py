@@ -125,13 +125,6 @@ def mub_vector(n: int, k: int) -> Vector:
     return tuple(row[0] for row in (_U_R_POWERS[n % 5] @ displacement((k, 0))).rows)
 
 
-@lru_cache(maxsize=None)
-def mub_projector(n: int, k: int) -> Matrix:
-    """|b><b| for the unit vector b = mub_vector(n, k), as an integer Matrix."""
-    b = mub_vector(n, k)
-    return outer(b, b)
-
-
 def verify_metaplectic() -> dict:
     """Check U_L D_a U_L^dag == +/- D_{La} over all 60 x 16 pairs.
 
@@ -207,16 +200,16 @@ def verify_projective_rep() -> dict:
 
 @lru_cache(maxsize=1)
 def projector_numerators() -> tuple[tuple[int, ...], ...]:
-    """Per MUB projector mub_projector(n, label), at 4n + label: its real then
-    its imaginary numerators, row-major, over 4."""
-    return tuple(tuple(x * (4 // p.den) for x in p.re + p.im)
-                 for p in (mub_projector(n, k) for n in range(5) for k in ELEMENTS))
+    """Per MUB projector |b><b|, b = mub_vector(n, k), at 4n + k: its real
+    then its imaginary numerators, row-major, over 4."""
+    return tuple(tuple(x * (4 // p.den) for x in p.re + p.im) for p in (
+        outer(mub_vector(n, k), mub_vector(n, k)) for n in range(5) for k in ELEMENTS))
 
 
 @lru_cache(maxsize=16)  # a state's 16 displacements, D_0 rho D_0 = rho among them
 def born_probability(rho: Matrix) -> tuple[int, tuple[int, ...]]:
     """The 20 Born probabilities Tr(P rho) of the MUB projectors P =
-    mub_projector(n, label), as (den, nums): nums[4n + label] over the one
+    |b><b|, b = mub_vector(n, k), as (den, nums): nums[4n + k] over the one
     denominator den = 4 rho.den.  Each is the real Hilbert-Schmidt product
     sum_ij P_ij conj(rho_ij) on numerators, exact for Hermitian rho only; any
     other rho raises ValueError."""

@@ -1,18 +1,17 @@
 """Wigner frames, tables, transport, and the classification of definitions.
 
 A frame is fixed by a five-component GF(4) vector f, a quantum net: line k
-of striation n is read by vector k + f_n of mutually unbiased basis n
-(line_labels), and the phase point operator at alpha is the sum of the
-projectors of the five lines through alpha, minus the identity.  Tables are
-therefore built line by line from the 20 MUB Born probabilities, which
-clifford.born_probability gives as integer numerators over one denominator.
-A table stores only its canonical integer form (WignerTable.key), which
-wigner_table builds directly.  Every routine reads a line as its four
-positions in gf4.all_points() (_line_positions): wigner_table adds each
-line's probability there, reconstruct and marginal_check read integer line
-sums there, and reconstruct weights the projectors' numerators by them in
-one dot product per entry.  frame() builds the 16 operators from mub_vector
-and the displacements as the test oracle.
+of striation n is read by vector k + f_n of mutually unbiased basis n, and
+the phase point operator at alpha is the sum of the projectors of the five
+lines through alpha, minus the identity.  Tables are therefore built line
+by line from the 20 integer Born numerators of clifford.born_probability.
+Every routine reads line 4n + k by two cached tuples: line_labels(f), its
+Born index 4n + k + f_n, and _line_positions(), its four positions in
+gf4.all_points().  wigner_table adds each line's probability there and
+keeps only the table's integer form (WignerTable.key); reconstruct and
+marginal_check read integer line sums there, and reconstruct weights the
+projectors' numerators by them in one dot product per entry.  frame()
+builds the 16 operators from mub_vector and the displacements as the oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
@@ -64,29 +63,25 @@ class WignerTable(NamedTuple):
         return {a: Fraction(x, self.key[0]) for a, x in zip(gf4.all_points(), self.key[1])}
 
 
-def line_labels(f: Index) -> tuple[tuple[int, int, int], ...]:
-    """The 20 lines of frame f as (n, k, label): line k of striation n is
-    read by mub_vector(n, label), label = k + f_n."""
-    return tuple((n, k, gf4.add(k, f[n])) for n in range(5) for k in ELEMENTS)
-
-
 @lru_cache(maxsize=None)
-def _line_positions(n: int, k: int) -> tuple[int, ...]:
-    """The positions in gf4.all_points() of the 4 points of line k of striation n."""
-    return tuple(map(gf4.all_points().index, phasespace.line_points(n, k)))
+def line_labels(f: Index) -> tuple[int, ...]:
+    """Per line 4n + k, the Born index 4n + k + f_n of mub_vector(n, k + f_n),
+    the vector by which frame f reads it."""
+    return tuple(4 * n + gf4.add(k, f[n]) for n in range(5) for k in ELEMENTS)
 
 
-@lru_cache(maxsize=None)
-def _label_positions(f: Index) -> tuple[int, ...]:
-    """Per line 4n + k, the position 4n + k + f_n of the probability that
-    frame f reads it by in clifford.born_probability's numerators."""
-    return tuple(4 * n + label for n, _, label in line_labels(f))
+@lru_cache(maxsize=1)
+def _line_positions() -> tuple[tuple[int, ...], ...]:
+    """Per line 4n + k, the positions in gf4.all_points() of its 4 points."""
+    index = gf4.all_points().index
+    return tuple(tuple(map(index, phasespace.line_points(n, k)))
+                 for n in range(5) for k in ELEMENTS)
 
 
 @lru_cache(maxsize=1)
 def _projector_columns() -> tuple[tuple[int, ...], ...]:
     """Per entry of a 4x4 matrix, real parts first: the numerators over 4 at
-    that entry of the 20 MUB projectors, (n, label) at 4n + label, then of I."""
+    that entry of the 20 MUB projectors, at their Born indices, then of I."""
     identity = [4 * (j in (0, 5, 10, 15)) for j in range(32)]
     return tuple(zip(*clifford.projector_numerators(), identity))
 
@@ -159,9 +154,9 @@ def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     These are exact for Hermitian rho only; any other rho raises ValueError."""
     den, nums = clifford.born_probability(rho)
     sums = [-rho.trace().re] * 16
-    for n, k, label in line_labels(f):
-        prob = Fraction(nums[4 * n + label], den)
-        for i in _line_positions(n, k):
+    for label, points in zip(line_labels(f), _line_positions()):
+        prob = Fraction(nums[label], den)
+        for i in points:
             sums[i] += prob
     values = [s / 4 for s in sums]
     den = lcm(*(v.denominator for v in values))
@@ -185,11 +180,11 @@ def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     """Line 4n + k goes to 4m + k' when move (a linear_perm or
-    translation_perm) takes its four _line_positions onto those of line k' of
-    striation m; None when the image of some line is not a line."""
-    lines = {frozenset(_line_positions(n, k)): 4 * n + k for n in range(5) for k in ELEMENTS}
-    image = tuple(lines.get(frozenset(map(move.__getitem__, _line_positions(n, k))))
-                  for n in range(5) for k in ELEMENTS)
+    translation_perm) takes its four positions onto those of line 4m + k';
+    None when the image of some line is not a line."""
+    lines = {frozenset(points): j for j, points in enumerate(_line_positions())}
+    image = tuple(lines.get(frozenset(map(move.__getitem__, points)))
+                  for points in _line_positions())
     return None if None in image else image
 
 
@@ -211,9 +206,9 @@ def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str) -> Ma
     image = _line_map(move)
     den, nums = clifford.born_probability(rho)
     den2, nums2 = clifford.born_probability(rho2)
-    at_g = _label_positions(g)
+    at_g = line_labels(g)
     if image is None or ([nums2[at_g[j]] * den for j in image]
-                         != [nums[i] * den2 for i in _label_positions(f)]):
+                         != [nums[i] * den2 for i in line_labels(f)]):
         raise AssertionError(f"{what} is not covariant in frame f={f}")
     return rho2
 
@@ -341,9 +336,9 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     den, nums = wigner_table(rho, f).key
     prob_den, probs = clifford.born_probability(rho)
     checked = 0
-    for n, k, label in line_labels(f):
-        line_sum = sum(map(nums.__getitem__, _line_positions(n, k)))
-        if line_sum * prob_den != probs[4 * n + label] * den:
+    for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
+        if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
+            n, k = divmod(j, 4)
             raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
         checked += 1
     for beta in gf4.all_points():
@@ -363,7 +358,7 @@ def reconstruct(table: WignerTable) -> Matrix:
     weights = [0] * 20 + [-sum(nums)]
     if weights[20] != -den:
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
-    for n, k, label in line_labels(table.f):
-        weights[4 * n + label] = sum(map(nums.__getitem__, _line_positions(n, k)))
+    for label, points in zip(line_labels(table.f), _line_positions()):
+        weights[label] = sum(map(nums.__getitem__, points))
     entries = [dot(column, weights) for column in _projector_columns()]
     return Matrix._reduced(4, entries[:16], entries[16:], 4 * den)

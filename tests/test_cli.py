@@ -319,22 +319,38 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
     assert len(products) == 2 * pairs
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv", [["verify", "metaplectic"], ["tables"]], ids=["verify", "tables"])
-def test_closed_stdout_exits_141_in_silence(argv, unbuffered):
-    # A reader that went away is not a counterexample: exit 128 + SIGPIPE, as a
-    # shell reports for a filter, whether the write fails at once or at exit.
+def _into_closed_pipe(args, unbuffered=False):
+    """Run python with args, stdout a pipe whose read end is closed before start."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "qphase4.cli", *argv], stdout=write_end,
+        return subprocess.run([sys.executable, *args], stdout=write_end,
                               stderr=subprocess.PIPE, env=env, text=True)
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["verify", "metaplectic"], ["tables"]], ids=["verify", "tables"])
+def test_closed_stdout_exits_141_in_silence(argv, unbuffered):
+    # A reader that went away is not a counterexample: exit 128 + SIGPIPE, as a
+    # shell reports for a filter, whether the write fails at once or at exit.
+    proc = _into_closed_pipe(["-m", "qphase4.cli", *argv], unbuffered)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_counterexample_keeps_exit_1_when_stdout_is_closed():
+    # The metaplectic line is still buffered when rep fails, so the final
+    # flush meets the closed pipe after cmd_verify has returned 1: 1 wins.
+    code = ("import sys; from qphase4 import clifford, cli\n"
+            "def injected(): raise AssertionError('injected')\n"
+            "clifford.verify_projective_rep = injected\n"
+            "sys.exit(cli.main(['verify', 'all']))")
+    proc = _into_closed_pipe(["-c", code])
+    assert (proc.returncode, proc.stderr) == (1, "FAIL rep: injected\n")
 
 
 def test_stdout_absent_from_the_start_is_not_an_error():

@@ -13,14 +13,13 @@ from qphase4.clifford import (
     PAULI_Z,
     displacement,
     displacement_name,
-    mub_projector,
     mub_vector,
     unitary_for,
 )
 from qphase4.exact import Matrix, Scalar, norm_sq, outer, proportional
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import (dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
-                       shear_rotation_shear_phases)
+from reference import (I_POWERS, dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
+                       scaled, shear_rotation_shear_phases)
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -119,10 +118,14 @@ def test_mub_completeness():
 
 
 def test_mub_projectors():
+    # projector_numerators holds |b><b| at 4n + k: real, then imaginary parts, over 4.
+    projectors = clifford.projector_numerators()
+    assert len(projectors) == 20
     for n in range(5):
         total = Matrix.identity(4).scaled(0)
         for k in ELEMENTS:
-            p = mub_projector(n, k)
+            nums = projectors[4 * n + k]
+            p = Matrix._reduced(4, nums[:16], nums[16:], 4)
             assert p.is_hermitian()
             assert p @ p == p
             assert p.trace() == Scalar(1)
@@ -176,6 +179,17 @@ def test_shear_rotation_shear_phases_match_the_dense_products():
 def test_rep_phases_match_the_dense_oracle():
     # Same 3600 phases in the same order as dense @ products tested with proportional.
     phases = clifford.verify_projective_rep()["phases"]
+    assert list(phases.items()) == list(dense_rep_phases().items())
+
+
+def test_rep_phases_see_one_unitary_off_by_i(monkeypatch):
+    # R^2 is no shear, neither R nor R^4, and in no pair the named identities
+    # read, so i U_{R^2} passes the sweep; its +/-i phases must be the dense ones.
+    unitary, r2 = clifford.unitary_for, symplectic.R_POWERS[2]
+    monkeypatch.setattr(clifford, "unitary_for",
+                        lambda L: scaled(unitary(L), I_POWERS[1]) if L == r2 else unitary(L))
+    phases = clifford.verify_projective_rep()["phases"]
+    assert Counter(phases.values()) == {0: 2425, 2: 1001, 1: 116, 3: 58}
     assert list(phases.items()) == list(dense_rep_phases().items())
 
 

@@ -474,8 +474,8 @@ def _product_label(n, k):
 
 
 def test_arrow_labels_match_the_product_states():
-    for n in (0, 1):
-        assert cli._ARROWS[n] == tuple(_product_label(n, k) for k in ELEMENTS)
+    # One arrow per product state mub_vector(n, k), at its Born index 4n + k.
+    assert cli._ARROWS == tuple(_product_label(n, k) for n in (0, 1) for k in ELEMENTS)
 
 
 def test_marginals_maximally_mixed():
@@ -512,9 +512,24 @@ def test_reconstruct_does_integer_work_only(monkeypatch):
 def test_importing_the_cli_builds_no_projector():
     code = ("import qphase4.cli; from qphase4 import clifford, wigner; print("
             "wigner._projector_columns.cache_info().currsize, "
-            "clifford.mub_projector.cache_info().currsize)")
+            "clifford.projector_numerators.cache_info().currsize)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "0 0\n")
+
+
+def test_a_frame_is_read_by_one_rule():
+    # Line 4n + k of frame f is read by vector k + f_n of basis n, whose Born
+    # probability sits at 4n + k + f_n; each line's points are line_points'.
+    points = gf4.all_points()
+    positions = wigner._line_positions()
+    lines = [phasespace.line_points(n, k) for n in range(5) for k in ELEMENTS]
+    assert [sorted(p) for p in positions] == [sorted(map(points.index, ln)) for ln in lines]
+    for f in product(ELEMENTS, repeat=5):
+        labels = wigner.line_labels(f)
+        assert len(labels) == 20
+        for n in range(5):
+            for k in ELEMENTS:
+                assert labels[4 * n + k] == 4 * n + gf4.add(k, f[n])
 
 
 def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch):
