@@ -327,23 +327,22 @@ def _verify_rep() -> str:
 
 
 def _verify_transport() -> str:
-    states = wigner.standard_test_states()
+    states, frames = wigner.standard_test_states(), phasespace.canonical_shift_vectors()
     count = 0
-    for L in symplectic.enumerate_group():  # frames innermost: one U_L rho U_L^dag each
+    for L in symplectic.enumerate_group():  # all frames in one call: one U_L rho U_L^dag each
+        pairs = [(f, phasespace.compose_frame(f, L)) for f in frames]
         for rho in states:
-            for f in phasespace.canonical_shift_vectors():
-                wigner.transported(rho, f, L)
-                count += 1
+            wigner.transported(rho, L, pairs)
+            count += len(pairs)
     return f"transport: {count}/{count} (L, frame, state) triples exact"
 
 
 def _verify_marginals() -> str:
-    states = wigner.standard_test_states()
+    states, frames = wigner.standard_test_states(), phasespace.canonical_shift_vectors()
     count = 0
-    for rho in states:  # frames innermost: one D_beta rho D_beta each
-        for f in phasespace.canonical_shift_vectors():
-            rep = wigner.marginal_check(rho, f)
-            count += 1
+    for rho in states:  # all frames in one call: one D_beta rho D_beta each
+        rep = wigner.marginal_check(rho, *frames)
+        count += len(frames)
     return (f"marginals: {count}/{count} (frame, state) pairs, "
             f"{rep['lines']} lines + {rep['displacements']} displacements each")
 

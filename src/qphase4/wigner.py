@@ -17,15 +17,16 @@ map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
 (D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
 use only these, and the verify sweep uses transported, transport without
-the new table.  Both, and the conjugated rotations of
-rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
-by covariant().  Each map is a cached permutation of the 16 positions of
-gf4.all_points() (linear_perm, translation_perm), and rho' comes from
-clifford.conjugate, so a sweep over frames conjugates each state once per
-unitary.  A table is a fixed bijective function of the 20 line
-probabilities, so covariant() builds no table: it compares the Born
-numerators of rho' with those of rho through the map's action on the 20
-lines (_line_map, one per map), on integers.
+the new table, for all 12 canonical frames at once.  Both, and the
+conjugated rotations of rotational_symmetry_check (V, f_L -> f_L,
+alpha -> R_L alpha), are checked by covariant(), once per (unitary, state)
+for any number of frame pairs (f, g): rho' from clifford.conjugate, the
+Born numerators of rho and rho', cross-multiplied by the two denominators,
+and the map's action on the 20 lines (_line_map, one per map; each map a
+cached permutation of the 16 positions, linear_perm or translation_perm)
+are formed once.  A table is a fixed bijective function of the 20 line
+probabilities, so covariant() builds no table: each pair costs two reads
+of those integers in line order and one comparison.
 """
 
 from __future__ import annotations
@@ -188,53 +189,75 @@ def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     return None if None in image else image
 
 
-def covariant(rho: Matrix, f: Index, u: Matrix, g: Index, move, what: str) -> Matrix:
-    """Perform u and check it against the phase-space map: returns rho'.
+def _covariance(rho: Matrix, u: Matrix, move, what: str):
+    """Perform u: returns (rho', check), check(f, g) raising AssertionError
+    that names `what` and f unless the phase-space map holds in the frame
+    pair (f, g).
 
-    rho' = u rho u^dag comes from clifford.conjugate, once per (u, rho) while
-    only the frame varies.  Its g-table must be the f-table of rho with the
-    value at point i of gf4.all_points() moved to point move[i].  A table is
-    a fixed bijective function of the 20 line probabilities, so this holds
-    exactly when move takes lines to lines and each line k of striation n,
-    read in frame f by label k + f_n, has the Born probability under rho
-    that its image, line k' of striation m read in frame g by label
-    k' + g_m, has under rho'; otherwise AssertionError names `what` and f.
-    The probabilities are clifford.born_probability's integer numerators,
-    cross-multiplied by the two denominators.
+    rho' = u rho u^dag comes from clifford.conjugate, and with the Born
+    numerators of rho and rho' and the line map, once for any number of
+    pairs: no frame changes them.  In a pair, the g-table of rho' must be the
+    f-table of rho with the value at point i of gf4.all_points() moved to
+    point move[i].  A table is a fixed bijective function of the 20 line
+    probabilities, so this holds exactly when move takes lines to lines and
+    each line, read in frame f by its label in line_labels(f), has the Born
+    probability under rho that its image line (_line_map), read in frame g,
+    has under rho'.  The probabilities are clifford.born_probability's
+    integer numerators, cross-multiplied by the two denominators; a pair
+    then costs two reads of those integers in line order and one comparison.
     """
     rho2 = clifford.conjugate(u, rho)
     image = _line_map(move)
     den, nums = clifford.born_probability(rho)
     den2, nums2 = clifford.born_probability(rho2)
-    at_g = line_labels(g)
-    if image is None or ([nums2[at_g[j]] * den for j in image]
-                         != [nums[i] * den2 for i in line_labels(f)]):
-        raise AssertionError(f"{what} is not covariant in frame f={f}")
+    before, after = [x * den2 for x in nums], [x * den for x in nums2]
+
+    def check(f: Index, g: Index) -> None:
+        at_g = line_labels(g)
+        if image is None or [after[at_g[j]] for j in image] != [before[i] for i in line_labels(f)]:
+            raise AssertionError(f"{what} is not covariant in frame f={f}")
+
+    return rho2, check
+
+
+def covariant(rho: Matrix, u: Matrix, move, frames, what: str) -> Matrix:
+    """Perform u and check it against the phase-space map in each frame
+    pair (f, g) of frames, in order (see _covariance): returns rho'; the
+    first pair that fails raises AssertionError naming `what` and its f."""
+    rho2, check = _covariance(rho, u, move, what)
+    for f, g in frames:
+        check(f, g)
     return rho2
 
 
-def transported(rho: Matrix, f: Index, L: SympMat) -> tuple[Matrix, Index]:
-    """Perform U_L: returns (rho', new frame g = S_L f + f_L), checked by
-    covariant() along alpha -> L alpha."""
-    g = phasespace.compose_frame(f, L)
-    rho2 = covariant(rho, f, clifford.unitary_for(L), g, linear_perm(L),
+def transported(rho: Matrix, L: SympMat, frames) -> Matrix:
+    """Perform U_L: returns rho', checked by covariant() along alpha -> L alpha
+    in each frame pair (f, g), g the frame compose_frame gives for f."""
+    return covariant(rho, clifford.unitary_for(L), linear_perm(L), frames,
                      f"transport by L={symplectic.to_text(L)}")
-    return rho2, g
 
 
 def transport(rho: Matrix, f: Index, L: SympMat):
-    """Apply U_L: returns (rho', g, table), transported() and the table of
-    rho' in the new frame g."""
-    rho2, g = transported(rho, f, L)
+    """Apply U_L: returns (rho', g, table), rho' from transported() and the
+    table of rho' in the new frame g = S_L f + f_L."""
+    g = phasespace.compose_frame(f, L)
+    rho2 = transported(rho, L, [(f, g)])
     return rho2, g, wigner_table(rho2, g)
 
 
-def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
-    """Apply D_beta: returns (rho', f, table), checked by covariant() along
-    alpha -> alpha + beta in the unchanged frame; a failure names the step
-    as the CLI's apply op D[q,p]."""
+def _displacement(rho: Matrix, beta: gf4.Vec2):
+    """_covariance of D_beta along alpha -> alpha + beta, in frame pairs
+    (f, f): a displacement keeps the frame.  A failure names the step as the
+    CLI's apply op D[q,p]."""
     name = "D[" + ",".join(map(gf4.to_token, beta)) + "]"
-    rho2 = covariant(rho, f, clifford.displacement(beta), f, translation_perm(beta), name)
+    return _covariance(rho, clifford.displacement(beta), translation_perm(beta), name)
+
+
+def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
+    """Apply D_beta: returns (rho', f, table), rho' checked in frame f by
+    _displacement and its table in that unchanged frame."""
+    rho2, check = _displacement(rho, beta)
+    check(f, f)
     return rho2, f, wigner_table(rho2, f)
 
 
@@ -321,28 +344,38 @@ def rotational_symmetry_check(L: SympMat) -> dict:
     u_l = clifford.unitary_for(L)
     v = clifford.conjugate(u_l, clifford.unitary_for(symplectic.R))
     for rho in standard_test_states():
-        covariant(rho, f_l, v, f_l, linear_perm(r_l),
+        covariant(rho, v, linear_perm(r_l), [(f_l, f_l)],
                   f"conjugated rotation for L={symplectic.to_text(L)}")
     return {"period": period, "striations_cycled": len(seen)}
 
 
-def marginal_check(rho: Matrix, f: Index) -> dict:
+def marginal_check(rho: Matrix, f: Index, *more: Index) -> dict:
     """Line sums are Born probabilities; displacement covariance holds.
 
-    For every line of every striation, the sum of Wigner values over the
-    line equals the exact Born probability of the associated basis vector;
-    and displacing the state shifts the table by the same vector.
+    In frame f and then in each further frame: for every line of every
+    striation, the sum of Wigner values over the line equals the exact Born
+    probability of the associated basis vector; and displacing the state
+    shifts the table by the same vector, as displace() checks it and builds
+    the new table.  Each displaced state, its Born numerators and its line
+    map are formed once, in the first frame, and reused in the others.  The
+    counts are per frame.
     """
-    den, nums = wigner_table(rho, f).key
     prob_den, probs = clifford.born_probability(rho)
-    checked = 0
-    for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
-        if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
-            n, k = divmod(j, 4)
-            raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
-        checked += 1
-    for beta in gf4.all_points():
-        displace(rho, f, beta)
+    displaced = {}
+    for f in (f, *more):
+        den, nums = wigner_table(rho, f).key
+        checked = 0
+        for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
+            if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
+                n, k = divmod(j, 4)
+                raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
+            checked += 1
+        for beta in gf4.all_points():
+            if beta not in displaced:
+                displaced[beta] = _displacement(rho, beta)
+            rho2, check = displaced[beta]
+            check(f, f)
+            wigner_table(rho2, f)
     return {"lines": checked, "displacements": 16}
 
 

@@ -307,7 +307,8 @@ def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
 
 @pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
 def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
-    # U rho U^dag is two products per distinct (unitary, state) pair, whatever the frame.
+    # U rho U^dag is one conjugate call, a cache miss, and two products per
+    # distinct (unitary, state) pair, whatever the frame.
     for L in symplectic.enumerate_group():
         clifford.unitary_for(L)
     clifford.conjugate.cache_clear()
@@ -316,7 +317,8 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     code, _, _ = run(capsys, "verify", scope)
     assert code == 0
-    assert len(products) == 2 * pairs
+    info = clifford.conjugate.cache_info()
+    assert (info.misses, info.hits, len(products)) == (pairs, 0, 2 * pairs)
 
 
 def _into_closed_pipe(args, unbuffered=False):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qphase4 import cli, gf4, phasespace, symplectic, wigner
+from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
 from qphase4.exact import Matrix, Scalar
 from qphase4.gf4 import ELEMENTS
 from reference import conj, operator_sum, table_of
@@ -23,6 +23,10 @@ STATES = VECTORS.map(wigner.density_from_vector)
 GROUP = st.sampled_from(symplectic.enumerate_group())
 FRAMES = st.sampled_from(phasespace.canonical_shift_vectors())
 ALL_FRAMES = st.tuples(*[st.sampled_from(ELEMENTS)] * 5)
+#: A step of the apply fold: ("L", L) performs U_L, ("D", beta) performs D_beta.
+STEPS = st.lists(st.one_of(st.tuples(st.just("L"), GROUP),
+                           st.tuples(st.just("D"), st.sampled_from(gf4.all_points()))),
+                 min_size=1, max_size=6)
 
 
 def _mixture(u, v, a, b):
@@ -95,6 +99,24 @@ def test_folding_steps_with_apply_reaches_the_frame_of_their_product(f, steps):
     final = json.loads(out.getvalue())[-1]["table"]["f"]
     product = reduce(lambda acc, L: symplectic.product(L, acc), steps, symplectic.IDENTITY)
     assert tuple(map(gf4.from_token, final)) == phasespace.compose_frame(f, product)
+
+
+@settings(max_examples=60)
+@given(STATES_UP_TO_RANK_2, ALL_FRAMES, STEPS)
+def test_interleaved_steps_match_the_dense_products_and_round_trip(rho, f, steps):
+    # Each step's state is u rho u^dag by dense products, its frame is the one
+    # compose_frame gives (a displacement keeps it), and its table
+    # reconstructs to that state.
+    for kind, op in steps:
+        if kind == "L":
+            u, frame = clifford.unitary_for(op), phasespace.compose_frame(f, op)
+            rho2, g, table = wigner.transport(rho, f, op)
+        else:
+            u, frame = clifford.displacement(op), f
+            rho2, g, table = wigner.displace(rho, f, op)
+        assert (rho2, g) == (u @ rho @ u.dagger(), frame)
+        assert wigner.reconstruct(table) == rho2
+        rho, f = rho2, g
 
 
 @settings(max_examples=60)

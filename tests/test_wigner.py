@@ -276,7 +276,7 @@ def test_covariant_rejects_a_wrong_move_or_frame():
     up_up = wigner.density_from_vector([1, 0, 0, 0])
     d = clifford.displacement((1, 0))
     shift = wigner.translation_perm((1, 0))
-    rho2 = wigner.covariant(up_up, ZERO_INDEX, d, ZERO_INDEX, shift, "D[1,0]")
+    rho2 = wigner.covariant(up_up, d, shift, [(ZERO_INDEX, ZERO_INDEX)], "D[1,0]")
     assert rho2 == d @ up_up @ d.dagger()
     assert wigner.displace(up_up, ZERO_INDEX, (1, 0)) == (
         rho2, ZERO_INDEX, wigner.wigner_table(rho2, ZERO_INDEX))
@@ -289,9 +289,25 @@ def test_covariant_rejects_a_wrong_move_or_frame():
              (wigner.MAXIMALLY_MIXED, Matrix.identity(4), ZERO_INDEX, swap)]
     for rho, u, g, move in cases:
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
-            wigner.covariant(rho, ZERO_INDEX, u, g, move, "D[1,0]")
+            wigner.covariant(rho, u, move, [(ZERO_INDEX, g)], "D[1,0]")
     assert tables_covariant(wigner.MAXIMALLY_MIXED, ZERO_INDEX, Matrix.identity(4), ZERO_INDEX,
                             swap)
+
+
+def test_covariant_names_the_first_wrong_frame_of_twelve():
+    # One call checks the 12 canonical frames in order.  With target frame k
+    # off in one component, alone or with every later one, it must fail at
+    # frame k and name it; with every frame right it passes.
+    u, move = clifford.unitary_for(G), wigner.linear_perm(G)
+    pairs = [(f, phasespace.compose_frame(f, G)) for f in phasespace.canonical_shift_vectors()]
+    assert wigner.covariant(GENERIC, u, move, pairs, "step") == u @ GENERIC @ u.dagger()
+    wrong = [(f, (gf4.add(g[0], 1), *g[1:])) for f, g in pairs]
+    for k, (f, g) in enumerate(wrong):
+        assert not tables_covariant(GENERIC, f, u, g, move)
+        for bad in (pairs[:k] + wrong[k:k + 1] + pairs[k + 1:], pairs[:k] + wrong[k:]):
+            with pytest.raises(AssertionError) as error:
+                wigner.covariant(GENERIC, u, move, bad, "step")
+            assert str(error.value) == f"step is not covariant in frame f={f}"
 
 
 def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(capsys,
@@ -352,7 +368,7 @@ def test_covariant_passes_exactly_when_the_moved_tables_match():
             wrong_g = (*g[:n], gf4.add(g[n], 1 + i % 3), *g[n + 1:])
             for case in ((g, move), (wrong_g, move) if i % 2 else (g, other)):
                 try:
-                    wigner.covariant(rho, f, u, *case, "step")
+                    wigner.covariant(rho, u, case[1], [(f, case[0])], "step")
                     verdict = True
                 except AssertionError:
                     verdict = False
@@ -547,6 +563,38 @@ def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch
     with pytest.raises(AssertionError,
                        match=r"^marginal failed at line \(n=0, k=0\), f=\(0, 0, 0, 0, 0\)$"):
         wigner.marginal_check(GENERIC, ZERO_INDEX)
+
+
+def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
+    # Frame by frame, its 20 line checks and then its 16 displacements.  Three
+    # faults: D[beta_12] checked against beta_13's move (fails in every
+    # frame), f1 read with lines k = 0 and 1 of striation 0 swapped (its
+    # displacements beta_8..beta_15 fail) and f1's table with two values
+    # swapped across those lines (its line checks fail).  In that order the
+    # first failure is beta_12 in f0; every frame's lines first would report
+    # f1's lines, every frame per beta would report beta_8 in f1.
+    points = gf4.all_points()
+    f0, f1 = ZERO_INDEX, phasespace.canonical_shift_vectors()[3]
+    labels, perm, table = wigner.line_labels, wigner.translation_perm, wigner.wigner_table
+    values = table(GENERIC, f1).values
+    a, b = (0, 0), (1, 0)
+    bad = table_of(f1, {**values, a: values[b], b: values[a]})
+    monkeypatch.setattr(wigner, "line_labels",
+                        lambda f: (*labels(f)[1::-1], *labels(f)[2:]) if f == f1 else labels(f))
+    monkeypatch.setattr(wigner, "translation_perm",
+                        lambda beta: perm(points[13] if beta == points[12] else beta))
+    monkeypatch.setattr(wigner, "wigner_table",
+                        lambda rho, f: bad if (rho, f) == (GENERIC, f1) else table(rho, f))
+    name = "D[" + ",".join(map(gf4.to_token, points[12])) + "]"
+    with pytest.raises(AssertionError) as error:
+        wigner.marginal_check(GENERIC, f0, f1)
+    assert str(error.value) == f"{name} is not covariant in frame f={f0}"
+    with pytest.raises(AssertionError, match=r"^marginal failed at line \(n=0, k=0\)"):
+        wigner.marginal_check(GENERIC, f1)
+    _, check = wigner._displacement(GENERIC, points[8])
+    check(f0, f0)
+    with pytest.raises(AssertionError, match=r" is not covariant in frame f=\(1, 0, 1, 0, 2\)$"):
+        check(f1, f1)
 
 
 def test_reconstruct_uniform_table():
