@@ -3,7 +3,9 @@ census, and the exhaustive verification suites.
 
 Exit codes: 0 pass, 1 verification counterexample, 2 parse error,
 3 domain error (non-symplectic input), 4 invalid state, 141 (128 + SIGPIPE)
-when the reader of stdout went away before the command could fail.
+when the reader of stdout went away before the command could fail.  Any
+other exception raised inside a verify scope is a failed check as well: one
+line "FAIL <scope>: <Type>: <message>" and exit 1.
 """
 
 from __future__ import annotations
@@ -327,13 +329,8 @@ def _verify_rep() -> str:
 
 
 def _verify_transport() -> str:
-    states, frames = wigner.standard_test_states(), phasespace.canonical_shift_vectors()
-    count = 0
-    for L in symplectic.enumerate_group():  # all frames in one call: one U_L rho U_L^dag each
-        pairs = [(f, phasespace.compose_frame(f, L)) for f in frames]
-        for rho in states:
-            wigner.transported(rho, L, pairs)
-            count += len(pairs)
+    count = wigner.transport_sweep(wigner.standard_test_states(),
+                                   phasespace.canonical_shift_vectors())
     return f"transport: {count}/{count} (L, frame, state) triples exact"
 
 
@@ -376,10 +373,14 @@ def cmd_verify(args) -> int:
     scopes = list(_VERIFY_SCOPES) if args.scope == "all" else [args.scope]
     for scope in scopes:
         try:
-            print(_VERIFY_SCOPES[scope]())
+            line = _VERIFY_SCOPES[scope]()
         except AssertionError as e:
             print(f"FAIL {scope}: {e}", file=sys.stderr)
             return EXIT_FAIL
+        except Exception as e:  # a fault in the checked code is a failed check too
+            print(f"FAIL {scope}: {type(e).__name__}: {e}", file=sys.stderr)
+            return EXIT_FAIL
+        print(line)
     return 0
 
 

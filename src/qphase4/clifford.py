@@ -215,5 +215,12 @@ def born_probability(rho: Matrix) -> tuple[int, tuple[int, ...]]:
     other rho raises ValueError."""
     if not rho.is_hermitian():
         raise ValueError("Born probabilities of a non-Hermitian operator")
-    entries = rho.re + rho.im
-    return 4 * rho.den, tuple(dot(p, entries) for p in projector_numerators())
+    return 4 * rho.den, born_numerators(rho.re + rho.im)
+
+
+def born_numerators(entries) -> tuple[int, ...]:
+    """Per MUB projector P at its Born index, the dot of its numerators
+    with entries, a matrix's real then imaginary numerators: Tr(P rho) over
+    4 times their denominator for a Hermitian rho.  The dot is linear, so
+    entries that pack one matrix per lane give every lane's numerators."""
+    return tuple(dot(p, entries) for p in projector_numerators())

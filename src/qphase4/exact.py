@@ -9,6 +9,8 @@ exhaustive verification sweeps, compares integer tuples.  A sweep of many
 products packs each factor once, a big integer per column or row with every
 numerator in a lane of lane_width bits (packed_left, packed_right), and one
 dot of two packings then holds every entry of their product in its own lane.
+One kernel, product, multiplies numerators for @ and for any sweep whose
+factor has a packed integer per entry, each lane a matrix of its own.
 """
 
 from __future__ import annotations
@@ -126,12 +128,7 @@ class Matrix:
         return Matrix._reduced(self.n, [-x for x in self.re], [-x for x in self.im], self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        n = self.n  # row: real then imaginary numerators; column: (re, -im) and (im, re)
-        rows = [self.re[i:i + n] + self.im[i:i + n] for i in range(0, n * n, n)]
-        cols = [((*cr, *(-x for x in ci)), (*ci, *cr))
-                for cr, ci in ((other.re[j::n], other.im[j::n]) for j in range(n))]
-        return Matrix._reduced(n, [sum(map(mul, r, c)) for r in rows for c, _ in cols],
-                               [sum(map(mul, r, c)) for r in rows for _, c in cols],
+        return Matrix._reduced(self.n, *product(self.n, self.re, self.im, other.re, other.im),
                                self.den * other.den)
 
     def packed_left(self, w: int) -> tuple[int, ...]:
@@ -212,6 +209,19 @@ def outer(u: Vector, v: Vector) -> Matrix:
     u, v = list(zip(ur, ui)), list(zip(vr, vi))
     return Matrix._reduced(len(u), [a * c + b * d for a, b in u for c, d in v],
                            [b * c - a * d for a, b in u for c, d in v], ud * vd)
+
+
+def product(n: int, ar, ai, br, bi) -> tuple[list, list]:
+    """The real and imaginary numerators of the n x n product a b, given
+    a's (ar, ai) and b's (br, bi) row-major: over the product of the two
+    denominators, unreduced.  It is bilinear, so a factor whose entries
+    pack one matrix per lane (pack) gives the product of each lane."""
+    # row: real then imaginary numerators; column: (re, -im) and (im, re)
+    rows = [ar[i:i + n] + ai[i:i + n] for i in range(0, n * n, n)]
+    cols = [((*cr, *(-x for x in ci)), (*ci, *cr))
+            for cr, ci in ((br[j::n], bi[j::n]) for j in range(n))]
+    return ([sum(map(mul, r, c)) for r in rows for c, _ in cols],
+            [sum(map(mul, r, c)) for r in rows for _, c in cols])
 
 
 def pack(lanes: Sequence[int], w: int) -> int:

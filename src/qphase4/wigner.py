@@ -16,8 +16,11 @@ Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
 (D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
-use only these, and the verify sweep uses transported, transport without
-the new table, for all 12 canonical frames at once.  Both, and the
+use only these.  transported is transport without the new table, for
+any number of frames at once; transport_sweep checks what it checks for
+every L and a set of states, the states packed as the lanes of one matrix
+so that each L costs one conjugation and one Born pass, and runs it state
+by state only when an L fails.  Both routes, and the
 conjugated rotations of rotational_symmetry_check (V, f_L -> f_L,
 alpha -> R_L alpha), are checked by covariant(), once per (unitary, state)
 for any number of frame pairs (f, g): rho' from clifford.conjugate, the
@@ -38,8 +41,8 @@ from itertools import product
 from math import lcm
 from typing import NamedTuple
 
-from . import clifford, gf4, phasespace, symplectic
-from .exact import Matrix, Scalar, dot, norm_sq, outer, vector
+from . import clifford, exact, gf4, phasespace, symplectic
+from .exact import Matrix, Scalar, dot, norm_sq, outer, pack, vector
 from .gf4 import ELEMENTS
 from .phasespace import Index
 from .symplectic import SympMat
@@ -189,6 +192,16 @@ def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     return None if None in image else image
 
 
+def _lines_agree(before, after, image, f: Index, g: Index) -> bool:
+    """Whether each line, read in frame f by its label in line_labels(f),
+    has the Born numerator in before that its image line (image, a _line_map
+    or None), read in frame g, has in after."""
+    if image is None:
+        return False
+    at_g = line_labels(g)
+    return [after[at_g[j]] for j in image] == [before[i] for i in line_labels(f)]
+
+
 def _covariance(rho: Matrix, u: Matrix, move, what: str):
     """Perform u: returns (rho', check), check(f, g) raising AssertionError
     that names `what` and f unless the phase-space map holds in the frame
@@ -213,8 +226,7 @@ def _covariance(rho: Matrix, u: Matrix, move, what: str):
     before, after = [x * den2 for x in nums], [x * den for x in nums2]
 
     def check(f: Index, g: Index) -> None:
-        at_g = line_labels(g)
-        if image is None or [after[at_g[j]] for j in image] != [before[i] for i in line_labels(f)]:
+        if not _lines_agree(before, after, image, f, g):
             raise AssertionError(f"{what} is not covariant in frame f={f}")
 
     return rho2, check
@@ -243,6 +255,71 @@ def transport(rho: Matrix, f: Index, L: SympMat):
     g = phasespace.compose_frame(f, L)
     rho2 = transported(rho, L, [(f, g)])
     return rho2, g, wigner_table(rho2, g)
+
+
+def _packed_states(states, units) -> tuple[int, list[int]]:
+    """(w, entries): the states as lanes of one 4x4 matrix, entry e of
+    state s in lane s of entries[e] (real parts, then imaginary), its
+    numerator over the states' least common denominator, in lanes of w bits.
+
+    w keeps under 2^(w-1) every lane the transport sweep forms from these
+    states and unitaries u.  For state numerators up to m, u's numerators
+    up to a and denominators up to d, and projector numerators summing in
+    absolute value to at most s: an entry of u rho u^dag is at most
+    4 n^2 a^2 m (n = 4; two products of 2n terms), its Born lanes at most s
+    times that, and a Born lane of rho times u.den^2 at most s m d^2."""
+    den = lcm(*(rho.den for rho in states))
+    scaled = [[x * (den // rho.den) for x in rho.re + rho.im] for rho in states]
+    m = max(abs(x) for lanes in scaled for x in lanes)
+    a, d = max(abs(x) for u in units for x in u.re + u.im), max(u.den for u in units)
+    s = max(sum(map(abs, p)) for p in clifford.projector_numerators())
+    w = (s * m * max(4 * 4**2 * a * a, d * d)).bit_length() + 1
+    return w, [pack(lanes, w) for lanes in zip(*scaled)]
+
+
+def _conjugated(u: Matrix, entries) -> list[int]:
+    """u X u^dag for X the 4x4 matrix of packed entries, real parts then
+    imaginary, as packed entries over u.den^2 times X's denominator: each
+    lane conjugated, nothing reduced."""
+    ud = u.dagger()
+    re, im = exact.product(4, *exact.product(4, u.re, u.im, entries[:16], entries[16:]),
+                           ud.re, ud.im)
+    return re + im
+
+
+def transport_sweep(states, frames) -> int:
+    """transported(rho, L, pairs) for every L of the group and every rho in
+    states, in that order, pairs the frames f with compose_frame(f, L):
+    returns the number of (L, frame, state) triples checked.
+
+    The states are packed once, as the lanes of one matrix (_packed_states).
+    Per L it is conjugated (_conjugated), checked Hermitian entry by entry
+    and given one Born pass; each frame pair is then one _lines_agree for
+    all states, against the packed rho's Born numerators times u.den^2,
+    which puts both over one denominator.  No lane reaches 2^(w-1), so
+    equal packings have equal lanes.  An L that fails runs transported()
+    state by state, which raises for the first state in order at its
+    first failing frame."""
+    group = symplectic.enumerate_group()
+    units = [clifford.unitary_for(L) for L in group]
+    _, entries = _packed_states(states, units)
+    before = clifford.born_numerators(entries)
+    count = 0
+    for L, u in zip(group, units):
+        pairs = [(f, phasespace.compose_frame(f, L)) for f in frames]
+        conj = _conjugated(u, entries)
+        re, im = conj[:16], conj[16:]
+        hermitian = (re == [x for j in range(4) for x in re[j::4]]
+                     and im == [-x for j in range(4) for x in im[j::4]])
+        after, image = clifford.born_numerators(conj), _line_map(linear_perm(L))
+        scaled = [x * u.den * u.den for x in before]
+        if not (hermitian and all(_lines_agree(scaled, after, image, f, g) for f, g in pairs)):
+            for rho in states:
+                transported(rho, L, pairs)
+            raise AssertionError(f"transport by L={symplectic.to_text(L)} fails packed "
+                                 f"but passes state by state")
+        count += len(pairs) * len(states)
+    return count
 
 
 def _displacement(rho: Matrix, beta: gf4.Vec2):

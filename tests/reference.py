@@ -4,8 +4,8 @@ scaling a matrix by a Scalar, a matrix times a vector, complex conjugation,
 the powers of i, the Hermitian inner product, a Wigner table from its
 Fraction values, covariance by comparing moved tables, a table's Fraction
 line sums, total and operator sum, the metaplectic check and the
-shear-rotation-shear phases on dense products, and the 60 group elements
-spelled out with gf4.mat_mul."""
+shear-rotation-shear phases on dense products, the 60 group elements
+spelled out with gf4.mat_mul, and the lanes of a packed integer."""
 
 from fractions import Fraction
 from functools import reduce
@@ -154,3 +154,15 @@ def group_by_mat_mul() -> tuple:
             for s in range(5):
                 out.append(gf4.mat_mul(R_POWERS[r], gf4.mat_mul(shear(x), R_POWERS[s])))
     return tuple(out)
+
+
+def unpack(x: int, w: int, lanes: int) -> list:
+    """The balanced base-2^w digits of x, lowest lane first; x must fit."""
+    out = []
+    for _ in range(lanes):
+        digit = x & ((1 << w) - 1)
+        digit -= (digit >> (w - 1)) << w
+        out.append(digit)
+        x = (x - digit) >> w
+    assert x == 0
+    return out

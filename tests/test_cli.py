@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import qphase4
-from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
+from qphase4 import cli, clifford, exact, gf4, phasespace, symplectic, wigner
 from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar
 from qphase4.gf4 import OMEGA, OMEGA_BAR
 from reference import dense_metaplectic_signs
@@ -307,18 +307,84 @@ def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
 
 @pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
 def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
-    # U rho U^dag is one conjugate call, a cache miss, and two products per
-    # distinct (unitary, state) pair, whatever the frame.
-    for L in symplectic.enumerate_group():
-        clifford.unitary_for(L)
+    # marginals: U rho U^dag is one conjugate call, a cache miss, and two
+    # products per distinct (unitary, state) pair, whatever the frame.
+    # transport packs its six states into the lanes of one matrix: one packed
+    # conjugation per unitary, in group order, and no conjugate call or @.
+    # @ and the packed conjugation share exact.product: one call per @, two
+    # per packed conjugation.
+    group = symplectic.enumerate_group()
+    units = [clifford.unitary_for(L) for L in group]
     clifford.conjugate.cache_clear()
-    products = []
-    matmul = Matrix.__matmul__
+    products, packed, kernel = [], [], []
+    matmul, conjugated, product = Matrix.__matmul__, wigner._conjugated, exact.product
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(wigner, "_conjugated", lambda u, x: packed.append(u) or conjugated(u, x))
+    monkeypatch.setattr(exact, "product", lambda *args: kernel.append(1) or product(*args))
     code, _, _ = run(capsys, "verify", scope)
     assert code == 0
     info = clifford.conjugate.cache_info()
-    assert (info.misses, info.hits, len(products)) == (pairs, 0, 2 * pairs)
+    if scope == "transport":
+        assert (info.misses, info.hits, len(products)) == (0, 0, 0)
+        assert packed == units and len(units) * len(wigner.standard_test_states()) == pairs
+    else:
+        assert (info.misses, info.hits, len(products), packed) == (pairs, 0, 2 * pairs, [])
+    assert len(kernel) == len(products) + 2 * len(packed)
+
+
+def _frame_off(g, n, c):
+    return tuple(gf4.add(x, c) if i == n else x for i, x in enumerate(g))
+
+
+def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, monkeypatch):
+    # Under L = I, frame 0's target off in component 1 fails up*right alone
+    # (state 4), and frame 3's off in component 0 fails the four basis states
+    # alone.  The packed sweep sees both frames fail at once; the one line
+    # must name what a state-by-state sweep meets first: state 0, at frame 3.
+    frames, states = phasespace.canonical_shift_vectors(), wigner.standard_test_states()
+    compose, wrong = phasespace.compose_frame, {frames[0]: (1, 1), frames[3]: (0, 2)}
+
+    def composed(f, L):
+        g = compose(f, L)
+        return _frame_off(g, *wrong[f]) if L == symplectic.IDENTITY and f in wrong else g
+
+    monkeypatch.setattr(phasespace, "compose_frame", composed)
+    pairs = [(f, composed(f, symplectic.IDENTITY)) for f in frames]
+    failing = []
+    for rho in states:
+        failing.append([])
+        for k, pair in enumerate(pairs):
+            try:
+                wigner.transported(rho, symplectic.IDENTITY, [pair])
+            except AssertionError:
+                failing[-1].append(k)
+    assert failing == [[3]] * 4 + [[0], []]
+    code, out, err = run(capsys, "verify", "transport")
+    assert (code, out, err) == (1, "", "FAIL transport: transport by L=[[1,0],[0,1]] "
+                                       f"is not covariant in frame f={frames[3]}\n")
+
+
+def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
+    # A packed conjugation that leaves the states as they are fails at the
+    # first L that moves them, while each state passes alone through transported.
+    monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
+    code, out, err = run(capsys, "verify", "transport")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"FAIL transport: transport by L=\S+ fails packed but passes state "
+                        r"by state\n", err)
+
+
+def test_verify_reports_a_fault_that_is_not_an_assertion_in_one_line(capsys, monkeypatch):
+    # u rho, not u rho u^dag, is not Hermitian, so born_probability raises
+    # ValueError inside the marginals sweep: one FAIL line with the type, no
+    # traceback, exit 1, and the scopes before it printed as usual.
+    monkeypatch.setattr(clifford, "conjugate", lambda u, rho: u @ rho)
+    code, out, err = run(capsys, "verify", "marginals")
+    assert (code, out, err) == (
+        1, "", "FAIL marginals: ValueError: Born probabilities of a non-Hermitian operator\n")
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1 and out.splitlines()[-1].startswith("transport: ")
+    assert err == "FAIL marginals: ValueError: Born probabilities of a non-Hermitian operator\n"
 
 
 def _into_closed_pipe(args, unbuffered=False):

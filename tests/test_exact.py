@@ -10,7 +10,7 @@ import pytest
 from qphase4 import clifford, gf4, symplectic
 from qphase4.exact import (MAX_JSON_DIGITS, Matrix, Scalar, dot, lane_width, norm_sq, outer,
                            pack, proportional, vector)
-from reference import I_POWERS, add, conj, inner, mul, neg, scalar_sum, scaled, sub
+from reference import I_POWERS, add, conj, inner, mul, neg, scalar_sum, scaled, sub, unpack
 
 
 def test_scalar_ring_ops():
@@ -152,18 +152,6 @@ def test_proportional_reads_the_phase_off_the_numerators():
         assert proportional(a, b) is proportional(b, a) is _ref_proportional(a, b) is None
 
 
-def _unpack(x, w, lanes):
-    """The balanced base-2^w digits of x, lowest lane first; x must fit."""
-    out = []
-    for _ in range(lanes):
-        digit = x & ((1 << w) - 1)
-        digit -= (digit >> (w - 1)) << w
-        out.append(digit)
-        x = (x - digit) >> w
-    assert x == 0
-    return out
-
-
 def _interleaved(re, im):
     return [x for pair in zip(re, im) for x in pair]
 
@@ -175,14 +163,14 @@ def _assert_packed_product(a, b):
     c = a @ b
     scale = a.den * b.den // c.den
     w = lane_width([a, b])
-    lanes = _unpack(dot(a.packed_left(w), b.packed_right(w)), w, 32)
+    lanes = unpack(dot(a.packed_left(w), b.packed_right(w)), w, 32)
     assert lanes == [x * scale for x in _interleaved(c.re, c.im)]
     # c and i c, packed as the rep sweep packs its targets: c's right rows 8 lanes apart.
     w = lane_width([a, b, c])
     rows = c.packed_right(w)
     p, ip = pack(rows[::2], 8 * w), pack(rows[1::2], 8 * w)
-    assert _unpack(p, w, 32) == _interleaved(c.re, c.im)
-    assert _unpack(ip, w, 32) == _interleaved([-x for x in c.im], c.re)
+    assert unpack(p, w, 32) == _interleaved(c.re, c.im)
+    assert unpack(ip, w, 32) == _interleaved([-x for x in c.im], c.re)
     assert dot(a.packed_left(w), b.packed_right(w)) * c.den == p * a.den * b.den
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -18,7 +18,7 @@ from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
 from reference import (add, inner, line_sum, mat_vec, operator_sum, sub, table_of,
-                       tables_covariant, total)
+                       tables_covariant, total, unpack)
 from reference import mul as scalar_mul
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -308,6 +308,36 @@ def test_covariant_names_the_first_wrong_frame_of_twelve():
             with pytest.raises(AssertionError) as error:
                 wigner.covariant(GENERIC, u, move, bad, "step")
             assert str(error.value) == f"step is not covariant in frame f={f}"
+
+
+def test_packed_transport_lanes_match_the_matrix_oracle():
+    # All 60 L x the six standard states: each lane of the packed sweep,
+    # unpacked and reduced, is clifford.conjugate's u rho u^dag, its Born
+    # lanes are born_probability's, and no lane that the sweep compares
+    # reaches 2^(w-1), below which equal packings have equal lanes.
+    states = wigner.standard_test_states()
+    units = [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
+    w, entries = wigner._packed_states(states, units)
+    den = lcm(*(rho.den for rho in states))
+
+    def lanes(packed):  # per state, its lane of each packed integer
+        return list(zip(*(unpack(x, w, len(states)) for x in packed)))
+
+    assert lanes(entries) == [tuple(x * (den // rho.den) for x in rho.re + rho.im)
+                              for rho in states]
+    before = lanes(clifford.born_numerators(entries))
+    widest = 0
+    for u in units:
+        conj = wigner._conjugated(u, entries)
+        after, scale = lanes(clifford.born_numerators(conj)), u.den * u.den
+        for rho, c, b, b0 in zip(states, lanes(conj), after, before):
+            rho2 = clifford.conjugate(u, rho)
+            assert Matrix._reduced(4, c[:16], c[16:], scale * den) == rho2
+            for (bden, nums), lane, d in ((clifford.born_probability(rho2), b, scale * den),
+                                          (clifford.born_probability(rho), b0, den)):
+                assert [Fraction(x, 4 * d) for x in lane] == [Fraction(x, bden) for x in nums]
+            widest = max(widest, *map(abs, c + b), *(abs(x) * scale for x in b0))
+    assert 0 < widest < 1 << (w - 1)
 
 
 def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(capsys,
