@@ -4,8 +4,9 @@ census, and the exhaustive verification suites.
 Exit codes: 0 pass, 1 verification counterexample, 2 parse error,
 3 domain error (non-symplectic input), 4 invalid state, 141 (128 + SIGPIPE)
 when the reader of stdout went away before the command could fail.  Any
-other exception raised inside a verify scope is a failed check as well: one
-line "FAIL <scope>: <Type>: <message>" and exit 1.
+other exception is a failed check as well: one line
+"FAIL <scope>: <Type>: <message>" inside a verify scope, or
+"FAIL <command>: <Type>: <message>" outside verify, and exit 1.
 """
 
 from __future__ import annotations
@@ -335,12 +336,9 @@ def _verify_transport() -> str:
 
 
 def _verify_marginals() -> str:
-    states, frames = wigner.standard_test_states(), phasespace.canonical_shift_vectors()
-    count = 0
-    for rho in states:  # all frames in one call: one D_beta rho D_beta each
-        rep = wigner.marginal_check(rho, *frames)
-        count += len(frames)
-    return (f"marginals: {count}/{count} (frame, state) pairs, "
+    rep = wigner.marginal_sweep(wigner.standard_test_states(),
+                                phasespace.canonical_shift_vectors())
+    return (f"marginals: {rep['pairs']}/{rep['pairs']} (frame, state) pairs, "
             f"{rep['lines']} lines + {rep['displacements']} displacements each")
 
 
@@ -459,6 +457,9 @@ def main(argv=None) -> int:
         return EXIT_STATE
     except AssertionError as e:  # a counterexample outside verify, e.g. in apply
         print(f"FAIL {args.command}: {e}", file=sys.stderr)
+        return EXIT_FAIL
+    except Exception as e:  # a fault in the checked code is a failed check too
+        print(f"FAIL {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -17,10 +17,13 @@ map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
 (D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
 use only these.  transported is transport without the new table, for
-any number of frames at once; transport_sweep checks what it checks for
-every L and a set of states, the states packed as the lanes of one matrix
-so that each L costs one conjugation and one Born pass, and runs it state
-by state only when an L fails.  Both routes, and the
+any number of frames at once.  The verify sweeps pack a set of states once,
+as the lanes of one matrix, and run each unitary as one step of one kernel,
+_packed_sweep: one conjugation, one Born pass and one comparison per frame
+pair, covering every state.  transport_sweep checks what transported checks
+for every L; marginal_sweep checks what marginal_check checks, its line
+sums on a packed table of integers and its 16 displacements as steps.
+Either runs the per-state route only when a check fails.  Both routes, and the
 conjugated rotations of rotational_symmetry_check (V, f_L -> f_L,
 alpha -> R_L alpha), are checked by covariant(), once per (unitary, state)
 for any number of frame pairs (f, g): rho' from clifford.conjugate, the
@@ -143,11 +146,12 @@ def validate_density(rho: Matrix) -> Matrix:
     return rho
 
 
-# Bounded by the sweep it serves: verify all's working set is 108 keys, the
-# marginals scope's states and their displacements in the 12 canonical
-# frames, so it never evicts, while a stream of fresh states never hits an
-# entry left by an earlier request and would otherwise only add memory.  It
-# stays an lru_cache because the benchmark reads wigner_table.cache_info().
+# Bounded because a stream of fresh states never hits an entry left by an
+# earlier request and would otherwise only add memory.  128 keys hold the 17
+# tables of one marginal_check(rho, f), the state's and its 16
+# displacements', several times over; verify all builds only 6, one per
+# standard state in the first canonical frame.  It stays an lru_cache
+# because the benchmark reads wigner_table.cache_info().
 @lru_cache(maxsize=128)
 def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     """W^f_alpha = Tr(A^f_alpha rho) / 4: the Born probabilities of the five
@@ -262,12 +266,16 @@ def _packed_states(states, units) -> tuple[int, list[int]]:
     state s in lane s of entries[e] (real parts, then imaginary), its
     numerator over the states' least common denominator, in lanes of w bits.
 
-    w keeps under 2^(w-1) every lane the transport sweep forms from these
+    w keeps under 2^(w-1) every lane the packed sweeps form from these
     states and unitaries u.  For state numerators up to m, u's numerators
     up to a and denominators up to d, and projector numerators summing in
     absolute value to at most s: an entry of u rho u^dag is at most
     4 n^2 a^2 m (n = 4; two products of 2n terms), its Born lanes at most s
-    times that, and a Born lane of rho times u.den^2 at most s m d^2."""
+    times that, and a Born lane of rho times u.den^2 at most s m d^2.  As
+    a >= 1, also 2^(w-1) > 64 s m: a lane of a packed table (_packed_table)
+    is at most 5 s m + 16 m, and the sum of a line's four at most
+    20 s m + 64 m, below 64 s m because every projector has trace 1, so
+    s >= 4."""
     den = lcm(*(rho.den for rho in states))
     scaled = [[x * (den // rho.den) for x in rho.re + rho.im] for rho in states]
     m = max(abs(x) for lanes in scaled for x in lanes)
@@ -287,47 +295,68 @@ def _conjugated(u: Matrix, entries) -> list[int]:
     return re + im
 
 
+def _packed_sweep(entries, steps) -> int:
+    """How many steps (u, move, pairs), in order, hold on every state packed
+    in entries (_packed_states, its width computed with every step's u)
+    before the first that fails; len(steps) when all hold.  A step holds
+    when performing u moves each state's Born numerators along move in each
+    frame pair (f, g) of pairs.
+
+    Per step the packed states are conjugated (_conjugated), checked
+    Hermitian entry by entry and given one Born pass; each pair is then one
+    _lines_agree for all states, against the packed states' Born numerators
+    times u.den^2, which puts both over one denominator.  No lane reaches
+    2^(w-1), so equal packings have equal lanes.  A sweep that meets a
+    failing step runs its per-state route, which names the failure as a
+    state-by-state sweep would."""
+    before = clifford.born_numerators(entries)
+    for i, (u, move, pairs) in enumerate(steps):
+        conj = _conjugated(u, entries)
+        re, im = conj[:16], conj[16:]
+        hermitian = (re == [x for j in range(4) for x in re[j::4]]
+                     and im == [-x for j in range(4) for x in im[j::4]])
+        after, image = clifford.born_numerators(conj), _line_map(move)
+        scaled = [x * u.den * u.den for x in before]
+        if not (hermitian and all(_lines_agree(scaled, after, image, f, g) for f, g in pairs)):
+            return i
+    return len(steps)
+
+
 def transport_sweep(states, frames) -> int:
     """transported(rho, L, pairs) for every L of the group and every rho in
     states, in that order, pairs the frames f with compose_frame(f, L):
     returns the number of (L, frame, state) triples checked.
 
-    The states are packed once, as the lanes of one matrix (_packed_states).
-    Per L it is conjugated (_conjugated), checked Hermitian entry by entry
-    and given one Born pass; each frame pair is then one _lines_agree for
-    all states, against the packed rho's Born numerators times u.den^2,
-    which puts both over one denominator.  No lane reaches 2^(w-1), so
-    equal packings have equal lanes.  An L that fails runs transported()
-    state by state, which raises for the first state in order at its
-    first failing frame."""
+    The states are packed once (_packed_states) and each L is one step of
+    _packed_sweep: one conjugation, one Born pass and one comparison per
+    frame, each covering all states.  An L that fails runs transported()
+    state by state, which raises for the first state in order at its first
+    failing frame."""
     group = symplectic.enumerate_group()
-    units = [clifford.unitary_for(L) for L in group]
-    _, entries = _packed_states(states, units)
-    before = clifford.born_numerators(entries)
-    count = 0
-    for L, u in zip(group, units):
-        pairs = [(f, phasespace.compose_frame(f, L)) for f in frames]
-        conj = _conjugated(u, entries)
-        re, im = conj[:16], conj[16:]
-        hermitian = (re == [x for j in range(4) for x in re[j::4]]
-                     and im == [-x for j in range(4) for x in im[j::4]])
-        after, image = clifford.born_numerators(conj), _line_map(linear_perm(L))
-        scaled = [x * u.den * u.den for x in before]
-        if not (hermitian and all(_lines_agree(scaled, after, image, f, g) for f, g in pairs)):
-            for rho in states:
-                transported(rho, L, pairs)
-            raise AssertionError(f"transport by L={symplectic.to_text(L)} fails packed "
-                                 f"but passes state by state")
-        count += len(pairs) * len(states)
-    return count
+    steps = [(clifford.unitary_for(L), linear_perm(L),
+              [(f, phasespace.compose_frame(f, L)) for f in frames]) for L in group]
+    _, entries = _packed_states(states, [u for u, _, _ in steps])
+    passed = _packed_sweep(entries, steps)
+    if passed < len(steps):
+        L, (_, _, pairs) = group[passed], steps[passed]
+        for rho in states:
+            transported(rho, L, pairs)
+        raise AssertionError(f"transport by L={symplectic.to_text(L)} fails packed "
+                             f"but passes state by state")
+    return sum(len(pairs) for _, _, pairs in steps) * len(states)
+
+
+def _op_name(beta: gf4.Vec2) -> str:
+    """D_beta as the CLI's apply op D[q,p]."""
+    return "D[" + ",".join(map(gf4.to_token, beta)) + "]"
 
 
 def _displacement(rho: Matrix, beta: gf4.Vec2):
     """_covariance of D_beta along alpha -> alpha + beta, in frame pairs
     (f, f): a displacement keeps the frame.  A failure names the step as the
     CLI's apply op D[q,p]."""
-    name = "D[" + ",".join(map(gf4.to_token, beta)) + "]"
-    return _covariance(rho, clifford.displacement(beta), translation_perm(beta), name)
+    return _covariance(rho, clifford.displacement(beta), translation_perm(beta),
+                       _op_name(beta))
 
 
 def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
@@ -454,6 +483,67 @@ def marginal_check(rho: Matrix, f: Index, *more: Index) -> dict:
             check(f, f)
             wigner_table(rho2, f)
     return {"lines": checked, "displacements": 16}
+
+
+def _packed_table(before, trace: int, f: Index) -> list[int]:
+    """The packed Wigner table in frame f, per point of gf4.all_points():
+    the packed Born numerators before of the five lines through it, minus
+    4 times the packed trace.  Each lane is 16 den W^f for its state, den
+    the denominator of the packing."""
+    table = [-4 * trace] * 16
+    for label, points in zip(line_labels(f), _line_positions()):
+        for i in points:
+            table[i] += before[label]
+    return table
+
+
+def _keys_match(table, keys, scale: int, w: int) -> bool:
+    """Whether lane s of each entry of a packed table over scale holds the
+    value that keys[s], a WignerTable.key, holds at that point."""
+    if any(scale % den for den, _ in keys):
+        return False
+    lanes = [[x * (scale // den) for x in nums] for den, nums in keys]
+    return (all(abs(x) < 1 << (w - 1) for lane in lanes for x in lane)
+            and [pack(point, w) for point in zip(*lanes)] == table)
+
+
+def marginal_sweep(states, frames) -> dict:
+    """marginal_check(rho, *frames) for every rho in states: returns the
+    number of (frame, state) pairs and, per pair, of line sums and of
+    displacements checked.
+
+    The states are packed once (_packed_states).  Line sums, on integers
+    only: in each frame the packed table (_packed_table) holds every state's
+    table, and each line's four entries must sum to 4 times its packed Born
+    numerators; in the first frame each state's lane must also be
+    wigner_table's key.  Displacements: 16 steps of _packed_sweep, D_beta
+    along translation_perm(beta) in the pairs (f, f).  Any failure runs
+    marginal_check state by state, which raises what a per-state sweep
+    meets first."""
+    points = gf4.all_points()
+    units = [clifford.displacement(beta) for beta in points]
+    w, entries = _packed_states(states, units)
+    scale = 16 * lcm(*(rho.den for rho in states))
+    before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
+
+    failed = None
+    for k, f in enumerate(frames):
+        table = _packed_table(before, trace, f)
+        lines = [sum(map(table.__getitem__, positions)) == 4 * before[label]
+                 for label, positions in zip(line_labels(f), _line_positions())]
+        if not all(lines) or k == 0 and not _keys_match(
+                table, [wigner_table(rho, f).key for rho in states], scale, w):
+            failed = f"marginal in frame f={f}"
+            break
+    steps = [(u, translation_perm(beta), [(f, f) for f in frames])
+             for beta, u in zip(points, units)]
+    passed = 0 if failed else _packed_sweep(entries, steps)
+    if failed or passed < len(steps):
+        for rho in states:
+            marginal_check(rho, *frames)
+        raise AssertionError(f"{failed or _op_name(points[passed])} fails packed "
+                             f"but passes state by state")
+    return {"pairs": len(frames) * len(states), "lines": len(lines), "displacements": passed}
 
 
 def reconstruct(table: WignerTable) -> Matrix:

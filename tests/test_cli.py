@@ -206,7 +206,7 @@ def test_apply_displacement_op(capsys):
 # --- verification and exit codes ---------------------------------------------
 
 def test_verify_fast_scopes(capsys):
-    wigner.wigner_table.cache_clear()  # only verify all reads it
+    wigner.wigner_table.cache_clear()  # only verify all reads it, in marginals
     for scope in ("metaplectic", "single-qubit", "all"):
         code, out, _ = run(capsys, "verify", scope)
         assert code == 0
@@ -218,9 +218,10 @@ def test_verify_fast_scopes(capsys):
         )
         assert proc.returncode == 0
         assert proc.stdout == out
-    # verify all's tables fit the cache: every key was one miss, none was evicted.
+    # verify all builds one table per standard state, in the first canonical
+    # frame, to cross-check the packed tables: six misses, none evicted.
     info = wigner.wigner_table.cache_info()
-    assert info.currsize == info.misses <= info.maxsize
+    assert info.currsize == info.misses == len(wigner.standard_test_states())
 
 
 @pytest.mark.parametrize(
@@ -228,8 +229,8 @@ def test_verify_fast_scopes(capsys):
     [
         ("metaplectic", clifford, "verify_metaplectic", {"checked": 7, "signs": {}},
          "metaplectic: 7/7 signs in {+1,-1}"),
-        ("marginals", wigner, "marginal_check", {"lines": 3, "displacements": 2},
-         "marginals: 72/72 (frame, state) pairs, 3 lines + 2 displacements each"),
+        ("marginals", wigner, "marginal_sweep", {"pairs": 5, "lines": 3, "displacements": 2},
+         "marginals: 5/5 (frame, state) pairs, 3 lines + 2 displacements each"),
         ("symmetry", wigner, "rotational_symmetry_check",
          {"period": 3, "striations_cycled": 2},
          "symmetry: 60/60 conjugated rotations, period 3, 2 striations cycled"),
@@ -307,14 +308,15 @@ def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
 
 @pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
 def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
-    # marginals: U rho U^dag is one conjugate call, a cache miss, and two
-    # products per distinct (unitary, state) pair, whatever the frame.
-    # transport packs its six states into the lanes of one matrix: one packed
-    # conjugation per unitary, in group order, and no conjugate call or @.
-    # @ and the packed conjugation share exact.product: one call per @, two
-    # per packed conjugation.
-    group = symplectic.enumerate_group()
-    units = [clifford.unitary_for(L) for L in group]
+    # Both scopes pack their six states into the lanes of one matrix: one
+    # packed conjugation per unitary, U_L in group order or D_beta in
+    # gf4.all_points() order, covering each (unitary, state) pair once, and
+    # no conjugate call or @.  The packed conjugation runs on exact.product,
+    # the kernel of @: two calls each.
+    if scope == "transport":
+        units = [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
+    else:
+        units = [clifford.displacement(beta) for beta in gf4.all_points()]
     clifford.conjugate.cache_clear()
     products, packed, kernel = [], [], []
     matmul, conjugated, product = Matrix.__matmul__, wigner._conjugated, exact.product
@@ -324,12 +326,9 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
     code, _, _ = run(capsys, "verify", scope)
     assert code == 0
     info = clifford.conjugate.cache_info()
-    if scope == "transport":
-        assert (info.misses, info.hits, len(products)) == (0, 0, 0)
-        assert packed == units and len(units) * len(wigner.standard_test_states()) == pairs
-    else:
-        assert (info.misses, info.hits, len(products), packed) == (pairs, 0, 2 * pairs, [])
-    assert len(kernel) == len(products) + 2 * len(packed)
+    assert (info.misses, info.hits, len(products)) == (0, 0, 0)
+    assert packed == units and len(units) * len(wigner.standard_test_states()) == pairs
+    assert len(kernel) == 2 * len(packed)
 
 
 def _frame_off(g, n, c):
@@ -376,15 +375,31 @@ def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeyp
 
 def test_verify_reports_a_fault_that_is_not_an_assertion_in_one_line(capsys, monkeypatch):
     # u rho, not u rho u^dag, is not Hermitian, so born_probability raises
-    # ValueError inside the marginals sweep: one FAIL line with the type, no
-    # traceback, exit 1, and the scopes before it printed as usual.
+    # ValueError inside the symmetry sweep, the one scope that still calls
+    # clifford.conjugate: one FAIL line with the type, no traceback, exit 1,
+    # and the scopes before it printed as usual.
     monkeypatch.setattr(clifford, "conjugate", lambda u, rho: u @ rho)
-    code, out, err = run(capsys, "verify", "marginals")
+    code, out, err = run(capsys, "verify", "symmetry")
     assert (code, out, err) == (
-        1, "", "FAIL marginals: ValueError: Born probabilities of a non-Hermitian operator\n")
+        1, "", "FAIL symmetry: ValueError: Born probabilities of a non-Hermitian operator\n")
     code, out, err = run(capsys, "verify", "all")
-    assert code == 1 and out.splitlines()[-1].startswith("transport: ")
-    assert err == "FAIL marginals: ValueError: Born probabilities of a non-Hermitian operator\n"
+    assert code == 1 and out.splitlines()[-1].startswith("marginals: ")
+    assert err == "FAIL symmetry: ValueError: Born probabilities of a non-Hermitian operator\n"
+
+
+def test_a_fault_outside_verify_is_one_fail_line(capsys, monkeypatch):
+    # The same fault met by apply, outside verify: an exception that is no
+    # typed error and no AssertionError is one FAIL line naming the command,
+    # in process and in a fresh interpreter, with no traceback.
+    monkeypatch.setattr(clifford, "conjugate", lambda u, rho: u @ rho)
+    code, out, err = run(capsys, "apply", "--state", "up*right", G_TEXT)
+    assert (code, out, err) == (
+        1, "", "FAIL apply: ValueError: Born probabilities of a non-Hermitian operator\n")
+    program = ("import sys\nfrom qphase4 import cli, clifford\n"
+               "clifford.conjugate = lambda u, rho: u @ rho\n"
+               f"sys.exit(cli.main(['apply', '--state', 'up*right', {G_TEXT!r}]))")
+    proc = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def _into_closed_pipe(args, unbuffered=False):
@@ -569,6 +584,50 @@ def test_marginals_counterexample_names_a_replayable_op(capsys, monkeypatch):
     assert m, err
     kind, beta = cli.parse_op(m.group(1))
     assert kind == "displace" and f"D{cli.fmt_index(beta)}" == m.group(1)
+
+
+def test_rotated_translation_for_one_beta_fails_verify_marginals_state_by_state(capsys,
+                                                                              monkeypatch):
+    # D[w,1]'s points moved one position on: still a bijection, but it takes
+    # lines off the lines.  The packed sweep fails at that step and replays
+    # marginal_check state by state, which raises at the first state, as a
+    # per-state sweep does.
+    beta, perm, check = gf4.all_points()[9], wigner.translation_perm, wigner.marginal_check
+    replayed = []
+    monkeypatch.setattr(wigner, "translation_perm",
+                        lambda b: perm(b)[1:] + perm(b)[:1] if b == beta else perm(b))
+    monkeypatch.setattr(wigner, "marginal_check",
+                        lambda rho, *frames: replayed.append(rho) or check(rho, *frames))
+    code, out, err = run(capsys, "verify", "marginals")
+    assert (code, out, err) == (
+        1, "", "FAIL marginals: D[w,1] is not covariant in frame f=(0, 0, 0, 0, 0)\n")
+    assert replayed == [wigner.standard_test_states()[0]]
+
+
+def test_packed_table_with_a_flipped_trace_fails_verify_marginals(capsys, monkeypatch):
+    # The packed table alone is wrong: every line sum is off by 32 traces,
+    # while each state passes marginal_check.  One FAIL line, also under -O.
+    mutation = ("table = wigner._packed_table\n"
+                "wigner._packed_table = lambda before, trace, f: table(before, -trace, f)\n")
+    expect = (1, "", "FAIL marginals: marginal in frame f=(0, 0, 0, 0, 0) fails packed "
+                     "but passes state by state\n")
+    monkeypatch.setattr(wigner, "_packed_table", wigner._packed_table)
+    exec(mutation, {"wigner": wigner})
+    assert run(capsys, "verify", "marginals") == expect
+    program = ("import sys\nfrom qphase4 import cli, wigner\n" + mutation
+               + "sys.exit(cli.main(['verify', 'marginals']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expect
+
+
+def test_packed_marginals_that_disagree_with_each_state_say_so(capsys, monkeypatch):
+    # A packed conjugation that leaves the states as they are fails at the
+    # first D_beta that moves one of them, while each state passes alone.
+    monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
+    code, out, err = run(capsys, "verify", "marginals")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"FAIL marginals: D\[\S+\] fails packed but passes state by state\n",
+                        err)
 
 
 def test_src_has_no_bare_assert():

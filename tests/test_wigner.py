@@ -13,7 +13,7 @@ from operator import mul
 import pytest
 
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import Matrix, Scalar, dot, numerators
+from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar, dot, numerators
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
@@ -340,16 +340,54 @@ def test_packed_transport_lanes_match_the_matrix_oracle():
     assert 0 < widest < 1 << (w - 1)
 
 
-def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal(capsys,
-                                                                              monkeypatch):
-    # Every table the sweeps compare: the key is in lowest terms and reads back
-    # the values, so keys and values partition the tables the same way.
-    tables = {}
-    built = wigner.wigner_table
-    monkeypatch.setattr(wigner, "wigner_table",
-                        lambda rho, f: tables.setdefault((rho, f), built(rho, f)))
-    assert cli.main(["verify", "all"]) == 0
-    capsys.readouterr()
+def test_packed_marginal_lanes_match_the_matrix_oracle():
+    # The six standard states, GENERIC and a state read from 100-digit parts,
+    # in the 12 canonical frames: each lane of the packed table, over 16 den,
+    # is wigner_table's values; each lane of each packed displacement is the
+    # dense D_beta rho D_beta^dag, with born_probability's Born lanes; and no
+    # lane that the marginals sweep compares reaches 2^(w-1).
+    top = 10**MAX_JSON_DIGITS
+    wide = wigner.density_from_vector(
+        [Scalar(Fraction(top - k, top - k - 1), Fraction(top - k - 2, top - k - 3))
+         for k in (1, 5, 9, 13)])
+    states = (*wigner.standard_test_states(), GENERIC, wide)
+    points = gf4.all_points()
+    units = [clifford.displacement(beta) for beta in points]
+    w, entries = wigner._packed_states(states, units)
+    den = lcm(*(rho.den for rho in states))
+
+    def lanes(packed):  # per state, its lane of each packed integer
+        return list(zip(*(unpack(x, w, len(states)) for x in packed)))
+
+    before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
+    widest = 0
+    for f in phasespace.canonical_shift_vectors():
+        table = wigner._packed_table(before, trace, f)
+        sums = [sum(map(table.__getitem__, line)) for line in wigner._line_positions()]
+        for rho, lane in zip(states, lanes(table)):
+            values = wigner.wigner_table(rho, f).values
+            assert [Fraction(x, 16 * den) for x in lane] == [values[a] for a in points]
+        widest = max(widest, *(abs(x) for lane in lanes(table) + lanes(sums) for x in lane))
+    for u in units:
+        conj, scale = wigner._conjugated(u, entries), u.den * u.den * den
+        for rho, c, b in zip(states, lanes(conj), lanes(clifford.born_numerators(conj))):
+            rho2 = u @ rho @ u.dagger()
+            assert Matrix._reduced(4, c[:16], c[16:], scale) == rho2
+            bden, nums = clifford.born_probability(rho2)
+            assert [Fraction(x, 4 * scale) for x in b] == [Fraction(x, bden) for x in nums]
+            widest = max(widest, *map(abs, c + b))
+    assert 0 < widest < 1 << (w - 1)
+
+
+def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal():
+    # The 108 tables a state-by-state marginals sweep builds, the standard
+    # states and their displacements in the 12 canonical frames: the key is in
+    # lowest terms and reads back the values, so keys and values partition
+    # the tables the same way.
+    displaced = {d @ rho @ d.dagger() for rho in wigner.standard_test_states()
+                 for d in map(clifford.displacement, gf4.all_points())}
+    tables = {(rho, f): wigner.wigner_table(rho, f)
+              for rho in displaced for f in phasespace.canonical_shift_vectors()}
     assert len(tables) == 108
     points = gf4.all_points()
     values = [tuple(map(t.values.__getitem__, points)) for t in tables.values()]
@@ -593,6 +631,21 @@ def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch
     with pytest.raises(AssertionError,
                        match=r"^marginal failed at line \(n=0, k=0\), f=\(0, 0, 0, 0, 0\)$"):
         wigner.marginal_check(GENERIC, ZERO_INDEX)
+
+
+def test_verify_marginals_reads_wigner_table_in_the_first_frame(capsys, monkeypatch):
+    # wigner_table off at one point, for the first state in the first frame
+    # alone: only the packed table's cross-check with wigner_table sees it,
+    # and the per-state replay names the first line through that point.
+    rho, f = wigner.standard_test_states()[0], phasespace.canonical_shift_vectors()[0]
+    table = wigner.wigner_table
+    values = table(rho, f).values
+    bad = table_of(f, {**values, (0, 0): values[(0, 0)] + 1})
+    monkeypatch.setattr(wigner, "wigner_table",
+                        lambda r, g: bad if (r, g) == (rho, f) else table(r, g))
+    assert cli.main(["verify", "marginals"]) == 1
+    assert capsys.readouterr() == (
+        "", "FAIL marginals: marginal failed at line (n=0, k=0), f=(0, 0, 0, 0, 0)\n")
 
 
 def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
