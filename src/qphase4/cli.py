@@ -104,11 +104,15 @@ def parse_state(text: str) -> Matrix:
 
 def _state_from_json(obj) -> Matrix:
     try:
+        # Each shape is checked before any entry is read: parsing scales every
+        # density entry to one denominator.
         if isinstance(obj, dict) and "vector" in obj:
-            return wigner.density_from_vector(Scalar.from_json(s) for s in obj["vector"])
+            entries = obj["vector"]
+            if not (isinstance(entries, list) and len(entries) == 4):
+                raise StateError("state vector must be a list of 4 entries")
+            return wigner.density_from_vector(map(Scalar.from_json, entries))
         if isinstance(obj, dict) and "density" in obj:
             rows = obj["density"]
-            # Checked before any entry is read: parsing scales every entry to one denominator.
             if not (isinstance(rows, list) and len(rows) == 4
                     and all(isinstance(row, list) and len(row) == 4 for row in rows)):
                 raise StateError("density operator must be 4x4")

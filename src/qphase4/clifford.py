@@ -107,10 +107,14 @@ def unitary_for(L: SympMat) -> Matrix:
     return _U_R_POWERS[d.r] @ _GENERATORS[d.x] @ _U_R_POWERS[d.s]
 
 
-@lru_cache(maxsize=16)  # one state's 16 displacements; fresh states never hit it
+# 16 entries hold one state's 16 displacements.  Measured: verify all hits
+# 288 of 420 calls, all in symmetry, whose 60 L give only 12 distinct
+# (R_L, V, f_L), so each (V, state) check runs five times in a row; a
+# stream of fresh states hits 0 of 950, and apply 0 of 2.
+@lru_cache(maxsize=16)
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:
-    """u rho u^dag, which no frame changes: a sweep that varies only the
-    frame conjugates each (u, rho) once."""
+    """u rho u^dag, which no frame changes: marginal_check in several frames
+    conjugates each (D_beta, rho) once."""
     return u @ rho @ u.dagger()
 
 

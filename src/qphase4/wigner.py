@@ -16,23 +16,25 @@ Performing a unitary is the same as moving Wigner values by a phase-space
 map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
 (D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
-use only these.  transported is transport without the new table, for
-any number of frames at once.  The verify sweeps pack a set of states once,
-as the lanes of one matrix, and run each unitary as one step of one kernel,
-_packed_sweep: one conjugation, one Born pass and one comparison per frame
-pair, covering every state.  transport_sweep checks what transported checks
-for every L; marginal_sweep checks what marginal_check checks, its line
-sums on a packed table of integers and its 16 displacements as steps.
-Either runs the per-state route only when a check fails.  Both routes, and the
-conjugated rotations of rotational_symmetry_check (V, f_L -> f_L,
-alpha -> R_L alpha), are checked by covariant(), once per (unitary, state)
-for any number of frame pairs (f, g): rho' from clifford.conjugate, the
-Born numerators of rho and rho', cross-multiplied by the two denominators,
-and the map's action on the 20 lines (_line_map, one per map; each map a
-cached permutation of the 16 positions, linear_perm or translation_perm)
-are formed once.  A table is a fixed bijective function of the 20 line
-probabilities, so covariant() builds no table: each pair costs two reads
-of those integers in line order and one comparison.
+use only these.  Both routes, and the conjugated rotations of
+rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
+by covariant(), one step in one frame pair (f, g) per call: rho' from
+clifford.conjugate, the Born numerators of rho and rho', cross-multiplied
+by the two denominators, and the map's action on the 20 lines (_line_map,
+one per map; each map a cached permutation of the 16 positions,
+linear_perm or translation_perm).  A table is a fixed bijective function
+of the 20 line probabilities, so covariant() builds no table: it reads
+those integers in line order and compares them once.  marginal_check
+displaces its state in each frame in turn; clifford.conjugate and
+clifford.born_probability cache one state's 16 displacements, so the
+later frames conjugate nothing.  The verify sweeps pack a set of states
+once, as the lanes of one matrix, and run each unitary as one step of one
+kernel, _packed_sweep: one conjugation, one Born pass and one comparison
+per frame pair, covering every state.  transport_sweep checks what
+transport checks for every L; marginal_sweep checks what marginal_check
+checks, its line sums on a packed table of integers and its 16
+displacements as steps.  Either replays the per-state route, transport
+frame by frame or marginal_check, only when a check fails.
 """
 
 from __future__ import annotations
@@ -206,58 +208,36 @@ def _lines_agree(before, after, image, f: Index, g: Index) -> bool:
     return [after[at_g[j]] for j in image] == [before[i] for i in line_labels(f)]
 
 
-def _covariance(rho: Matrix, u: Matrix, move, what: str):
-    """Perform u: returns (rho', check), check(f, g) raising AssertionError
-    that names `what` and f unless the phase-space map holds in the frame
-    pair (f, g).
+def covariant(rho: Matrix, u: Matrix, move, f: Index, g: Index, what: str) -> Matrix:
+    """Perform u: returns rho' = u rho u^dag (clifford.conjugate), and raises
+    AssertionError naming `what` and f unless the phase-space map holds in
+    the frame pair (f, g).
 
-    rho' = u rho u^dag comes from clifford.conjugate, and with the Born
-    numerators of rho and rho' and the line map, once for any number of
-    pairs: no frame changes them.  In a pair, the g-table of rho' must be the
-    f-table of rho with the value at point i of gf4.all_points() moved to
-    point move[i].  A table is a fixed bijective function of the 20 line
-    probabilities, so this holds exactly when move takes lines to lines and
-    each line, read in frame f by its label in line_labels(f), has the Born
-    probability under rho that its image line (_line_map), read in frame g,
-    has under rho'.  The probabilities are clifford.born_probability's
-    integer numerators, cross-multiplied by the two denominators; a pair
-    then costs two reads of those integers in line order and one comparison.
+    The g-table of rho' must be the f-table of rho with the value at point
+    i of gf4.all_points() moved to point move[i].  A table is a fixed
+    bijective function of the 20 line probabilities, so this holds exactly
+    when move takes lines to lines (_line_map) and each line, read in frame
+    f by its label in line_labels(f), has the Born probability under rho
+    that its image line, read in frame g, has under rho'.  The probabilities
+    are clifford.born_probability's integer numerators, cross-multiplied by
+    the two denominators, so no table is built.
     """
     rho2 = clifford.conjugate(u, rho)
-    image = _line_map(move)
     den, nums = clifford.born_probability(rho)
     den2, nums2 = clifford.born_probability(rho2)
-    before, after = [x * den2 for x in nums], [x * den for x in nums2]
-
-    def check(f: Index, g: Index) -> None:
-        if not _lines_agree(before, after, image, f, g):
-            raise AssertionError(f"{what} is not covariant in frame f={f}")
-
-    return rho2, check
-
-
-def covariant(rho: Matrix, u: Matrix, move, frames, what: str) -> Matrix:
-    """Perform u and check it against the phase-space map in each frame
-    pair (f, g) of frames, in order (see _covariance): returns rho'; the
-    first pair that fails raises AssertionError naming `what` and its f."""
-    rho2, check = _covariance(rho, u, move, what)
-    for f, g in frames:
-        check(f, g)
+    if not _lines_agree([x * den2 for x in nums], [x * den for x in nums2],
+                        _line_map(move), f, g):
+        raise AssertionError(f"{what} is not covariant in frame f={f}")
     return rho2
 
 
-def transported(rho: Matrix, L: SympMat, frames) -> Matrix:
-    """Perform U_L: returns rho', checked by covariant() along alpha -> L alpha
-    in each frame pair (f, g), g the frame compose_frame gives for f."""
-    return covariant(rho, clifford.unitary_for(L), linear_perm(L), frames,
-                     f"transport by L={symplectic.to_text(L)}")
-
-
 def transport(rho: Matrix, f: Index, L: SympMat):
-    """Apply U_L: returns (rho', g, table), rho' from transported() and the
-    table of rho' in the new frame g = S_L f + f_L."""
+    """Apply U_L: returns (rho', g, table), rho' checked by covariant() along
+    alpha -> L alpha in the frame pair (f, g), g = S_L f + f_L the frame
+    compose_frame gives, and the table of rho' in g."""
     g = phasespace.compose_frame(f, L)
-    rho2 = transported(rho, L, [(f, g)])
+    rho2 = covariant(rho, clifford.unitary_for(L), linear_perm(L), f, g,
+                     f"transport by L={symplectic.to_text(L)}")
     return rho2, g, wigner_table(rho2, g)
 
 
@@ -323,14 +303,15 @@ def _packed_sweep(entries, steps) -> int:
 
 
 def transport_sweep(states, frames) -> int:
-    """transported(rho, L, pairs) for every L of the group and every rho in
-    states, in that order, pairs the frames f with compose_frame(f, L):
-    returns the number of (L, frame, state) triples checked.
+    """What transport(rho, f, L) checks, for every L of the group, every rho
+    in states and every f in frames, in that order: returns the number of
+    (L, frame, state) triples checked.
 
     The states are packed once (_packed_states) and each L is one step of
-    _packed_sweep: one conjugation, one Born pass and one comparison per
-    frame, each covering all states.  An L that fails runs transported()
-    state by state, which raises for the first state in order at its first
+    _packed_sweep, its pairs the frames f with compose_frame(f, L): one
+    conjugation, one Born pass and one comparison per frame, each covering
+    all states.  An L that fails runs transport() state by state and then
+    frame by frame, which raises for the first state in order at its first
     failing frame."""
     group = symplectic.enumerate_group()
     steps = [(clifford.unitary_for(L), linear_perm(L),
@@ -338,9 +319,10 @@ def transport_sweep(states, frames) -> int:
     _, entries = _packed_states(states, [u for u, _, _ in steps])
     passed = _packed_sweep(entries, steps)
     if passed < len(steps):
-        L, (_, _, pairs) = group[passed], steps[passed]
+        L = group[passed]
         for rho in states:
-            transported(rho, L, pairs)
+            for f in frames:
+                transport(rho, f, L)
         raise AssertionError(f"transport by L={symplectic.to_text(L)} fails packed "
                              f"but passes state by state")
     return sum(len(pairs) for _, _, pairs in steps) * len(states)
@@ -351,19 +333,13 @@ def _op_name(beta: gf4.Vec2) -> str:
     return "D[" + ",".join(map(gf4.to_token, beta)) + "]"
 
 
-def _displacement(rho: Matrix, beta: gf4.Vec2):
-    """_covariance of D_beta along alpha -> alpha + beta, in frame pairs
-    (f, f): a displacement keeps the frame.  A failure names the step as the
-    CLI's apply op D[q,p]."""
-    return _covariance(rho, clifford.displacement(beta), translation_perm(beta),
-                       _op_name(beta))
-
-
 def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
-    """Apply D_beta: returns (rho', f, table), rho' checked in frame f by
-    _displacement and its table in that unchanged frame."""
-    rho2, check = _displacement(rho, beta)
-    check(f, f)
+    """Apply D_beta: returns (rho', f, table), rho' checked by covariant()
+    along alpha -> alpha + beta in the frame pair (f, f), as a displacement
+    keeps the frame, and its table in f.  A failure names the step as the
+    CLI's apply op D[q,p]."""
+    rho2 = covariant(rho, clifford.displacement(beta), translation_perm(beta), f, f,
+                     _op_name(beta))
     return rho2, f, wigner_table(rho2, f)
 
 
@@ -450,7 +426,7 @@ def rotational_symmetry_check(L: SympMat) -> dict:
     u_l = clifford.unitary_for(L)
     v = clifford.conjugate(u_l, clifford.unitary_for(symplectic.R))
     for rho in standard_test_states():
-        covariant(rho, v, linear_perm(r_l), [(f_l, f_l)],
+        covariant(rho, v, linear_perm(r_l), f_l, f_l,
                   f"conjugated rotation for L={symplectic.to_text(L)}")
     return {"period": period, "striations_cycled": len(seen)}
 
@@ -462,12 +438,9 @@ def marginal_check(rho: Matrix, f: Index, *more: Index) -> dict:
     striation, the sum of Wigner values over the line equals the exact Born
     probability of the associated basis vector; and displacing the state
     shifts the table by the same vector, as displace() checks it and builds
-    the new table.  Each displaced state, its Born numerators and its line
-    map are formed once, in the first frame, and reused in the others.  The
-    counts are per frame.
+    the new table.  The counts are per frame.
     """
     prob_den, probs = clifford.born_probability(rho)
-    displaced = {}
     for f in (f, *more):
         den, nums = wigner_table(rho, f).key
         checked = 0
@@ -477,11 +450,7 @@ def marginal_check(rho: Matrix, f: Index, *more: Index) -> dict:
                 raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
             checked += 1
         for beta in gf4.all_points():
-            if beta not in displaced:
-                displaced[beta] = _displacement(rho, beta)
-            rho2, check = displaced[beta]
-            check(f, f)
-            wigner_table(rho2, f)
+            displace(rho, f, beta)
     return {"lines": checked, "displacements": 16}
 
 

@@ -348,13 +348,12 @@ def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, mon
         return _frame_off(g, *wrong[f]) if L == symplectic.IDENTITY and f in wrong else g
 
     monkeypatch.setattr(phasespace, "compose_frame", composed)
-    pairs = [(f, composed(f, symplectic.IDENTITY)) for f in frames]
     failing = []
     for rho in states:
         failing.append([])
-        for k, pair in enumerate(pairs):
+        for k, f in enumerate(frames):
             try:
-                wigner.transported(rho, symplectic.IDENTITY, [pair])
+                wigner.transport(rho, f, symplectic.IDENTITY)
             except AssertionError:
                 failing[-1].append(k)
     assert failing == [[3]] * 4 + [[0], []]
@@ -365,7 +364,7 @@ def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, mon
 
 def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
     # A packed conjugation that leaves the states as they are fails at the
-    # first L that moves them, while each state passes alone through transported.
+    # first L that moves them, while each state passes alone through transport.
     monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
     code, out, err = run(capsys, "verify", "transport")
     assert (code, out) == (1, "")
@@ -659,8 +658,8 @@ def test_exit_code_invalid_state(capsys):
     assert code == 4
 
 
-def _state(first=ONE, n=4):
-    return json.dumps({"vector": [first] + [ONE] * (n - 1)})
+def _state(first=ONE):
+    return json.dumps({"vector": [first, ONE, ONE, ONE]})
 
 
 def _digits(digits, k=1):
@@ -669,35 +668,45 @@ def _digits(digits, k=1):
     return {"re": [top - k, top - k - 1], "im": [top - k - 2, top - k - 3]}
 
 
+VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
+
+
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, err",
     [
-        *((["wigner", "--state", _state({"re": re, "im": [0, 1]})], 4)
+        *((["wigner", "--state", _state({"re": re, "im": [0, 1]})], 4, None)
           for re in ([1, 0], [0.1], ["1/2"], [], [True])),
-        (["wigner", "--state", _state(n=2)], 4),
-        (["wigner", "--state", json.dumps({"density": [[ONE, ONE], [ONE, ONE]]})], 4),
-        (["wigner", "--state", "[" * 10000], 4),
-        (["wigner", "--state", _state(_digits(1100)), "--json"], 4),
-        (["wigner", "--state", _state(_digits(MAX_JSON_DIGITS + 1))], 4),
-        *(([command, NON_SYMPLECTIC], 3) for command in ("decompose", "unitary", "shift", "indexop")),
-        (["apply", "--state", "up*up", NON_SYMPLECTIC], 3),
-        *(([command, "--state", "up*up", "--frame", ""], 2) for command in ("wigner", "apply")),
+        # A wrong "vector" is rejected by its shape, before any entry is read.
+        *((["wigner", "--state", json.dumps({"vector": vector})], 4, VECTOR_SHAPE)
+          for vector in ([ONE] * 2, 5, None, [ONE] * 5)),
+        (["wigner", "--state", json.dumps({"density": [[ONE, ONE], [ONE, ONE]]})], 4, None),
+        (["wigner", "--state", "[" * 10000], 4, None),
+        (["wigner", "--state", _state(_digits(1100)), "--json"], 4, None),
+        (["wigner", "--state", _state(_digits(MAX_JSON_DIGITS + 1))], 4, None),
+        *(([command, NON_SYMPLECTIC], 3, None)
+          for command in ("decompose", "unitary", "shift", "indexop")),
+        (["apply", "--state", "up*up", NON_SYMPLECTIC], 3, None),
+        *(([command, "--state", "up*up", "--frame", ""], 2, None) for command in ("wigner", "apply")),
     ],
-    ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "density-2x2", "nested",
-         "digits-1100", "digits-over-bound", "decompose", "unitary", "shift", "indexop", "apply",
-         "wigner-empty-frame", "apply-empty-frame"],
+    ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "vector-int", "vector-null",
+         "vector-5", "density-2x2", "nested", "digits-1100", "digits-over-bound", "decompose",
+         "unitary", "shift", "indexop", "apply", "wigner-empty-frame", "apply-empty-frame"],
 )
-def test_rejected_input_exit_code(argv, code):
-    _assert_rejected(argv, code)
+def test_rejected_input_exit_code(argv, code, err):
+    stderr = _assert_rejected(argv, code)
+    assert err is None or stderr == err
 
 
-def _assert_rejected(argv, code):
+def _assert_rejected(argv, code) -> str:
+    """Runs the CLI on argv in a fresh interpreter and returns its stderr, one
+    line without a traceback, once the exit code is checked."""
     proc = subprocess.run(
         [sys.executable, "-m", "qphase4.cli", *argv], capture_output=True, text=True
     )
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+    return proc.stderr
 
 
 def test_state_file_is_read_up_to_a_bound(tmp_path):

@@ -276,7 +276,7 @@ def test_covariant_rejects_a_wrong_move_or_frame():
     up_up = wigner.density_from_vector([1, 0, 0, 0])
     d = clifford.displacement((1, 0))
     shift = wigner.translation_perm((1, 0))
-    rho2 = wigner.covariant(up_up, d, shift, [(ZERO_INDEX, ZERO_INDEX)], "D[1,0]")
+    rho2 = wigner.covariant(up_up, d, shift, ZERO_INDEX, ZERO_INDEX, "D[1,0]")
     assert rho2 == d @ up_up @ d.dagger()
     assert wigner.displace(up_up, ZERO_INDEX, (1, 0)) == (
         rho2, ZERO_INDEX, wigner.wigner_table(rho2, ZERO_INDEX))
@@ -289,24 +289,31 @@ def test_covariant_rejects_a_wrong_move_or_frame():
              (wigner.MAXIMALLY_MIXED, Matrix.identity(4), ZERO_INDEX, swap)]
     for rho, u, g, move in cases:
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
-            wigner.covariant(rho, u, move, [(ZERO_INDEX, g)], "D[1,0]")
+            wigner.covariant(rho, u, move, ZERO_INDEX, g, "D[1,0]")
     assert tables_covariant(wigner.MAXIMALLY_MIXED, ZERO_INDEX, Matrix.identity(4), ZERO_INDEX,
                             swap)
 
 
 def test_covariant_names_the_first_wrong_frame_of_twelve():
-    # One call checks the 12 canonical frames in order.  With target frame k
-    # off in one component, alone or with every later one, it must fail at
-    # frame k and name it; with every frame right it passes.
+    # The 12 canonical frames checked in order, one pair per call.  With
+    # target frame k off in one component, alone or with every later one,
+    # the first failure is at frame k and names it; with every frame right
+    # each call passes.  Each wrong pair also fails alone, naming its own f.
     u, move = clifford.unitary_for(G), wigner.linear_perm(G)
     pairs = [(f, phasespace.compose_frame(f, G)) for f in phasespace.canonical_shift_vectors()]
-    assert wigner.covariant(GENERIC, u, move, pairs, "step") == u @ GENERIC @ u.dagger()
+
+    def check_in_order(pairs):
+        for f, g in pairs:
+            rho2 = wigner.covariant(GENERIC, u, move, f, g, "step")
+        return rho2
+
+    assert check_in_order(pairs) == u @ GENERIC @ u.dagger()
     wrong = [(f, (gf4.add(g[0], 1), *g[1:])) for f, g in pairs]
     for k, (f, g) in enumerate(wrong):
         assert not tables_covariant(GENERIC, f, u, g, move)
-        for bad in (pairs[:k] + wrong[k:k + 1] + pairs[k + 1:], pairs[:k] + wrong[k:]):
+        for bad in ([(f, g)], pairs[:k] + wrong[k:k + 1] + pairs[k + 1:], pairs[:k] + wrong[k:]):
             with pytest.raises(AssertionError) as error:
-                wigner.covariant(GENERIC, u, move, bad, "step")
+                check_in_order(bad)
             assert str(error.value) == f"step is not covariant in frame f={f}"
 
 
@@ -436,7 +443,7 @@ def test_covariant_passes_exactly_when_the_moved_tables_match():
             wrong_g = (*g[:n], gf4.add(g[n], 1 + i % 3), *g[n + 1:])
             for case in ((g, move), (wrong_g, move) if i % 2 else (g, other)):
                 try:
-                    wigner.covariant(rho, u, case[1], [(f, case[0])], "step")
+                    wigner.covariant(rho, u, case[1], f, case[0], "step")
                     verdict = True
                 except AssertionError:
                     verdict = False
@@ -674,10 +681,29 @@ def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
     assert str(error.value) == f"{name} is not covariant in frame f={f0}"
     with pytest.raises(AssertionError, match=r"^marginal failed at line \(n=0, k=0\)"):
         wigner.marginal_check(GENERIC, f1)
-    _, check = wigner._displacement(GENERIC, points[8])
-    check(f0, f0)
+    wigner.displace(GENERIC, f0, points[8])
     with pytest.raises(AssertionError, match=r" is not covariant in frame f=\(1, 0, 1, 0, 2\)$"):
-        check(f1, f1)
+        wigner.displace(GENERIC, f1, points[8])
+
+
+def test_marginal_check_conjugates_once_per_displacement_across_frames(monkeypatch):
+    # Twelve frames, each displacing the state by the 16 beta in turn: the
+    # 16 displaced states are formed in the first frame and found in
+    # clifford.conjugate's cache in the other eleven, and the covariance
+    # checks run frame by frame, beta by beta within a frame.
+    frames, points = phasespace.canonical_shift_vectors(), gf4.all_points()
+    calls, covariant = [], wigner.covariant
+
+    def recorded(rho, u, move, f, g, what):
+        calls.append((f, g, what))
+        return covariant(rho, u, move, f, g, what)
+
+    monkeypatch.setattr(wigner, "covariant", recorded)
+    clifford.conjugate.cache_clear()
+    wigner.marginal_check(GENERIC, *frames)
+    info = clifford.conjugate.cache_info()
+    assert (info.misses, info.hits) == (16, 16 * (len(frames) - 1))
+    assert calls == [(f, f, wigner._op_name(beta)) for f in frames for beta in points]
 
 
 def test_reconstruct_uniform_table():
