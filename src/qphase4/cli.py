@@ -128,6 +128,9 @@ def parse_op(text: str):
     m = re.fullmatch(r"D\[([01wW]),([01wW])\]", stripped)
     if m:
         return ("displace", (gf4.from_token(m.group(1)), gf4.from_token(m.group(2))))
+    if stripped.startswith("D["):
+        raise ParseError(f"cannot parse displacement: {text!r} "
+                         f"(expected D[q,p] with tokens 0,1,w,W)")
     return ("symplectic", parse_matrix(stripped))
 
 
@@ -347,10 +350,8 @@ def _verify_marginals() -> str:
 
 
 def _verify_symmetry() -> str:
-    count = 0
-    for L in symplectic.enumerate_group():
-        rep = wigner.rotational_symmetry_check(L)
-        count += 1
+    rep = wigner.rotational_symmetry_check(*symplectic.enumerate_group())
+    count = rep["rotations"]
     cycled = "all" if rep["striations_cycled"] == 5 else rep["striations_cycled"]
     return (f"symmetry: {count}/{count} conjugated rotations, "
             f"period {rep['period']}, {cycled} striations cycled")

@@ -12,9 +12,12 @@ The first tensor factor is the first qubit, i.e. the coefficient of
 omega-bar in the field-basis expansion.
 
 Both sweeps pack each factor once per side (Matrix.packed_left, packed_right)
-and compare each exact product, one big-int dot, with its packed target:
-U_L D_a with +/- D_{La} U_L after one dense check U_L^dag U_L == I per L, and
-U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the named identities.
+and compare exact products of big integers with packed targets: U_L D_a
+with +/- D_{La} U_L, one dot per side, after one dense check U_L^dag U_L == I
+per L; and U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the
+named identities, one dot per L1 holding all 60 products in chunks of one
+integer, each read by a shift and a mask and looked up among its target's
+four phases.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 
 from . import gf4, symplectic
 from .exact import Matrix, Scalar as _S, Vector, dot, lane_width, outer, pack
@@ -107,10 +111,12 @@ def unitary_for(L: SympMat) -> Matrix:
     return _U_R_POWERS[d.r] @ _GENERATORS[d.x] @ _U_R_POWERS[d.s]
 
 
-# 16 entries hold one state's 16 displacements.  Measured: verify all hits
-# 288 of 420 calls, all in symmetry, whose 60 L give only 12 distinct
-# (R_L, V, f_L), so each (V, state) check runs five times in a row; a
-# stream of fresh states hits 0 of 950, and apply 0 of 2.
+# 16 entries hold one state's 16 displacements, which only marginal_check
+# in several frames (marginal_sweep's failure replay) conjugates again.
+# Measured: verify all hits 0 of 60 calls (symmetry's V = U_L U_R U_L^dag,
+# one per L; its old 288 hits were its five repeats of each of 12 steps),
+# a stream of fresh states 0 of 950, and apply 0 of 2; a miss costs about
+# 3 us more than an uncached call (55 us).
 @lru_cache(maxsize=16)
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:
     """u rho u^dag, which no frame changes: marginal_check in several frames
@@ -159,27 +165,45 @@ def verify_metaplectic() -> dict:
 def verify_projective_rep() -> dict:
     """Check U_{L1} U_{L2} == i^k U_{L1 L2} over all 3600 ordered pairs.
 
-    Each U_L is packed once as a left and once as a right factor; the
-    product c of a pair is one dot of big integers, and its phase the k with
-    c t == packed(i^k U_{L1 L2}) a b, for a, b, t the three denominators.  The
-    named special cases are entries of the same phase table, on the
+    Each U_L is packed once as a left and once as a right factor
+    (Matrix.packed_left, packed_right; lanes of w = lane_width bits), and
+    one dot of big integers per L1 holds its 60 products.  The right
+    factors' numerators are scaled to the common denominator d = 2 of the
+    U_L (each has 1 or 2), and each packed row of all 60 is one integer:
+    right factor j in chunk j, 32w bits wide, the 32 lanes of a product
+    (entry (i, j) real and imaginary at lanes 8i + 2j and 8i + 2j + 1).
+    Times d / den(U_{L1}), chunk j of the dot holds U_{L1} U_{L2} over d^2.
+    A chunk's lanes are balanced, so it lies in (-2^(32w-1), 2^(32w-1));
+    with 2^(32w-1) added to every chunk, a shift and a mask read chunk j as
+    a 32w-bit digit, looked up among the four packings of d i^k U_{L1 L2}
+    over d^2 (k = 0..3), each plus 2^(32w-1).
+
+    The lane bound: for numerators up to m and denominators up to e, a
+    scaled numerator is (d/den) m <= m d, so a product lane is at most
+    2n m^2 d^2 (n = 4) and a target lane m d^2, and lane_width keeps
+    2^(w-1) above 2n m^2 e^2; d == e, as every denominator divides 2.
+
+    The named special cases are entries of the same phase table, on the
     unitaries unitary_for gives: exact shear composition, the
     R H_W R == H_W identity, U_R^5 == I, and the shear-rotation-shear family.
     """
     group = symplectic.enumerate_group()
     units = [unitary_for(L) for L in group]
-    w = lane_width(units)
-    rights = [u.packed_right(w) for u in units]
+    w, d = lane_width(units), lcm(*(u.den for u in units))
+    chunk, half = 32 * w, 1 << (32 * w - 1)
+    rights = [[x * (d // u.den) for x in u.packed_right(w)] for u in units]
+    right_all = [pack(row, chunk) for row in zip(*rights)]
+    offset, mask = pack([half] * len(group), chunk), (1 << chunk) - 1
     # The rows of a right packing, 8 lanes apart, are U and i U in a product's lanes.
-    targets = {L: (u.den, pack(r[::2], 8 * w), pack(r[1::2], 8 * w))
-               for L, u, r in zip(group, units, rights)}
+    targets = {}
+    for L, r in zip(group, rights):
+        p, ip = pack(r[::2], 8 * w), pack(r[1::2], 8 * w)
+        targets[L] = {d * x + half: k for k, x in enumerate((p, ip, -p, -ip))}
     phases = {}
     for l1, u1 in zip(group, units):
-        left = u1.packed_left(w)
-        for l2, u2, right in zip(group, units, rights):
-            t, p, ip = targets[symplectic.product(l1, l2)]
-            lhs, ab = dot(left, right) * t, u1.den * u2.den
-            k = next((k for k, rhs in enumerate((p, ip, -p, -ip)) if lhs == rhs * ab), None)
+        x = dot(u1.packed_left(w), right_all) * (d // u1.den) + offset
+        for j, l2 in enumerate(group):
+            k = targets[symplectic.product(l1, l2)].get((x >> (chunk * j)) & mask)
             if k is None:
                 raise AssertionError(f"projective representation failed for "
                                      f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}")

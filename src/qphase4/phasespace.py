@@ -54,7 +54,18 @@ def displace_index(idx: Index, beta: Vec2) -> Index:
 def index_add(a: Index, b: Index) -> Index:
     if len(a) != len(b):
         raise AssertionError(f"index lengths differ: {len(a)} and {len(b)}")
-    return tuple(gf4.add(x, y) for x, y in zip(a, b))
+    add = gf4._ADD
+    return tuple(add[x][y] for x, y in zip(a, b))
+
+
+@lru_cache(maxsize=1)  # keyed by the vectors, so a replaced qp_vectors gets its own lookup
+def _row_fits(q: Index, p: Index) -> dict:
+    """Per nonzero vector (x, y), the (n, s) with (x, y) == s (Q_n, P_n)."""
+    fits = {}
+    for n in range(5):
+        for s in ELEMENTS[1:]:
+            fits.setdefault((gf4.mul(s, q[n]), gf4.mul(s, p[n])), []).append((n, s))
+    return fits
 
 
 @lru_cache(maxsize=None)
@@ -67,27 +78,16 @@ def index_operator(L: SympMat) -> IndexOperator:
     exactly one (n, s) must fit each row.
     """
     symplectic.require_symplectic(L)
-    q, p = qp_vectors()
+    fits_of = _row_fits(*qp_vectors())
     a, b = map(point_index, gf4.transpose(L))  # the columns L e_q and L e_p
     rows = []
     for m in range(5):
-        fits = [(n, s) for n in range(5) for s in ELEMENTS[1:]
-                if (a[m], b[m]) == (gf4.mul(s, q[n]), gf4.mul(s, p[n]))]
+        fits = fits_of.get((a[m], b[m]), ())
         if len(fits) != 1:
             raise AssertionError(f"index-operator row {m} not well defined for {L}")
         (n, s), = fits
         rows.append(tuple(s if j == n else 0 for j in range(5)))
     return tuple(rows)
-
-
-def apply_index_operator(s: IndexOperator, idx: Index) -> Index:
-    out = []
-    for m in range(5):
-        acc = 0
-        for n in range(5):
-            acc = gf4.add(acc, gf4.mul(s[m][n], idx[n]))
-        out.append(acc)
-    return tuple(out)
 
 
 _H_WBAR_T = gf4.transpose(symplectic.shear(gf4.OMEGA_BAR))
@@ -115,8 +115,18 @@ def shift_vector(L: SympMat) -> Index:
 
 @lru_cache(maxsize=720)  # the 12 canonical frames times 60 L of verify and stream
 def compose_frame(f: Index, L: SympMat) -> Index:
-    """Frame reached from f after performing U_L: S_L f + f_L."""
-    return index_add(apply_index_operator(index_operator(L), f), shift_vector(L))
+    """Frame reached from f after performing U_L: S_L f + f_L.  S_L is
+    monomial, so component m is s f_n + (f_L)_m for the one nonzero entry s
+    of row m, in column n, read off gf4's tables."""
+    rows, f_l = index_operator(L), shift_vector(L)
+    if len(rows) != len(f_l):
+        raise AssertionError(f"index lengths differ: {len(rows)} and {len(f_l)}")
+    add, mul = gf4._ADD, gf4._MUL
+    out = []
+    for row, shift in zip(rows, f_l):
+        s = max(row)
+        out.append(add[mul[s][f[row.index(s)]]][shift])
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)

@@ -17,12 +17,12 @@ map while reinterpreting the frame.  A step is performed by one of two
 routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
 (D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
 use only these.  Both routes, and the conjugated rotations of
-rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha), are checked
-by covariant(), one step in one frame pair (f, g) per call: rho' from
-clifford.conjugate, the Born numerators of rho and rho', cross-multiplied
-by the two denominators, and the map's action on the 20 lines (_line_map,
-one per map; each map a cached permutation of the 16 positions,
-linear_perm or translation_perm).  A table is a fixed bijective function
+rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha) when one
+fails, are checked by covariant(), one step in one frame pair (f, g) per
+call: rho' from clifford.conjugate, the Born numerators of rho and rho',
+cross-multiplied by the two denominators, and the map's action on the 20
+lines (_line_map, one per map; each map a cached permutation of the 16
+positions, linear_perm or translation_perm).  A table is a fixed bijective function
 of the 20 line probabilities, so covariant() builds no table: it reads
 those integers in line order and compares them once.  marginal_check
 displaces its state in each frame in turn; clifford.conjugate and
@@ -33,8 +33,10 @@ kernel, _packed_sweep: one conjugation, one Born pass and one comparison
 per frame pair, covering every state.  transport_sweep checks what
 transport checks for every L; marginal_sweep checks what marginal_check
 checks, its line sums on a packed table of integers and its 16
-displacements as steps.  Either replays the per-state route, transport
-frame by frame or marginal_check, only when a check fails.
+displacements as steps; rotational_symmetry_check checks each L's R_L and
+runs each distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Each
+replays the per-state route, transport frame by frame, marginal_check or
+covariant, only when a check fails.
 """
 
 from __future__ import annotations
@@ -187,12 +189,18 @@ def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
     return tuple(points.index(gf4.vec_add(beta, alpha)) for alpha in points)
 
 
+@lru_cache(maxsize=1)
+def _lines() -> dict:
+    """Line 4n + k by the set of its four positions in gf4.all_points()."""
+    return {frozenset(points): j for j, points in enumerate(_line_positions())}
+
+
 @lru_cache(maxsize=None)
 def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     """Line 4n + k goes to 4m + k' when move (a linear_perm or
     translation_perm) takes its four positions onto those of line 4m + k';
     None when the image of some line is not a line."""
-    lines = {frozenset(points): j for j, points in enumerate(_line_positions())}
+    lines = _lines()
     image = tuple(lines.get(frozenset(map(move.__getitem__, points)))
                   for points in _line_positions())
     return None if None in image else image
@@ -394,41 +402,54 @@ def standard_test_states() -> tuple[Matrix, ...]:
     return (*basis, density_from_vector([1, 1, 0, 0]), MAXIMALLY_MIXED)
 
 
-def rotational_symmetry_check(L: SympMat) -> dict:
-    """Check the conjugated-rotation covariance of the f_L frame.
+def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
+    """Check the conjugated-rotation covariance of the f_L frame, for L and
+    then for each further L: returns R_L's period, the striations it cycles
+    and the number of L checked.
 
-    R_L = L R L^-1 must have period five and cycle all five striations, and
-    V = U_L U_R U_L^dag must move the f_L-table of each standard test state
-    along alpha -> R_L alpha.
+    For each L, R_L = L R L^-1 must have period five and cycle all five
+    striations, and V = U_L U_R U_L^dag must move the f_L-table of each
+    standard test state along alpha -> R_L alpha.  Many L share one step
+    (V, R_L, f_L): the 60 L of the group give 12.  The states are packed
+    once (_packed_states) and each distinct step, in the order of its first
+    L, is one step of _packed_sweep in the frame pair (f_L, f_L).  A step
+    that fails runs covariant() state by state for its first L, which
+    raises what a sweep L by L meets first at that step.
     """
-    f_l = phasespace.shift_vector(L)
-    r_l = symplectic.product(
-        symplectic.product(L, symplectic.R), symplectic.inverse(L)
-    )
-    power, period = r_l, 1
-    while power != symplectic.IDENTITY and period < 5:
-        power = symplectic.product(power, r_l)
-        period += 1
-    if power != symplectic.IDENTITY or period != 5:
-        raise AssertionError(f"R_L does not have period 5 for {symplectic.to_text(L)}")
+    u_r, states = clifford.unitary_for(symplectic.R), standard_test_states()
+    firsts = {}  # (V, R_L, f_L) -> the first L that gives it
+    for L in (L, *more):
+        r_l = symplectic.product(symplectic.product(L, symplectic.R), symplectic.inverse(L))
+        power, period = r_l, 1
+        while power != symplectic.IDENTITY and period < 5:
+            power = symplectic.product(power, r_l)
+            period += 1
+        if power != symplectic.IDENTITY or period != 5:
+            raise AssertionError(f"R_L does not have period 5 for {symplectic.to_text(L)}")
 
-    s_rl = phasespace.index_operator(r_l)
-    striation = 0
-    seen = set()
-    for _ in range(5):
-        seen.add(striation)
-        striation = next(m for m in range(5) if s_rl[m][striation] != 0)
-    if len(seen) != 5:
-        raise AssertionError(
-            f"R_L does not cycle all striations for {symplectic.to_text(L)}"
-        )
+        s_rl = phasespace.index_operator(r_l)
+        striation = 0
+        seen = set()
+        for _ in range(5):
+            seen.add(striation)
+            striation = next(m for m in range(5) if s_rl[m][striation] != 0)
+        if len(seen) != 5:
+            raise AssertionError(
+                f"R_L does not cycle all striations for {symplectic.to_text(L)}"
+            )
+        v = clifford.conjugate(clifford.unitary_for(L), u_r)
+        firsts.setdefault((v, r_l, phasespace.shift_vector(L)), L)
 
-    u_l = clifford.unitary_for(L)
-    v = clifford.conjugate(u_l, clifford.unitary_for(symplectic.R))
-    for rho in standard_test_states():
-        covariant(rho, v, linear_perm(r_l), f_l, f_l,
-                  f"conjugated rotation for L={symplectic.to_text(L)}")
-    return {"period": period, "striations_cycled": len(seen)}
+    steps = [(v, linear_perm(r_l), [(f_l, f_l)]) for v, r_l, f_l in firsts]
+    _, entries = _packed_states(states, [v for v, _, _ in steps])
+    passed = _packed_sweep(entries, steps)
+    if passed < len(steps):
+        v, move, [pair] = steps[passed]
+        what = f"conjugated rotation for L={symplectic.to_text(list(firsts.values())[passed])}"
+        for rho in states:
+            covariant(rho, v, move, *pair, what)
+        raise AssertionError(f"{what} fails packed but passes state by state")
+    return {"period": period, "striations_cycled": len(seen), "rotations": 1 + len(more)}
 
 
 def marginal_check(rho: Matrix, f: Index, *more: Index) -> dict:

@@ -5,7 +5,8 @@ the powers of i, the Hermitian inner product, a Wigner table from its
 Fraction values, covariance by comparing moved tables, a table's Fraction
 line sums, total and operator sum, the metaplectic check and the
 shear-rotation-shear phases on dense products, the 60 group elements
-spelled out with gf4.mat_mul, and the lanes of a packed integer."""
+spelled out with gf4.mat_mul, an index operator applied entry by entry,
+and the lanes of a packed integer."""
 
 from fractions import Fraction
 from functools import reduce
@@ -153,6 +154,18 @@ def group_by_mat_mul() -> tuple:
         for r in range(5):
             for s in range(5):
                 out.append(gf4.mat_mul(R_POWERS[r], gf4.mat_mul(shear(x), R_POWERS[s])))
+    return tuple(out)
+
+
+def apply_index_operator(s, idx) -> tuple:
+    """S idx for a 5x5 index operator S, every entry multiplied and added
+    with gf4.mul and gf4.add."""
+    out = []
+    for m in range(5):
+        acc = 0
+        for n in range(5):
+            acc = gf4.add(acc, gf4.mul(s[m][n], idx[n]))
+        out.append(acc)
     return tuple(out)
 
 

@@ -81,6 +81,9 @@ def test_parse_state_json_density(tmp_path):
 def test_parse_op():
     assert cli.parse_op("D[w,0]") == ("displace", (OMEGA, 0))
     assert cli.parse_op(G_TEXT) == ("symplectic", ((OMEGA_BAR, 0), (0, OMEGA)))
+    # A malformed displacement is named as one, in the user's own text.
+    with pytest.raises(cli.ParseError, match=re.escape("displacement: 'D[w, 5]' (expected D[q,p]")):
+        cli.parse_op("D[w, 5]")
 
 
 # --- text rendering against golden files -------------------------------------
@@ -232,8 +235,8 @@ def test_verify_fast_scopes(capsys):
         ("marginals", wigner, "marginal_sweep", {"pairs": 5, "lines": 3, "displacements": 2},
          "marginals: 5/5 (frame, state) pairs, 3 lines + 2 displacements each"),
         ("symmetry", wigner, "rotational_symmetry_check",
-         {"period": 3, "striations_cycled": 2},
-         "symmetry: 60/60 conjugated rotations, period 3, 2 striations cycled"),
+         {"period": 3, "striations_cycled": 2, "rotations": 7},
+         "symmetry: 7/7 conjugated rotations, period 3, 2 striations cycled"),
     ],
     ids=["metaplectic", "marginals", "symmetry"],
 )
@@ -243,6 +246,49 @@ def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch, scope, modu
     code, out, _ = run(capsys, "verify", scope)
     assert code == 0
     assert out == line + "\n"
+
+
+def test_verify_symmetry_runs_each_distinct_packed_step_once(capsys, monkeypatch):
+    # Each of the 60 L forms its own V = U_L U_R U_L^dag, from a distinct
+    # (U_L, U_R), so 60 conjugate misses and no hit; the 60 give 12 distinct
+    # steps (V, R_L, f_L), one packed conjugation each.
+    clifford.conjugate.cache_clear()
+    packed, conjugated = [], wigner._conjugated
+    monkeypatch.setattr(wigner, "_conjugated", lambda u, x: packed.append(u) or conjugated(u, x))
+    code, out, _ = run(capsys, "verify", "symmetry")
+    assert (code, out) == (0, golden("verify_all.txt").splitlines()[4] + "\n")
+    info = clifford.conjugate.cache_info()
+    assert (len(packed), len(set(packed)), info.misses, info.hits) == (12, 12, 60, 0)
+
+
+def test_wrong_permutation_for_one_rotation_fails_packed_verify_symmetry_at_its_first_L(
+        capsys, monkeypatch):
+    # R_L of L = group[23] moved one position on: still a bijection, but it
+    # takes lines off the lines.  The packed step fails and replays
+    # covariant for the first L in group order that gives it, group[20], and
+    # raises at the first state: the line a sweep L by L printed.
+    group, perm, covariant = symplectic.enumerate_group(), wigner.linear_perm, wigner.covariant
+    L = group[23]
+    r_l = symplectic.product(symplectic.product(L, symplectic.R), symplectic.inverse(L))
+    replayed = []
+    monkeypatch.setattr(wigner, "linear_perm",
+                        lambda m: perm(m)[1:] + perm(m)[:1] if m == r_l else perm(m))
+    monkeypatch.setattr(wigner, "covariant",
+                        lambda rho, *rest: replayed.append(rho) or covariant(rho, *rest))
+    code, out, err = run(capsys, "verify", "symmetry")
+    assert symplectic.to_text(group[20]) == "[[0,W],[w,1]]"
+    assert (code, out, err) == (1, "", "FAIL symmetry: conjugated rotation for L=[[0,W],[w,1]] "
+                                       "is not covariant in frame f=(0, 2, 1, 0, 1)\n")
+    assert replayed == [wigner.standard_test_states()[0]]
+
+
+def test_packed_symmetry_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
+    # A packed conjugation that leaves the states as they are fails at the
+    # first step, L = I, while each state passes alone through covariant.
+    monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
+    code, out, err = run(capsys, "verify", "symmetry")
+    assert (code, out, err) == (1, "", "FAIL symmetry: conjugated rotation for L=[[1,0],[0,1]] "
+                                       "fails packed but passes state by state\n")
 
 
 def test_verify_transport_counterexample_exits_1(capsys, monkeypatch):
@@ -375,8 +421,9 @@ def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeyp
 def test_verify_reports_a_fault_that_is_not_an_assertion_in_one_line(capsys, monkeypatch):
     # u rho, not u rho u^dag, is not Hermitian, so born_probability raises
     # ValueError inside the symmetry sweep, the one scope that still calls
-    # clifford.conjugate: one FAIL line with the type, no traceback, exit 1,
-    # and the scopes before it printed as usual.
+    # clifford.conjugate, when its first failing step replays covariant: one
+    # FAIL line with the type, no traceback, exit 1, and the scopes before it
+    # printed as usual.
     monkeypatch.setattr(clifford, "conjugate", lambda u, rho: u @ rho)
     code, out, err = run(capsys, "verify", "symmetry")
     assert (code, out, err) == (
@@ -687,10 +734,13 @@ VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
           for command in ("decompose", "unitary", "shift", "indexop")),
         (["apply", "--state", "up*up", NON_SYMPLECTIC], 3, None),
         *(([command, "--state", "up*up", "--frame", ""], 2, None) for command in ("wigner", "apply")),
+        *((["apply", "--state", "up*up", op], 2, f"parse error: cannot parse displacement: "
+           f"{op!r} (expected D[q,p] with tokens 0,1,w,W)\n") for op in ("D[w]", "D[5,1]")),
     ],
     ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "vector-int", "vector-null",
          "vector-5", "density-2x2", "nested", "digits-1100", "digits-over-bound", "decompose",
-         "unitary", "shift", "indexop", "apply", "wigner-empty-frame", "apply-empty-frame"],
+         "unitary", "shift", "indexop", "apply", "wigner-empty-frame", "apply-empty-frame",
+         "displacement-one-token", "displacement-bad-token"],
 )
 def test_rejected_input_exit_code(argv, code, err):
     stderr = _assert_rejected(argv, code)

@@ -16,10 +16,10 @@ from qphase4.clifford import (
     mub_vector,
     unitary_for,
 )
-from qphase4.exact import Matrix, Scalar, norm_sq, outer, proportional
+from qphase4.exact import Matrix, Scalar, dot, lane_width, norm_sq, outer, pack, proportional
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from reference import (I_POWERS, dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
-                       scaled, shear_rotation_shear_phases)
+                       scaled, shear_rotation_shear_phases, unpack)
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -178,6 +178,30 @@ def test_shear_rotation_shear_phases_match_the_dense_products():
 
 def test_rep_phases_match_the_dense_oracle():
     # Same 3600 phases in the same order as dense @ products tested with proportional.
+    phases = clifford.verify_projective_rep()["phases"]
+    assert list(phases.items()) == list(dense_rep_phases().items())
+
+
+def test_packed_rep_chunks_hold_every_dense_product():
+    # rep's layout: the right factors scaled to d = 2 and packed 32w bits
+    # apart, one dot per L1, times d / den(U_{L1}).  Chunk j, read with the
+    # offset as the sweep reads it, holds U_{L1} U_{L2} over d^2 in 32 lanes
+    # (entry (i, j) real and imaginary at 8i + 2j, +1), none reaching
+    # 2^(w-1); and the phases read off the chunks are the dense ones.
+    units = [unitary_for(L) for L in symplectic.enumerate_group()]
+    w, d = lane_width(units), 2
+    chunk, half = 32 * w, 1 << (32 * w - 1)
+    assert {u.den for u in units} == {1, d}
+    rights = ([x * (d // u.den) for x in u.packed_right(w)] for u in units)
+    right_all = [pack(row, chunk) for row in zip(*rights)]
+    for u1 in units:
+        x = dot(u1.packed_left(w), right_all) * (d // u1.den) + pack([half] * 60, chunk)
+        for j, u2 in enumerate(units):
+            lanes = unpack(((x >> (chunk * j)) & ((1 << chunk) - 1)) - half, w, 32)
+            product = u1 @ u2
+            scale = d * d // product.den
+            assert lanes == [v * scale for pair in zip(product.re, product.im) for v in pair]
+            assert max(map(abs, lanes)) < 1 << (w - 1)
     phases = clifford.verify_projective_rep()["phases"]
     assert list(phases.items()) == list(dense_rep_phases().items())
 

@@ -1,5 +1,7 @@
 """Lines, striations, and the index calculus."""
 
+import itertools
+
 import pytest
 
 from qphase4 import gf4, phasespace, symplectic
@@ -15,6 +17,7 @@ from qphase4.phasespace import (
     qp_vectors,
     shift_vector,
 )
+from reference import apply_index_operator
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -156,8 +159,6 @@ def _dot_row_col(a, b, m, n):
 
 
 def test_index_operator_acts_on_point_indices():
-    from qphase4.phasespace import apply_index_operator
-
     for L in symplectic.enumerate_group():
         s = index_operator(L)
         for alpha in gf4.all_points():
@@ -203,8 +204,6 @@ def test_shift_vectors_of_generators():
 
 def test_shift_vector_rotation_rules():
     s_r = index_operator(symplectic.R)
-    from qphase4.phasespace import apply_index_operator
-
     for L in symplectic.enumerate_group():
         f = shift_vector(L)
         assert shift_vector(symplectic.product(L, symplectic.R)) == f
@@ -217,6 +216,17 @@ def test_compose_frame():
     f_g = shift_vector(G)
     assert compose_frame(f_g, G) == (0, 1, 0, OMEGA, 1)
     assert compose_frame(ZERO_INDEX, G) == f_g
+
+
+def test_compose_frame_matches_the_index_operator_on_every_frame():
+    # compose_frame reads each row's one nonzero entry off gf4's tables; the
+    # reference multiplies and adds all 25 entries of S_L.
+    group = symplectic.enumerate_group()
+    for f in itertools.product(ELEMENTS, repeat=5):
+        for L in group:
+            expect = phasespace.index_add(apply_index_operator(index_operator(L), f),
+                                          shift_vector(L))
+            assert compose_frame.__wrapped__(f, L) == expect
 
 
 def test_compose_frame_matches_product_shift_exhaustively():
@@ -232,6 +242,4 @@ def test_canonical_shift_vectors():
     assert len(vecs) == 12
     assert ZERO_INDEX in vecs
     s_r = index_operator(symplectic.R)
-    from qphase4.phasespace import apply_index_operator
-
     assert {apply_index_operator(s_r, f) for f in vecs} == set(vecs)

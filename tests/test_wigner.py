@@ -17,8 +17,8 @@ from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar, dot, numerators
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
-from reference import (add, inner, line_sum, mat_vec, operator_sum, sub, table_of,
-                       tables_covariant, total, unpack)
+from reference import (add, apply_index_operator, inner, line_sum, mat_vec, operator_sum, sub,
+                       table_of, tables_covariant, total, unpack)
 from reference import mul as scalar_mul
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -126,7 +126,7 @@ def test_index_transport_of_general_phase_point_operators():
             for alpha, op in fr.items():
                 moved = u @ op @ u.dagger()
                 expect = phasespace.index_add(
-                    phasespace.apply_index_operator(
+                    apply_index_operator(
                         s, phasespace.displace_index(f, alpha)
                     ),
                     f_l,
