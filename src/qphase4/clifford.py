@@ -12,12 +12,12 @@ The first tensor factor is the first qubit, i.e. the coefficient of
 omega-bar in the field-basis expansion.
 
 Both sweeps pack each factor once per side (Matrix.packed_left, packed_right)
-and compare exact products of big integers with packed targets: U_L D_a
-with +/- D_{La} U_L, one dot per side, after one dense check U_L^dag U_L == I
-per L; and U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the
-named identities, one dot per L1 holding all 60 products in chunks of one
-integer, each read by a shift and a mask and looked up among its target's
-four phases.
+and compare exact products of big integers with packed targets, one dot
+holding many products in chunks of one integer, each chunk read as a slice
+of its bytes: U_L D_a with +/- D_{La} U_L, one dot per side and L for all
+16 a, after one dense check U_L^dag U_L == I per L; and U_{L1} U_{L2} with
+i^k U_{L1 L2}, whose phase table holds the named identities, one dot per L1
+for all 60 L2, each chunk looked up among its target's four phases.
 """
 
 from __future__ import annotations
@@ -141,20 +141,34 @@ def verify_metaplectic() -> dict:
     U_L^dag U_L == I (Matrix.is_unitary) is the one dense product per L.
     Given that, the identity holds exactly when U_L D_a == +/- D_{La} U_L.
     As in verify_projective_rep, each U_L and each D_beta is packed once per
-    side, and each side of a pair is one dot of big integers; every D_beta
-    has denominator 1, so both dots are over U_L's denominator."""
+    side, and the 16 D_beta are packed 32w bits apart, D_beta in chunk j for
+    beta the j-th point, into one integer per packed row (right factors) or
+    column (left factors).  So per L one dot holds the 16 U_L D_a and one
+    the 16 D_beta U_L, each chunk the 32 lanes of a product over U_L's
+    denominator (every D_beta has denominator 1).  The lanes are those of
+    the one-pair dots, all below 2^(w-1) (lane_width), so a chunk lies in
+    (-2^(32w-1), 2^(32w-1)); with 2^(32w-1) added to every chunk, chunk j is
+    bytes 4wj to 4w(j+1) of the little-endian bytes, and equal bytes mean
+    equal products.  U_L D_a is compared with D_{La} U_L and its negation,
+    read at La's chunk."""
     group, points = symplectic.enumerate_group(), gf4.all_points()
     units, ds = [unitary_for(L) for L in group], [displacement(b) for b in points]
     w = lane_width(units + ds)
-    d_lefts = {b: d.packed_left(w) for b, d in zip(points, ds)}
-    d_rights = [d.packed_right(w) for d in ds]
+    chunk, size = 32 * w, 4 * w * len(points)
+    offset = pack([1 << (chunk - 1)] * len(points), chunk)
+    d_left_all = [pack(col, chunk) for col in zip(*(d.packed_left(w) for d in ds))]
+    d_right_all = [pack(row, chunk) for row in zip(*(d.packed_right(w) for d in ds))]
+    at = {b: slice(4 * w * j, 4 * w * (j + 1)) for j, b in enumerate(points)}
     signs = {}
     for L, u in zip(group, units):
         # Without unitarity the identity already fails at alpha == (0, 0), the first point.
-        unitary, left, right = u.is_unitary(), u.packed_left(w), u.packed_right(w)
-        for alpha, d_right in zip(points, d_rights):
-            lhs, rhs = dot(left, d_right), dot(d_lefts[gf4.mat_vec(L, alpha)], right)
-            sign = 1 if lhs == rhs else -1 if lhs == -rhs else None
+        unitary = u.is_unitary()
+        lhs = (dot(u.packed_left(w), d_right_all) + offset).to_bytes(size, "little")
+        rhs = dot(d_left_all, u.packed_right(w))
+        plus, minus = ((offset + x).to_bytes(size, "little") for x in (rhs, -rhs))
+        for alpha in points:
+            x, y = lhs[at[alpha]], at[gf4.mat_vec(L, alpha)]
+            sign = 1 if x == plus[y] else -1 if x == minus[y] else None
             if sign is None or not unitary:
                 raise AssertionError(f"metaplectic check failed for "
                                      f"L={symplectic.to_text(L)}, alpha={alpha}")
@@ -174,9 +188,9 @@ def verify_projective_rep() -> dict:
     (entry (i, j) real and imaginary at lanes 8i + 2j and 8i + 2j + 1).
     Times d / den(U_{L1}), chunk j of the dot holds U_{L1} U_{L2} over d^2.
     A chunk's lanes are balanced, so it lies in (-2^(32w-1), 2^(32w-1));
-    with 2^(32w-1) added to every chunk, a shift and a mask read chunk j as
-    a 32w-bit digit, looked up among the four packings of d i^k U_{L1 L2}
-    over d^2 (k = 0..3), each plus 2^(32w-1).
+    with 2^(32w-1) added to every chunk, chunk j is bytes 4wj to 4w(j+1)
+    of the little-endian bytes, looked up among the four packings of
+    d i^k U_{L1 L2} over d^2 (k = 0..3), each plus 2^(32w-1), as 4w bytes.
 
     The lane bound: for numerators up to m and denominators up to e, a
     scaled numerator is (d/den) m <= m d, so a product lane is at most
@@ -190,20 +204,22 @@ def verify_projective_rep() -> dict:
     group = symplectic.enumerate_group()
     units = [unitary_for(L) for L in group]
     w, d = lane_width(units), lcm(*(u.den for u in units))
-    chunk, half = 32 * w, 1 << (32 * w - 1)
+    chunk, half, size = 32 * w, 1 << (32 * w - 1), 4 * w
     rights = [[x * (d // u.den) for x in u.packed_right(w)] for u in units]
     right_all = [pack(row, chunk) for row in zip(*rights)]
-    offset, mask = pack([half] * len(group), chunk), (1 << chunk) - 1
+    offset = pack([half] * len(group), chunk)
     # The rows of a right packing, 8 lanes apart, are U and i U in a product's lanes.
     targets = {}
     for L, r in zip(group, rights):
         p, ip = pack(r[::2], 8 * w), pack(r[1::2], 8 * w)
-        targets[L] = {d * x + half: k for k, x in enumerate((p, ip, -p, -ip))}
+        targets[L] = {(d * x + half).to_bytes(size, "little"): k
+                      for k, x in enumerate((p, ip, -p, -ip))}
     phases = {}
     for l1, u1 in zip(group, units):
         x = dot(u1.packed_left(w), right_all) * (d // u1.den) + offset
+        x = x.to_bytes(size * len(group), "little")
         for j, l2 in enumerate(group):
-            k = targets[symplectic.product(l1, l2)].get((x >> (chunk * j)) & mask)
+            k = targets[symplectic.product(l1, l2)].get(x[size * j:size * (j + 1)])
             if k is None:
                 raise AssertionError(f"projective representation failed for "
                                      f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}")

@@ -54,8 +54,7 @@ def displace_index(idx: Index, beta: Vec2) -> Index:
 def index_add(a: Index, b: Index) -> Index:
     if len(a) != len(b):
         raise AssertionError(f"index lengths differ: {len(a)} and {len(b)}")
-    add = gf4._ADD
-    return tuple(add[x][y] for x, y in zip(a, b))
+    return tuple(gf4.add(x, y) for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=1)  # keyed by the vectors, so a replaced qp_vectors gets its own lookup
@@ -116,17 +115,13 @@ def shift_vector(L: SympMat) -> Index:
 @lru_cache(maxsize=720)  # the 12 canonical frames times 60 L of verify and stream
 def compose_frame(f: Index, L: SympMat) -> Index:
     """Frame reached from f after performing U_L: S_L f + f_L.  S_L is
-    monomial, so component m is s f_n + (f_L)_m for the one nonzero entry s
-    of row m, in column n, read off gf4's tables."""
-    rows, f_l = index_operator(L), shift_vector(L)
-    if len(rows) != len(f_l):
-        raise AssertionError(f"index lengths differ: {len(rows)} and {len(f_l)}")
-    add, mul = gf4._ADD, gf4._MUL
-    out = []
-    for row, shift in zip(rows, f_l):
+    monomial, so component m of S_L f is s f_n for the one nonzero entry s
+    of row m, in column n, read off gf4's table."""
+    mul, sf = gf4._MUL, []
+    for row in index_operator(L):
         s = max(row)
-        out.append(add[mul[s][f[row.index(s)]]][shift])
-    return tuple(out)
+        sf.append(mul[s][f[row.index(s)]])
+    return index_add(tuple(sf), shift_vector(L))
 
 
 @lru_cache(maxsize=1)

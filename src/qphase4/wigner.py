@@ -189,18 +189,12 @@ def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
     return tuple(points.index(gf4.vec_add(beta, alpha)) for alpha in points)
 
 
-@lru_cache(maxsize=1)
-def _lines() -> dict:
-    """Line 4n + k by the set of its four positions in gf4.all_points()."""
-    return {frozenset(points): j for j, points in enumerate(_line_positions())}
-
-
 @lru_cache(maxsize=None)
 def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     """Line 4n + k goes to 4m + k' when move (a linear_perm or
     translation_perm) takes its four positions onto those of line 4m + k';
     None when the image of some line is not a line."""
-    lines = _lines()
+    lines = {frozenset(points): j for j, points in enumerate(_line_positions())}
     image = tuple(lines.get(frozenset(map(move.__getitem__, points)))
                   for points in _line_positions())
     return None if None in image else image

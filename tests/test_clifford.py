@@ -185,25 +185,54 @@ def test_rep_phases_match_the_dense_oracle():
 def test_packed_rep_chunks_hold_every_dense_product():
     # rep's layout: the right factors scaled to d = 2 and packed 32w bits
     # apart, one dot per L1, times d / den(U_{L1}).  Chunk j, read with the
-    # offset as the sweep reads it, holds U_{L1} U_{L2} over d^2 in 32 lanes
-    # (entry (i, j) real and imaginary at 8i + 2j, +1), none reaching
-    # 2^(w-1); and the phases read off the chunks are the dense ones.
+    # offset as the sweep reads it (4w little-endian bytes), holds
+    # U_{L1} U_{L2} over d^2 in 32 lanes (entry (i, j) real and imaginary at
+    # 8i + 2j, +1), none reaching 2^(w-1); and the phases read off the
+    # chunks are the dense ones.
     units = [unitary_for(L) for L in symplectic.enumerate_group()]
     w, d = lane_width(units), 2
-    chunk, half = 32 * w, 1 << (32 * w - 1)
+    chunk, half, size = 32 * w, 1 << (32 * w - 1), 4 * w
     assert {u.den for u in units} == {1, d}
     rights = ([x * (d // u.den) for x in u.packed_right(w)] for u in units)
     right_all = [pack(row, chunk) for row in zip(*rights)]
     for u1 in units:
         x = dot(u1.packed_left(w), right_all) * (d // u1.den) + pack([half] * 60, chunk)
+        x = x.to_bytes(size * 60, "little")
         for j, u2 in enumerate(units):
-            lanes = unpack(((x >> (chunk * j)) & ((1 << chunk) - 1)) - half, w, 32)
+            lanes = unpack(int.from_bytes(x[size * j:size * (j + 1)], "little") - half, w, 32)
             product = u1 @ u2
             scale = d * d // product.den
             assert lanes == [v * scale for pair in zip(product.re, product.im) for v in pair]
             assert max(map(abs, lanes)) < 1 << (w - 1)
     phases = clifford.verify_projective_rep()["phases"]
     assert list(phases.items()) == list(dense_rep_phases().items())
+
+
+def test_packed_metaplectic_chunks_hold_every_dense_product():
+    # metaplectic's layout: the 16 D_beta packed 32w bits apart, as right
+    # factors and as left factors, so one dot per L and side holds U_L D_beta
+    # and D_beta U_L for every beta, chunk j for the j-th point, over
+    # den(U_L), none of its 32 lanes reaching 2^(w-1).
+    group, points = symplectic.enumerate_group(), gf4.all_points()
+    units, ds = [unitary_for(L) for L in group], [displacement(b) for b in points]
+    w = lane_width(units + ds)
+    chunk, half, size = 32 * w, 1 << (32 * w - 1), 4 * w
+    assert {d.den for d in ds} == {1}
+    offset = pack([half] * 16, chunk)
+    d_left_all = [pack(col, chunk) for col in zip(*(d.packed_left(w) for d in ds))]
+    d_right_all = [pack(row, chunk) for row in zip(*(d.packed_right(w) for d in ds))]
+    for u in units:
+        for x, pairs in ((dot(u.packed_left(w), d_right_all), [(u, d) for d in ds]),
+                         (dot(d_left_all, u.packed_right(w)), [(d, u) for d in ds])):
+            x = (x + offset).to_bytes(size * 16, "little")
+            for j, (a, b) in enumerate(pairs):
+                lanes = unpack(int.from_bytes(x[size * j:size * (j + 1)], "little") - half, w, 32)
+                product = a @ b
+                scale = u.den // product.den
+                assert lanes == [v * scale for pair in zip(product.re, product.im) for v in pair]
+                assert max(map(abs, lanes)) < 1 << (w - 1)
+    signs = clifford.verify_metaplectic()["signs"]
+    assert list(signs.items()) == list(dense_metaplectic_signs().items())
 
 
 def test_rep_phases_see_one_unitary_off_by_i(monkeypatch):
@@ -223,8 +252,8 @@ def test_rep_phases_see_one_unitary_off_by_i(monkeypatch):
     (clifford.verify_projective_rep, 3600,
      {"__matmul__": 0, "_reduced": 0, "packed_left": 60, "packed_right": 60}),
     # U_L^dag U_L == I is the one dense product per L, and builds U_L^dag, the
-    # product and I; the 960 pairs are dots of the 60 U_L and 16 D_beta packed
-    # once per side.
+    # product and I; the 960 pairs are read off two dots per L, of the 60 U_L
+    # and 16 D_beta packed once per side.
     (clifford.verify_metaplectic, 960,
      {"__matmul__": 60, "_reduced": 180, "packed_left": 76, "packed_right": 76}),
 ], ids=["rep", "metaplectic"])
