@@ -282,7 +282,7 @@ def cmd_apply(args) -> int:
         kind, op = parse_op(text)
         if kind == "displace":
             rho, f, table = wigner.displace(rho, f, op)
-            steps.append((f"D{fmt_index(op)}", rho, table))
+            steps.append((wigner.op_name(op), rho, table))
         else:
             rho, f, table = wigner.transport(rho, f, op)
             steps.append((symplectic.to_text(op), rho, table))
@@ -337,14 +337,12 @@ def _verify_rep() -> str:
 
 
 def _verify_transport() -> str:
-    count = wigner.transport_sweep(wigner.standard_test_states(),
-                                   phasespace.canonical_shift_vectors())
+    count = wigner.transport_sweep()
     return f"transport: {count}/{count} (L, frame, state) triples exact"
 
 
 def _verify_marginals() -> str:
-    rep = wigner.marginal_sweep(wigner.standard_test_states(),
-                                phasespace.canonical_shift_vectors())
+    rep = wigner.marginal_sweep()
     return (f"marginals: {rep['pairs']}/{rep['pairs']} (frame, state) pairs, "
             f"{rep['lines']} lines + {rep['displacements']} displacements each")
 

@@ -111,16 +111,8 @@ def unitary_for(L: SympMat) -> Matrix:
     return _U_R_POWERS[d.r] @ _GENERATORS[d.x] @ _U_R_POWERS[d.s]
 
 
-# 16 entries hold one state's 16 displacements, which only marginal_check
-# in several frames (marginal_sweep's failure replay) conjugates again.
-# Measured: verify all hits 0 of 60 calls (symmetry's V = U_L U_R U_L^dag,
-# one per L; its old 288 hits were its five repeats of each of 12 steps),
-# a stream of fresh states 0 of 950, and apply 0 of 2; a miss costs about
-# 3 us more than an uncached call (55 us).
-@lru_cache(maxsize=16)
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:
-    """u rho u^dag, which no frame changes: marginal_check in several frames
-    conjugates each (D_beta, rho) once."""
+    """u rho u^dag."""
     return u @ rho @ u.dagger()
 
 

@@ -23,7 +23,6 @@ IndexOperator = tuple[tuple[int, ...], ...]
 ZERO_INDEX: Index = (0, 0, 0, 0, 0)
 
 
-@lru_cache(maxsize=None)
 def line_points(n: int, k: int) -> frozenset[Vec2]:
     """The 4 points of line k of striation n (R^n applied to q == k)."""
     r = R_POWERS[n % 5]
@@ -57,16 +56,6 @@ def index_add(a: Index, b: Index) -> Index:
     return tuple(gf4.add(x, y) for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=1)  # keyed by the vectors, so a replaced qp_vectors gets its own lookup
-def _row_fits(q: Index, p: Index) -> dict:
-    """Per nonzero vector (x, y), the (n, s) with (x, y) == s (Q_n, P_n)."""
-    fits = {}
-    for n in range(5):
-        for s in ELEMENTS[1:]:
-            fits.setdefault((gf4.mul(s, q[n]), gf4.mul(s, p[n])), []).append((n, s))
-    return fits
-
-
 @lru_cache(maxsize=None)
 def index_operator(L: SympMat) -> IndexOperator:
     """The monomial 5x5 matrix S_L with I(L alpha) == S_L I(alpha).
@@ -77,11 +66,12 @@ def index_operator(L: SympMat) -> IndexOperator:
     exactly one (n, s) must fit each row.
     """
     symplectic.require_symplectic(L)
-    fits_of = _row_fits(*qp_vectors())
+    q, p = qp_vectors()
     a, b = map(point_index, gf4.transpose(L))  # the columns L e_q and L e_p
     rows = []
     for m in range(5):
-        fits = fits_of.get((a[m], b[m]), ())
+        fits = [(n, s) for n in range(5) for s in ELEMENTS[1:]
+                if (a[m], b[m]) == (gf4.mul(s, q[n]), gf4.mul(s, p[n]))]
         if len(fits) != 1:
             raise AssertionError(f"index-operator row {m} not well defined for {L}")
         (n, s), = fits

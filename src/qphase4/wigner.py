@@ -25,18 +25,17 @@ lines (_line_map, one per map; each map a cached permutation of the 16
 positions, linear_perm or translation_perm).  A table is a fixed bijective function
 of the 20 line probabilities, so covariant() builds no table: it reads
 those integers in line order and compares them once.  marginal_check
-displaces its state in each frame in turn; clifford.conjugate and
-clifford.born_probability cache one state's 16 displacements, so the
-later frames conjugate nothing.  The verify sweeps pack a set of states
-once, as the lanes of one matrix, and run each unitary as one step of one
-kernel, _packed_sweep: one conjugation, one Born pass and one comparison
-per frame pair, covering every state.  transport_sweep checks what
-transport checks for every L; marginal_sweep checks what marginal_check
-checks, its line sums on a packed table of integers and its 16
+checks one frame: its 20 line sums, then its 16 displacements.  The
+verify sweeps pack the standard test states once, as the lanes of one
+matrix, and run each unitary as one step of one kernel, _packed_sweep: one
+conjugation, one Born pass and one comparison per frame pair, covering
+every state.  transport_sweep checks what transport checks for every L in
+the 12 canonical frames; marginal_sweep checks what marginal_check checks
+in those frames, its line sums on a packed table of integers and its 16
 displacements as steps; rotational_symmetry_check checks each L's R_L and
 runs each distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Each
-replays the per-state route, transport frame by frame, marginal_check or
-covariant, only when a check fails.
+replays the per-state route, transport or marginal_check frame by frame,
+or covariant, only when a check fails.
 """
 
 from __future__ import annotations
@@ -304,10 +303,10 @@ def _packed_sweep(entries, steps) -> int:
     return len(steps)
 
 
-def transport_sweep(states, frames) -> int:
-    """What transport(rho, f, L) checks, for every L of the group, every rho
-    in states and every f in frames, in that order: returns the number of
-    (L, frame, state) triples checked.
+def transport_sweep() -> int:
+    """What transport(rho, f, L) checks, for every L of the group, every
+    standard test state rho and every canonical frame f, in that order:
+    returns the number of (L, frame, state) triples checked.
 
     The states are packed once (_packed_states) and each L is one step of
     _packed_sweep, its pairs the frames f with compose_frame(f, L): one
@@ -315,6 +314,7 @@ def transport_sweep(states, frames) -> int:
     all states.  An L that fails runs transport() state by state and then
     frame by frame, which raises for the first state in order at its first
     failing frame."""
+    states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
     group = symplectic.enumerate_group()
     steps = [(clifford.unitary_for(L), linear_perm(L),
               [(f, phasespace.compose_frame(f, L)) for f in frames]) for L in group]
@@ -330,7 +330,7 @@ def transport_sweep(states, frames) -> int:
     return sum(len(pairs) for _, _, pairs in steps) * len(states)
 
 
-def _op_name(beta: gf4.Vec2) -> str:
+def op_name(beta: gf4.Vec2) -> str:
     """D_beta as the CLI's apply op D[q,p]."""
     return "D[" + ",".join(map(gf4.to_token, beta)) + "]"
 
@@ -341,7 +341,7 @@ def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
     keeps the frame, and its table in f.  A failure names the step as the
     CLI's apply op D[q,p]."""
     rho2 = covariant(rho, clifford.displacement(beta), translation_perm(beta), f, f,
-                     _op_name(beta))
+                     op_name(beta))
     return rho2, f, wigner_table(rho2, f)
 
 
@@ -361,7 +361,8 @@ def census() -> dict:
     Walks each displacement orbit once, from its least frame: the orbit must
     hold 16 frames, overlap no earlier orbit and lie in one similarity class.
     Counts orbits and members per similarity class; the E == 0 class must
-    consist of exactly 12 orbits, one per canonical shift vector.
+    consist of exactly 12 orbits, one per canonical shift vector, or
+    AssertionError is raised.
     """
     rep_of = {}  # frame -> the least frame of its orbit
     orbit_class = {}  # least frame -> the orbit's similarity class
@@ -377,13 +378,18 @@ def census() -> dict:
     class_counts = dict(sorted(Counter(orbit_class[rep] for rep in rep_of.values()).items()))
     orbit_counts = dict(sorted(Counter(orbit_class.values()).items()))
     canonical_reps = {rep_of[f] for f in phasespace.canonical_shift_vectors()}
+    e0_reps = {rep for rep, e in orbit_class.items() if e == 0}
+    if len(e0_reps) != 12 or canonical_reps != e0_reps:
+        raise AssertionError(f"the E=0 class is {len(e0_reps)} orbits; the canonical shift "
+                             f"vectors lie in {len(canonical_reps & e0_reps)} of them and "
+                             f"{len(canonical_reps - e0_reps)} others")
     return {
         "total": len(rep_of),
         "class_counts": class_counts,
         "orbit_counts": orbit_counts,
         "e0_orbit_count": orbit_counts.get(0, 0),
         "e0_member_count": class_counts.get(0, 0),
-        "canonical_covers_e0": canonical_reps == {r for r, e in orbit_class.items() if e == 0},
+        "canonical_covers_e0": canonical_reps == e0_reps,
     }
 
 
@@ -446,26 +452,24 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
     return {"period": period, "striations_cycled": len(seen), "rotations": 1 + len(more)}
 
 
-def marginal_check(rho: Matrix, f: Index, *more: Index) -> dict:
+def marginal_check(rho: Matrix, f: Index) -> dict:
     """Line sums are Born probabilities; displacement covariance holds.
 
-    In frame f and then in each further frame: for every line of every
-    striation, the sum of Wigner values over the line equals the exact Born
-    probability of the associated basis vector; and displacing the state
-    shifts the table by the same vector, as displace() checks it and builds
-    the new table.  The counts are per frame.
+    In frame f: for every line of every striation, the sum of Wigner values
+    over the line equals the exact Born probability of the associated basis
+    vector; then displacing the state by each beta in turn shifts the table
+    by beta, as displace() checks it and builds the new table.
     """
     prob_den, probs = clifford.born_probability(rho)
-    for f in (f, *more):
-        den, nums = wigner_table(rho, f).key
-        checked = 0
-        for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
-            if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
-                n, k = divmod(j, 4)
-                raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
-            checked += 1
-        for beta in gf4.all_points():
-            displace(rho, f, beta)
+    den, nums = wigner_table(rho, f).key
+    checked = 0
+    for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
+        if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
+            n, k = divmod(j, 4)
+            raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
+        checked += 1
+    for beta in gf4.all_points():
+        displace(rho, f, beta)
     return {"lines": checked, "displacements": 16}
 
 
@@ -491,10 +495,10 @@ def _keys_match(table, keys, scale: int, w: int) -> bool:
             and [pack(point, w) for point in zip(*lanes)] == table)
 
 
-def marginal_sweep(states, frames) -> dict:
-    """marginal_check(rho, *frames) for every rho in states: returns the
-    number of (frame, state) pairs and, per pair, of line sums and of
-    displacements checked.
+def marginal_sweep() -> dict:
+    """marginal_check(rho, f) for every standard test state rho and every
+    canonical frame f: returns the number of (frame, state) pairs and, per
+    pair, of line sums and of displacements checked.
 
     The states are packed once (_packed_states).  Line sums, on integers
     only: in each frame the packed table (_packed_table) holds every state's
@@ -502,8 +506,9 @@ def marginal_sweep(states, frames) -> dict:
     numerators; in the first frame each state's lane must also be
     wigner_table's key.  Displacements: 16 steps of _packed_sweep, D_beta
     along translation_perm(beta) in the pairs (f, f).  Any failure runs
-    marginal_check state by state, which raises what a per-state sweep
-    meets first."""
+    marginal_check state by state and frame by frame, which raises what a
+    per-state sweep meets first."""
+    states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
     points = gf4.all_points()
     units = [clifford.displacement(beta) for beta in points]
     w, entries = _packed_states(states, units)
@@ -524,8 +529,9 @@ def marginal_sweep(states, frames) -> dict:
     passed = 0 if failed else _packed_sweep(entries, steps)
     if failed or passed < len(steps):
         for rho in states:
-            marginal_check(rho, *frames)
-        raise AssertionError(f"{failed or _op_name(points[passed])} fails packed "
+            for f in frames:
+                marginal_check(rho, f)
+        raise AssertionError(f"{failed or op_name(points[passed])} fails packed "
                              f"but passes state by state")
     return {"pairs": len(frames) * len(states), "lines": len(lines), "displacements": passed}
 

@@ -1,6 +1,7 @@
 """Command-line parsing, rendering, exit codes, and JSON output."""
 
 import ast
+import itertools
 import json
 import os
 import pathlib
@@ -166,6 +167,27 @@ def test_census(capsys):
     assert rep["orbit_counts"] == {"0": 12, "1": 12, "w": 20, "W": 20}
 
 
+def test_census_whose_canonical_frames_miss_the_e0_class_is_one_fail_line(capsys, monkeypatch):
+    # Twelve frames of class E = 1 in place of the canonical shift vectors:
+    # the E = 0 class is still 12 orbits, but none of them is reached.  One
+    # FAIL line and exit 1, also under -O, where a bare assert would vanish.
+    mutation = ("frames = tuple([f for f in product(gf4.ELEMENTS, repeat=5)\n"
+                "                if wigner.similarity_class(f) == 1][:12])\n"
+                "phasespace.canonical_shift_vectors = lambda: frames\n")
+    expect = (1, "", "FAIL census: the E=0 class is 12 orbits; the canonical shift vectors "
+                     "lie in 0 of them and 12 others\n")
+    monkeypatch.setattr(phasespace, "canonical_shift_vectors", phasespace.canonical_shift_vectors)
+    exec(mutation, {"product": itertools.product, "gf4": gf4, "wigner": wigner,
+                    "phasespace": phasespace})
+    assert run(capsys, "census") == expect
+    assert run(capsys, "census", "--json") == expect
+    program = ("import sys\nfrom itertools import product\n"
+               "from qphase4 import cli, gf4, phasespace, wigner\n" + mutation
+               + "sys.exit(cli.main(['census']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expect
+
+
 # --- JSON / text equivalence --------------------------------------------------
 
 def test_wigner_json_matches_table(capsys):
@@ -249,16 +271,17 @@ def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch, scope, modu
 
 
 def test_verify_symmetry_runs_each_distinct_packed_step_once(capsys, monkeypatch):
-    # Each of the 60 L forms its own V = U_L U_R U_L^dag, from a distinct
-    # (U_L, U_R), so 60 conjugate misses and no hit; the 60 give 12 distinct
-    # steps (V, R_L, f_L), one packed conjugation each.
-    clifford.conjugate.cache_clear()
+    # Each of the 60 L forms its own V = U_L U_R U_L^dag, one conjugate call
+    # each; the 60 give 12 distinct steps (V, R_L, f_L), one packed
+    # conjugation each.
     packed, conjugated = [], wigner._conjugated
+    calls, conjugate = [], clifford.conjugate
     monkeypatch.setattr(wigner, "_conjugated", lambda u, x: packed.append(u) or conjugated(u, x))
+    monkeypatch.setattr(clifford, "conjugate", lambda u, rho: calls.append(u) or conjugate(u, rho))
     code, out, _ = run(capsys, "verify", "symmetry")
     assert (code, out) == (0, golden("verify_all.txt").splitlines()[4] + "\n")
-    info = clifford.conjugate.cache_info()
-    assert (len(packed), len(set(packed)), info.misses, info.hits) == (12, 12, 60, 0)
+    assert calls == [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
+    assert (len(packed), len(set(packed))) == (12, 12)
 
 
 def test_wrong_permutation_for_one_rotation_fails_packed_verify_symmetry_at_its_first_L(
@@ -363,16 +386,16 @@ def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scop
         units = [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
     else:
         units = [clifford.displacement(beta) for beta in gf4.all_points()]
-    clifford.conjugate.cache_clear()
-    products, packed, kernel = [], [], []
+    products, packed, kernel, calls = [], [], [], []
     matmul, conjugated, product = Matrix.__matmul__, wigner._conjugated, exact.product
+    conjugate = clifford.conjugate
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    monkeypatch.setattr(clifford, "conjugate", lambda u, rho: calls.append(u) or conjugate(u, rho))
     monkeypatch.setattr(wigner, "_conjugated", lambda u, x: packed.append(u) or conjugated(u, x))
     monkeypatch.setattr(exact, "product", lambda *args: kernel.append(1) or product(*args))
     code, _, _ = run(capsys, "verify", scope)
     assert code == 0
-    info = clifford.conjugate.cache_info()
-    assert (info.misses, info.hits, len(products)) == (0, 0, 0)
+    assert (len(calls), len(products)) == (0, 0)
     assert packed == units and len(units) * len(wigner.standard_test_states()) == pairs
     assert len(kernel) == 2 * len(packed)
 
@@ -616,6 +639,21 @@ def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and err.startswith("FAIL apply: D[1,0] ")
 
 
+def test_apply_names_each_displacement_step_as_its_op(capsys):
+    # apply and the FAIL lines name D_beta by one helper, in the text apply
+    # parses back to the same displacement.
+    points = gf4.all_points()
+    ops = [wigner.op_name(beta) for beta in points]
+    assert [cli.parse_op(op) for op in ops] == [("displace", beta) for beta in points]
+    code, out, _ = run(capsys, "apply", "--json", "--state", "up*right", *ops)
+    assert code == 0
+    assert [step["op"] for step in json.loads(out)] == ["initial", *ops]
+    code, out, _ = run(capsys, "apply", "--state", "up*right", *ops)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("== ")] == [
+        f"== {name}" for name in ("initial", *ops)]
+
+
 def test_marginals_counterexample_names_a_replayable_op(capsys, monkeypatch):
     # The same broken translation, met by verify: its witness must be an op apply accepts.
     monkeypatch.setattr(gf4, "vec_add", lambda u, v: v)
@@ -636,18 +674,19 @@ def test_rotated_translation_for_one_beta_fails_verify_marginals_state_by_state(
                                                                               monkeypatch):
     # D[w,1]'s points moved one position on: still a bijection, but it takes
     # lines off the lines.  The packed sweep fails at that step and replays
-    # marginal_check state by state, which raises at the first state, as a
-    # per-state sweep does.
+    # marginal_check state by state and frame by frame, which raises at the
+    # first state in the first frame, as a per-state sweep does.
     beta, perm, check = gf4.all_points()[9], wigner.translation_perm, wigner.marginal_check
     replayed = []
     monkeypatch.setattr(wigner, "translation_perm",
                         lambda b: perm(b)[1:] + perm(b)[:1] if b == beta else perm(b))
     monkeypatch.setattr(wigner, "marginal_check",
-                        lambda rho, *frames: replayed.append(rho) or check(rho, *frames))
+                        lambda rho, f: replayed.append((rho, f)) or check(rho, f))
     code, out, err = run(capsys, "verify", "marginals")
     assert (code, out, err) == (
         1, "", "FAIL marginals: D[w,1] is not covariant in frame f=(0, 0, 0, 0, 0)\n")
-    assert replayed == [wigner.standard_test_states()[0]]
+    assert replayed == [(wigner.standard_test_states()[0],
+                         phasespace.canonical_shift_vectors()[0])]
 
 
 def test_packed_table_with_a_flipped_trace_fails_verify_marginals(capsys, monkeypatch):

@@ -656,7 +656,8 @@ def test_verify_marginals_reads_wigner_table_in_the_first_frame(capsys, monkeypa
 
 
 def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
-    # Frame by frame, its 20 line checks and then its 16 displacements.  Three
+    # One frame per call, as marginal_sweep's replay makes them: its 20 line
+    # checks and then its 16 displacements, frame after frame.  Three
     # faults: D[beta_12] checked against beta_13's move (fails in every
     # frame), f1 read with lines k = 0 and 1 of striation 0 swapped (its
     # displacements beta_8..beta_15 fail) and f1's table with two values
@@ -677,33 +678,14 @@ def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
                         lambda rho, f: bad if (rho, f) == (GENERIC, f1) else table(rho, f))
     name = "D[" + ",".join(map(gf4.to_token, points[12])) + "]"
     with pytest.raises(AssertionError) as error:
-        wigner.marginal_check(GENERIC, f0, f1)
+        for f in (f0, f1):
+            wigner.marginal_check(GENERIC, f)
     assert str(error.value) == f"{name} is not covariant in frame f={f0}"
     with pytest.raises(AssertionError, match=r"^marginal failed at line \(n=0, k=0\)"):
         wigner.marginal_check(GENERIC, f1)
     wigner.displace(GENERIC, f0, points[8])
     with pytest.raises(AssertionError, match=r" is not covariant in frame f=\(1, 0, 1, 0, 2\)$"):
         wigner.displace(GENERIC, f1, points[8])
-
-
-def test_marginal_check_conjugates_once_per_displacement_across_frames(monkeypatch):
-    # Twelve frames, each displacing the state by the 16 beta in turn: the
-    # 16 displaced states are formed in the first frame and found in
-    # clifford.conjugate's cache in the other eleven, and the covariance
-    # checks run frame by frame, beta by beta within a frame.
-    frames, points = phasespace.canonical_shift_vectors(), gf4.all_points()
-    calls, covariant = [], wigner.covariant
-
-    def recorded(rho, u, move, f, g, what):
-        calls.append((f, g, what))
-        return covariant(rho, u, move, f, g, what)
-
-    monkeypatch.setattr(wigner, "covariant", recorded)
-    clifford.conjugate.cache_clear()
-    wigner.marginal_check(GENERIC, *frames)
-    info = clifford.conjugate.cache_info()
-    assert (info.misses, info.hits) == (16, 16 * (len(frames) - 1))
-    assert calls == [(f, f, wigner._op_name(beta)) for f in frames for beta in points]
 
 
 def test_reconstruct_uniform_table():
