@@ -370,17 +370,20 @@ _VERIFY_SCOPES = {
 }
 
 
+def _fail(where: str, e: Exception) -> int:
+    """Print e's one FAIL line, naming its type unless it is a counterexample."""
+    detail = e if isinstance(e, AssertionError) else f"{type(e).__name__}: {e}"
+    print(f"FAIL {where}: {detail}", file=sys.stderr)
+    return EXIT_FAIL
+
+
 def cmd_verify(args) -> int:
     scopes = list(_VERIFY_SCOPES) if args.scope == "all" else [args.scope]
     for scope in scopes:
         try:
             line = _VERIFY_SCOPES[scope]()
-        except AssertionError as e:
-            print(f"FAIL {scope}: {e}", file=sys.stderr)
-            return EXIT_FAIL
-        except Exception as e:  # a fault in the checked code is a failed check too
-            print(f"FAIL {scope}: {type(e).__name__}: {e}", file=sys.stderr)
-            return EXIT_FAIL
+        except Exception as e:  # a counterexample, or a fault in the checked code
+            return _fail(scope, e)
         print(line)
     return 0
 
@@ -458,12 +461,8 @@ def main(argv=None) -> int:
     except StateError as e:
         print(f"invalid state: {e}", file=sys.stderr)
         return EXIT_STATE
-    except AssertionError as e:  # a counterexample outside verify, e.g. in apply
-        print(f"FAIL {args.command}: {e}", file=sys.stderr)
-        return EXIT_FAIL
-    except Exception as e:  # a fault in the checked code is a failed check too
-        print(f"FAIL {args.command}: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_FAIL
+    except Exception as e:  # a counterexample or a fault outside verify, e.g. in apply
+        return _fail(args.command, e)
 
 
 if __name__ == "__main__":

@@ -20,22 +20,24 @@ use only these.  Both routes, and the conjugated rotations of
 rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha) when one
 fails, are checked by covariant(), one step in one frame pair (f, g) per
 call: rho' from clifford.conjugate, the Born numerators of rho and rho',
-cross-multiplied by the two denominators, and the map's action on the 20
-lines (_line_map, one per map; each map a cached permutation of the 16
-positions, linear_perm or translation_perm).  A table is a fixed bijective function
-of the 20 line probabilities, so covariant() builds no table: it reads
-those integers in line order and compares them once.  marginal_check
-checks one frame: its 20 line sums, then its 16 displacements.  The
-verify sweeps pack the standard test states once, as the lanes of one
-matrix, and run each unitary as one step of one kernel, _packed_sweep: one
-conjugation, one Born pass and one comparison per frame pair, covering
-every state.  transport_sweep checks what transport checks for every L in
-the 12 canonical frames; marginal_sweep checks what marginal_check checks
-in those frames, its line sums on a packed table of integers and its 16
-displacements as steps; rotational_symmetry_check checks each L's R_L and
-runs each distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Each
-replays the per-state route, transport or marginal_check frame by frame,
-or covariant, only when a check fails.
+cross-multiplied by the two denominators and compared once under born_map,
+the step's map of the 20 Born indices (from a cached permutation of the 16
+positions, linear_perm or translation_perm).  A table is a fixed bijective
+function of the 20 line probabilities, so covariant() builds no table.  In
+the frame pairs a step is meant for, born_map is one map whatever f: the
+step's map of the MUB projectors.  One helper, _first_bad_line, compares
+every line sum with its Born probability.  marginal_check checks one
+frame: its 20 line sums, then its 16 displacements.  The verify sweeps
+pack the standard test states once, as the lanes of one matrix, and run
+each unitary as one step of one kernel, _packed_sweep: one conjugation,
+one Born pass and one comparison per distinct map of the step's frame
+pairs, covering every state.  transport_sweep checks what transport
+checks for every L in the 12 canonical frames; marginal_sweep checks what
+marginal_check checks in those frames, its line sums on a packed table of
+integers and its 16 displacements as steps; rotational_symmetry_check
+checks each L's R_L and runs each distinct (V, R_L, f_L) once, 12 steps
+for the 60 L.  Each replays the per-state route, transport or
+marginal_check frame by frame, or covariant, only when a check fails.
 """
 
 from __future__ import annotations
@@ -199,14 +201,13 @@ def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     return None if None in image else image
 
 
-def _lines_agree(before, after, image, f: Index, g: Index) -> bool:
-    """Whether each line, read in frame f by its label in line_labels(f),
-    has the Born numerator in before that its image line (image, a _line_map
-    or None), read in frame g, has in after."""
-    if image is None:
-        return False
-    at_g = line_labels(g)
-    return [after[at_g[j]] for j in image] == [before[i] for i in line_labels(f)]
+def born_map(move: tuple[int, ...], f: Index, g: Index) -> tuple[int, ...] | None:
+    """The Born indices' map that move (a linear_perm or translation_perm)
+    makes in the frame pair (f, g): entry i is line_labels(g) of the
+    _line_map(move) image of line line_labels(f)[i] (line_labels(f) is its
+    own inverse); None when _line_map(move) is."""
+    image, at_g = _line_map(move), line_labels(g)
+    return None if image is None else tuple(at_g[image[j]] for j in line_labels(f))
 
 
 def covariant(rho: Matrix, u: Matrix, move, f: Index, g: Index, what: str) -> Matrix:
@@ -217,17 +218,16 @@ def covariant(rho: Matrix, u: Matrix, move, f: Index, g: Index, what: str) -> Ma
     The g-table of rho' must be the f-table of rho with the value at point
     i of gf4.all_points() moved to point move[i].  A table is a fixed
     bijective function of the 20 line probabilities, so this holds exactly
-    when move takes lines to lines (_line_map) and each line, read in frame
-    f by its label in line_labels(f), has the Born probability under rho
-    that its image line, read in frame g, has under rho'.  The probabilities
+    when move takes lines to lines and each Born probability i of rho is
+    the Born probability born_map(move, f, g)[i] of rho'.  The probabilities
     are clifford.born_probability's integer numerators, cross-multiplied by
     the two denominators, so no table is built.
     """
     rho2 = clifford.conjugate(u, rho)
     den, nums = clifford.born_probability(rho)
     den2, nums2 = clifford.born_probability(rho2)
-    if not _lines_agree([x * den2 for x in nums], [x * den for x in nums2],
-                        _line_map(move), f, g):
+    image = born_map(move, f, g)
+    if image is None or [nums2[j] * den for j in image] != [x * den2 for x in nums]:
         raise AssertionError(f"{what} is not covariant in frame f={f}")
     return rho2
 
@@ -277,28 +277,28 @@ def _conjugated(u: Matrix, entries) -> list[int]:
 
 
 def _packed_sweep(entries, steps) -> int:
-    """How many steps (u, move, pairs), in order, hold on every state packed
-    in entries (_packed_states, its width computed with every step's u)
-    before the first that fails; len(steps) when all hold.  A step holds
-    when performing u moves each state's Born numerators along move in each
-    frame pair (f, g) of pairs.
+    """How many steps (u, maps), in order, hold on every state packed in
+    entries (_packed_states, its width computed with every step's u) before
+    the first that fails; len(steps) when all hold.  A step holds when
+    performing u moves each state's Born numerators along each born_map in
+    maps, the distinct maps of the step's frame pairs.
 
     Per step the packed states are conjugated (_conjugated), checked
-    Hermitian entry by entry and given one Born pass; each pair is then one
-    _lines_agree for all states, against the packed states' Born numerators
+    Hermitian entry by entry and given one Born pass; each map is then one
+    comparison for all states, against the packed states' Born numerators
     times u.den^2, which puts both over one denominator.  No lane reaches
     2^(w-1), so equal packings have equal lanes.  A sweep that meets a
     failing step runs its per-state route, which names the failure as a
     state-by-state sweep would."""
     before = clifford.born_numerators(entries)
-    for i, (u, move, pairs) in enumerate(steps):
+    for i, (u, maps) in enumerate(steps):
         conj = _conjugated(u, entries)
         re, im = conj[:16], conj[16:]
         hermitian = (re == [x for j in range(4) for x in re[j::4]]
                      and im == [-x for j in range(4) for x in im[j::4]])
-        after, image = clifford.born_numerators(conj), _line_map(move)
-        scaled = [x * u.den * u.den for x in before]
-        if not (hermitian and all(_lines_agree(scaled, after, image, f, g) for f, g in pairs)):
+        after, scaled = clifford.born_numerators(conj), [x * u.den * u.den for x in before]
+        if not (hermitian and all(m is not None and [after[j] for j in m] == scaled
+                                  for m in maps)):
             return i
     return len(steps)
 
@@ -309,16 +309,17 @@ def transport_sweep() -> int:
     returns the number of (L, frame, state) triples checked.
 
     The states are packed once (_packed_states) and each L is one step of
-    _packed_sweep, its pairs the frames f with compose_frame(f, L): one
-    conjugation, one Born pass and one comparison per frame, each covering
-    all states.  An L that fails runs transport() state by state and then
-    frame by frame, which raises for the first state in order at its first
-    failing frame."""
+    _packed_sweep, its maps the distinct born_map(linear_perm(L), f,
+    compose_frame(f, L)) over the frames f: one conjugation, one Born pass
+    and one comparison per distinct map, each covering all states.  An L
+    that fails runs transport() state by state and then frame by frame,
+    which raises for the first state in order at its first failing frame."""
     states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
     group = symplectic.enumerate_group()
-    steps = [(clifford.unitary_for(L), linear_perm(L),
-              [(f, phasespace.compose_frame(f, L)) for f in frames]) for L in group]
-    _, entries = _packed_states(states, [u for u, _, _ in steps])
+    steps = [(clifford.unitary_for(L),
+              {born_map(linear_perm(L), f, phasespace.compose_frame(f, L)) for f in frames})
+             for L in group]
+    _, entries = _packed_states(states, [u for u, _ in steps])
     passed = _packed_sweep(entries, steps)
     if passed < len(steps):
         L = group[passed]
@@ -327,7 +328,7 @@ def transport_sweep() -> int:
                 transport(rho, f, L)
         raise AssertionError(f"transport by L={symplectic.to_text(L)} fails packed "
                              f"but passes state by state")
-    return sum(len(pairs) for _, _, pairs in steps) * len(states)
+    return len(group) * len(frames) * len(states)
 
 
 def op_name(beta: gf4.Vec2) -> str:
@@ -389,7 +390,6 @@ def census() -> dict:
         "orbit_counts": orbit_counts,
         "e0_orbit_count": orbit_counts.get(0, 0),
         "e0_member_count": class_counts.get(0, 0),
-        "canonical_covers_e0": canonical_reps == e0_reps,
     }
 
 
@@ -412,9 +412,9 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
     standard test state along alpha -> R_L alpha.  Many L share one step
     (V, R_L, f_L): the 60 L of the group give 12.  The states are packed
     once (_packed_states) and each distinct step, in the order of its first
-    L, is one step of _packed_sweep in the frame pair (f_L, f_L).  A step
-    that fails runs covariant() state by state for its first L, which
-    raises what a sweep L by L meets first at that step.
+    L, is one step of _packed_sweep, its map born_map(linear_perm(R_L), f_L,
+    f_L).  A step that fails runs covariant() state by state for its first
+    L, which raises what a sweep L by L meets first at that step.
     """
     u_r, states = clifford.unitary_for(symplectic.R), standard_test_states()
     firsts = {}  # (V, R_L, f_L) -> the first L that gives it
@@ -440,16 +440,28 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
         v = clifford.conjugate(clifford.unitary_for(L), u_r)
         firsts.setdefault((v, r_l, phasespace.shift_vector(L)), L)
 
-    steps = [(v, linear_perm(r_l), [(f_l, f_l)]) for v, r_l, f_l in firsts]
-    _, entries = _packed_states(states, [v for v, _, _ in steps])
+    steps = [(v, {born_map(linear_perm(r_l), f_l, f_l)}) for v, r_l, f_l in firsts]
+    _, entries = _packed_states(states, [v for v, _ in steps])
     passed = _packed_sweep(entries, steps)
     if passed < len(steps):
-        v, move, [pair] = steps[passed]
-        what = f"conjugated rotation for L={symplectic.to_text(list(firsts.values())[passed])}"
+        (v, r_l, f_l), first = list(firsts.items())[passed]
+        what = f"conjugated rotation for L={symplectic.to_text(first)}"
         for rho in states:
-            covariant(rho, v, move, *pair, what)
+            covariant(rho, v, linear_perm(r_l), f_l, f_l, what)
         raise AssertionError(f"{what} fails packed but passes state by state")
     return {"period": period, "striations_cycled": len(seen), "rotations": 1 + len(more)}
+
+
+def _first_bad_line(key, born, f: Index) -> int | None:
+    """The first line 4n + k of frame f whose values in key do not sum to
+    its Born probability in born, or None; both are (den, nums): a
+    WignerTable.key and born_probability, or (4, a packed table) and (1,
+    packed Born numerators)."""
+    (den, nums), (prob_den, probs) = key, born
+    for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
+        if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
+            return j
+    return None
 
 
 def marginal_check(rho: Matrix, f: Index) -> dict:
@@ -457,20 +469,17 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
 
     In frame f: for every line of every striation, the sum of Wigner values
     over the line equals the exact Born probability of the associated basis
-    vector; then displacing the state by each beta in turn shifts the table
-    by beta, as displace() checks it and builds the new table.
+    vector (_first_bad_line on wigner_table's key); then displacing the
+    state by each beta in turn shifts the table by beta, as displace()
+    checks it and builds the new table.
     """
-    prob_den, probs = clifford.born_probability(rho)
-    den, nums = wigner_table(rho, f).key
-    checked = 0
-    for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
-        if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
-            n, k = divmod(j, 4)
-            raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
-        checked += 1
+    j = _first_bad_line(wigner_table(rho, f).key, clifford.born_probability(rho), f)
+    if j is not None:
+        n, k = divmod(j, 4)
+        raise AssertionError(f"marginal failed at line (n={n}, k={k}), f={f}")
     for beta in gf4.all_points():
         displace(rho, f, beta)
-    return {"lines": checked, "displacements": 16}
+    return {"lines": len(_line_positions()), "displacements": 16}
 
 
 def _packed_table(before, trace: int, f: Index) -> list[int]:
@@ -485,55 +494,39 @@ def _packed_table(before, trace: int, f: Index) -> list[int]:
     return table
 
 
-def _keys_match(table, keys, scale: int, w: int) -> bool:
-    """Whether lane s of each entry of a packed table over scale holds the
-    value that keys[s], a WignerTable.key, holds at that point."""
-    if any(scale % den for den, _ in keys):
-        return False
-    lanes = [[x * (scale // den) for x in nums] for den, nums in keys]
-    return (all(abs(x) < 1 << (w - 1) for lane in lanes for x in lane)
-            and [pack(point, w) for point in zip(*lanes)] == table)
-
-
 def marginal_sweep() -> dict:
     """marginal_check(rho, f) for every standard test state rho and every
     canonical frame f: returns the number of (frame, state) pairs and, per
     pair, of line sums and of displacements checked.
 
-    The states are packed once (_packed_states).  Line sums, on integers
-    only: in each frame the packed table (_packed_table) holds every state's
-    table, and each line's four entries must sum to 4 times its packed Born
-    numerators; in the first frame each state's lane must also be
-    wigner_table's key.  Displacements: 16 steps of _packed_sweep, D_beta
-    along translation_perm(beta) in the pairs (f, f).  Any failure runs
-    marginal_check state by state and frame by frame, which raises what a
-    per-state sweep meets first."""
+    The states are packed once (_packed_states).  Line sums, each through
+    _first_bad_line: in each frame, on the packed table (_packed_table) of
+    every state's table; in the first frame also on each state's
+    wigner_table key, as marginal_check reads it.  Displacements: 16 steps
+    of _packed_sweep, D_beta with the distinct born_map(translation_perm(beta),
+    f, f).  Any failure runs marginal_check state by state and frame by
+    frame, which raises what a per-state sweep meets first."""
     states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
     points = gf4.all_points()
     units = [clifford.displacement(beta) for beta in points]
-    w, entries = _packed_states(states, units)
-    scale = 16 * lcm(*(rho.den for rho in states))
+    _, entries = _packed_states(states, units)
     before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
 
-    failed = None
-    for k, f in enumerate(frames):
-        table = _packed_table(before, trace, f)
-        lines = [sum(map(table.__getitem__, positions)) == 4 * before[label]
-                 for label, positions in zip(line_labels(f), _line_positions())]
-        if not all(lines) or k == 0 and not _keys_match(
-                table, [wigner_table(rho, f).key for rho in states], scale, w):
-            failed = f"marginal in frame f={f}"
-            break
-    steps = [(u, translation_perm(beta), [(f, f) for f in frames])
+    checks = [((4, _packed_table(before, trace, f)), (1, before), f) for f in frames]
+    checks += [(wigner_table(rho, frames[0]).key, clifford.born_probability(rho), frames[0])
+               for rho in states]
+    bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None), None)
+    steps = [(u, {born_map(translation_perm(beta), f, f) for f in frames})
              for beta, u in zip(points, units)]
-    passed = 0 if failed else _packed_sweep(entries, steps)
-    if failed or passed < len(steps):
+    passed = 0 if bad else _packed_sweep(entries, steps)
+    if bad or passed < len(steps):
         for rho in states:
             for f in frames:
                 marginal_check(rho, f)
-        raise AssertionError(f"{failed or op_name(points[passed])} fails packed "
-                             f"but passes state by state")
-    return {"pairs": len(frames) * len(states), "lines": len(lines), "displacements": passed}
+        what = f"marginal in frame f={bad}" if bad else op_name(points[passed])
+        raise AssertionError(f"{what} fails packed but passes state by state")
+    return {"pairs": len(frames) * len(states), "lines": len(_line_positions()),
+            "displacements": passed}
 
 
 def reconstruct(table: WignerTable) -> Matrix:

@@ -196,7 +196,11 @@ def test_09_classification():
         assert len(rep["class_counts"]) == 4
         assert rep["e0_orbit_count"] == 12
         assert rep["e0_member_count"] == 12 * 16
-        assert rep["canonical_covers_e0"]
+        # The 12 canonical frames, all of class E = 0, lie in 12 distinct
+        # displacement orbits: they cover the E = 0 class.
+        canonical = phasespace.canonical_shift_vectors()
+        assert len({frozenset(phasespace.displace_index(f, b) for b in gf4.all_points())
+                    for f in canonical}) == 12
 
 
 def test_10_rotational_symmetry():

@@ -13,7 +13,7 @@ from operator import mul
 import pytest
 
 from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar, dot, numerators
+from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar, dot, numerators, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
@@ -494,7 +494,12 @@ def test_census():
     assert len(rep["class_counts"]) == 4
     assert rep["e0_orbit_count"] == 12
     assert rep["e0_member_count"] == 192
-    assert rep["canonical_covers_e0"]
+    # With e0_orbit_count == 12 and each canonical frame of class 0, the
+    # canonical frames in 12 distinct displacement orbits cover the E = 0 class.
+    canonical = phasespace.canonical_shift_vectors()
+    assert {wigner.similarity_class(f) for f in canonical} == {0}
+    assert len({frozenset(phasespace.displace_index(f, b) for b in gf4.all_points())
+                for f in canonical}) == 12
     assert sum(rep["class_counts"].values()) == 1024
     assert sum(rep["orbit_counts"].values()) == 64
 
@@ -640,11 +645,12 @@ def test_marginal_check_sees_two_values_swapped_across_lines(capsys, monkeypatch
         wigner.marginal_check(GENERIC, ZERO_INDEX)
 
 
-def test_verify_marginals_reads_wigner_table_in_the_first_frame(capsys, monkeypatch):
-    # wigner_table off at one point, for the first state in the first frame
-    # alone: only the packed table's cross-check with wigner_table sees it,
-    # and the per-state replay names the first line through that point.
-    rho, f = wigner.standard_test_states()[0], phasespace.canonical_shift_vectors()[0]
+@pytest.mark.parametrize("s", range(6))
+def test_verify_marginals_reads_wigner_table_in_the_first_frame(capsys, monkeypatch, s):
+    # wigner_table off at one point, for standard state s in the first frame
+    # alone: only the cross-check of wigner_table's line sums sees it, and
+    # the per-state replay names the first line through that point.
+    rho, f = wigner.standard_test_states()[s], phasespace.canonical_shift_vectors()[0]
     table = wigner.wigner_table
     values = table(rho, f).values
     bad = table_of(f, {**values, (0, 0): values[(0, 0)] + 1})
@@ -653,6 +659,65 @@ def test_verify_marginals_reads_wigner_table_in_the_first_frame(capsys, monkeypa
     assert cli.main(["verify", "marginals"]) == 1
     assert capsys.readouterr() == (
         "", "FAIL marginals: marginal failed at line (n=0, k=0), f=(0, 0, 0, 0, 0)\n")
+
+
+def test_first_bad_line_names_the_first_line_through_a_changed_value():
+    # GENERIC and the standard states in the 12 canonical frames: every line
+    # sums right, as a WignerTable.key against born_probability and as one
+    # packed table against the packed Born numerators.  One table value one
+    # unit more breaks the five lines through its point, and the first of
+    # them is named.
+    states = (*wigner.standard_test_states(), GENERIC)
+    _, entries = wigner._packed_states(states, [Matrix.identity(4)])
+    before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
+    lines = wigner._line_positions()
+    for f in phasespace.canonical_shift_vectors():
+        packed = wigner._packed_table(before, trace, f)
+        assert wigner._first_bad_line((4, packed), (1, before), f) is None
+        for rho in states:
+            key = wigner.wigner_table(rho, f).key
+            assert wigner._first_bad_line(key, clifford.born_probability(rho), f) is None
+        den, nums = wigner.wigner_table(GENERIC, f).key
+        for i in range(16):
+            first = min(j for j, points in enumerate(lines) if i in points)
+            changed = (*nums[:i], nums[i] + 1, *nums[i + 1:])
+            assert wigner._first_bad_line((den, changed), clifford.born_probability(GENERIC),
+                                          f) == first
+            changed = (*packed[:i], packed[i] + 1, *packed[i + 1:])
+            assert wigner._first_bad_line((4, changed), (1, before), f) == first
+
+
+def test_born_map_is_frame_free_and_the_projector_map():
+    # Each of the 60 L in all 1024 frames f, read in g = compose_frame(f, L),
+    # and each of the 16 beta with g = f, gives one map of the 20 Born
+    # indices, whatever f; on the dense oracle it is the map of the MUB
+    # projectors, u P_i u^dag = P_map[i].
+    frames = list(product(ELEMENTS, repeat=5))
+    compose = phasespace.compose_frame.__wrapped__  # leaves its cache as it is
+    steps = [(clifford.unitary_for(L), wigner.linear_perm(L), partial(compose, L=L))
+             for L in symplectic.enumerate_group()]
+    steps += [(clifford.displacement(beta), wigner.translation_perm(beta), lambda f: f)
+              for beta in gf4.all_points()]
+    projectors = [outer(b, b) for b in
+                  (clifford.mub_vector(n, k) for n in range(5) for k in ELEMENTS)]
+    for u, move, reads in steps:
+        (image,) = {wigner.born_map(move, f, reads(f)) for f in frames}
+        assert [clifford.conjugate(u, p) for p in projectors] == [projectors[j] for j in image]
+
+
+def test_packed_sweeps_take_one_born_map_per_step(capsys, monkeypatch):
+    # verify transport, marginals and symmetry hand the kernel 60, 16 and
+    # 12 steps, and the frame pairs of each step give it one map.
+    seen, sweep = [], wigner._packed_sweep
+    monkeypatch.setattr(wigner, "_packed_sweep",
+                        lambda entries, steps: seen.append(steps) or sweep(entries, steps))
+    for scope, count in (("transport", 60), ("marginals", 16), ("symmetry", 12)):
+        seen.clear()
+        assert cli.main(["verify", scope]) == 0
+        (steps,) = seen
+        assert len(steps) == count
+        assert all(len(maps) == 1 and None not in maps for _, maps in steps)
+    capsys.readouterr()
 
 
 def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
