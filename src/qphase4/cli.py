@@ -103,6 +103,8 @@ def parse_state(text: str) -> Matrix:
 
 
 def _state_from_json(obj) -> Matrix:
+    if isinstance(obj, dict) and "vector" in obj and "density" in obj:
+        raise StateError('state JSON must contain "vector" or "density", not both')
     try:
         # Each shape is checked before any entry is read: parsing scales every
         # density entry to one denominator.

@@ -34,9 +34,6 @@ _MUL = (
 )
 # fmt: on
 
-# Squaring is a bijection; its own inverse map gives square roots.
-_SQRT = tuple(next(b for b in ELEMENTS if _MUL[b][b] == a) for a in range(4))
-
 _INV = (None, 1, 3, 2)
 
 #: Distinguished "infinite" slope, arising when the q-component vanishes.
@@ -64,11 +61,6 @@ def inv(a: int) -> int:
 
 def div(a: int, b: int) -> int:
     return mul(a, inv(b))
-
-
-def sqrt(a: int) -> int:
-    """The unique b with b*b == a (squaring is a bijection in GF(4))."""
-    return _SQRT[a]
 
 
 def to_token(a: int) -> str:
@@ -109,11 +101,6 @@ def slope(v: Vec2):
             raise ValueError("slope undefined at origin")
         return INF
     return div(p, q)
-
-
-def slope_add(x: int, s):
-    """x + s where s may be the infinite slope (x + inf == inf)."""
-    return INF if s is INF else add(x, s)
 
 
 def expand(x: int) -> tuple[int, int]:
@@ -157,13 +144,6 @@ def inverse(a: Mat2) -> Mat2:
         (mul(di, a[1][1]), mul(di, a[0][1])),
         (mul(di, a[1][0]), mul(di, a[0][0])),
     )
-
-
-def mat_pow(a: Mat2, n: int) -> Mat2:
-    out = MAT_IDENTITY
-    for _ in range(n):
-        out = mat_mul(out, a)
-    return out
 
 
 _POINTS = tuple((q, p) for q in ELEMENTS for p in ELEMENTS)

@@ -766,6 +766,10 @@ VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
         *((["wigner", "--state", json.dumps({"vector": vector})], 4, VECTOR_SHAPE)
           for vector in ([ONE] * 2, 5, None, [ONE] * 5)),
         (["wigner", "--state", json.dumps({"density": [[ONE, ONE], [ONE, ONE]]})], 4, None),
+        (["wigner", "--state", json.dumps({"vector": [ONE] * 4, "density": 5})], 4,
+         'invalid state: state JSON must contain "vector" or "density", not both\n'),
+        (["wigner", "--state", json.dumps({"vectors": [ONE] * 4})], 4,
+         'invalid state: state JSON must contain "vector" or "density"\n'),
         (["wigner", "--state", "[" * 10000], 4, None),
         (["wigner", "--state", _state(_digits(1100)), "--json"], 4, None),
         (["wigner", "--state", _state(_digits(MAX_JSON_DIGITS + 1))], 4, None),
@@ -777,7 +781,7 @@ VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
            f"{op!r} (expected D[q,p] with tokens 0,1,w,W)\n") for op in ("D[w]", "D[5,1]")),
     ],
     ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "vector-int", "vector-null",
-         "vector-5", "density-2x2", "nested", "digits-1100", "digits-over-bound", "decompose",
+         "vector-5", "density-2x2", "vector-and-density", "neither-key", "nested", "digits-1100", "digits-over-bound", "decompose",
          "unitary", "shift", "indexop", "apply", "wigner-empty-frame", "apply-empty-frame",
          "displacement-one-token", "displacement-bad-token"],
 )

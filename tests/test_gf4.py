@@ -56,15 +56,6 @@ def test_nonzero_elements_cyclic_of_order_3():
     assert powers == {1, OMEGA, OMEGA_BAR}
 
 
-def test_sqrt_is_squaring_inverse():
-    assert gf4.sqrt(OMEGA_BAR) == OMEGA
-    assert gf4.sqrt(0) == 0
-    assert gf4.sqrt(1) == 1
-    for a in ELEMENTS:
-        assert gf4.mul(gf4.sqrt(a), gf4.sqrt(a)) == a
-    assert {gf4.mul(a, a) for a in ELEMENTS} == set(ELEMENTS)
-
-
 def test_slope():
     assert gf4.slope((0, 1)) == INF
     assert gf4.slope((1, OMEGA)) == OMEGA
@@ -73,11 +64,6 @@ def test_slope():
     assert gf4.slope((OMEGA, 1)) == b == OMEGA_BAR
     with pytest.raises(ValueError):
         gf4.slope((0, 0))
-
-
-def test_slope_add_absorbs_infinity():
-    assert gf4.slope_add(OMEGA, INF) == INF
-    assert gf4.slope_add(OMEGA, 1) == OMEGA_BAR
 
 
 def test_expand_bijection():

@@ -31,9 +31,11 @@ def test_shears():
 
 
 def test_rotation_order_five():
-    assert gf4.mat_pow(symplectic.R, 5) == symplectic.IDENTITY
+    powers = symplectic.R_POWERS
+    assert powers[1] == symplectic.R
+    assert symplectic.product(powers[4], symplectic.R) == symplectic.IDENTITY
     for n in range(1, 5):
-        assert gf4.mat_pow(symplectic.R, n) != symplectic.IDENTITY
+        assert powers[n] != symplectic.IDENTITY
 
 
 def test_rotation_fixes_omega_bar_shear():
@@ -89,6 +91,26 @@ def test_decompose_roundtrip_all_sixty():
             assert d.r == 0
         triples.add((d.r, d.x, d.s))
     assert len(triples) == 60
+
+
+def test_canonical_form_is_complete_over_every_matrix():
+    # decompose reads back the enumeration, so check it against every 2x2
+    # matrix over GF(4): the 60 of det 1 are the group and factor canonically,
+    # the other 196 are rejected.
+    group = []
+    for a, b, c, d in itertools.product(ELEMENTS, repeat=4):
+        m = ((a, b), (c, d))
+        if gf4.det(m) != 1:
+            with pytest.raises(symplectic.DomainError):
+                symplectic.decompose(m)
+            continue
+        group.append(m)
+        dec = symplectic.decompose(m)
+        assert dec.matrix() == m
+        if dec.x in (0, OMEGA_BAR):
+            assert dec.r == 0
+    assert len(group) == 60
+    assert set(group) == set(symplectic.enumerate_group())
 
 
 def test_decompose_rejects_non_symplectic():
