@@ -103,25 +103,29 @@ def parse_state(text: str) -> Matrix:
 
 
 def _state_from_json(obj) -> Matrix:
-    if isinstance(obj, dict) and "vector" in obj and "density" in obj:
+    keys = [key for key in ("vector", "density") if isinstance(obj, dict) and key in obj]
+    if len(keys) == 2:
         raise StateError('state JSON must contain "vector" or "density", not both')
+    if not keys:
+        raise StateError('state JSON must contain "vector" or "density"')
+    if len(obj) > 1:
+        extra = ", ".join(json.dumps(key) for key in obj if key != keys[0])
+        raise StateError(f'state JSON has keys other than "{keys[0]}": {extra}')
     try:
         # Each shape is checked before any entry is read: parsing scales every
         # density entry to one denominator.
-        if isinstance(obj, dict) and "vector" in obj:
+        if keys == ["vector"]:
             entries = obj["vector"]
             if not (isinstance(entries, list) and len(entries) == 4):
                 raise StateError("state vector must be a list of 4 entries")
             return wigner.density_from_vector(map(Scalar.from_json, entries))
-        if isinstance(obj, dict) and "density" in obj:
-            rows = obj["density"]
-            if not (isinstance(rows, list) and len(rows) == 4
-                    and all(isinstance(row, list) and len(row) == 4 for row in rows)):
-                raise StateError("density operator must be 4x4")
-            return wigner.validate_density(Matrix.from_json(rows))
+        rows = obj["density"]
+        if not (isinstance(rows, list) and len(rows) == 4
+                and all(isinstance(row, list) and len(row) == 4 for row in rows)):
+            raise StateError("density operator must be 4x4")
+        return wigner.validate_density(Matrix.from_json(rows))
     except (TypeError, ValueError) as e:
         raise StateError(str(e)) from None
-    raise StateError('state JSON must contain "vector" or "density"')
 
 
 def parse_op(text: str):

@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import lcm
 
 from . import gf4, symplectic
-from .exact import Matrix, Scalar as _S, Vector, dot, lane_width, outer, pack
+from .exact import Matrix, Scalar as _S, Vector, dot, lane_width, pack, product
 from .gf4 import ELEMENTS, Vec2
 from .symplectic import SympMat
 
@@ -112,8 +112,10 @@ def unitary_for(L: SympMat) -> Matrix:
 
 
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:
-    """u rho u^dag."""
-    return u @ rho @ u.dagger()
+    """u rho u^dag: two products on numerators (exact.product), reduced once."""
+    ud, n = u.dagger(), u.n
+    return Matrix._reduced(n, *product(n, *product(n, u.re, u.im, rho.re, rho.im), ud.re, ud.im),
+                           u.den * rho.den * u.den)
 
 
 @lru_cache(maxsize=None)
@@ -237,9 +239,18 @@ def verify_projective_rep() -> dict:
 @lru_cache(maxsize=1)
 def projector_numerators() -> tuple[tuple[int, ...], ...]:
     """Per MUB projector |b><b|, b = mub_vector(n, k), at 4n + k: its real
-    then its imaginary numerators, row-major, over 4."""
-    return tuple(tuple(x * (4 // p.den) for x in p.re + p.im) for p in (
-        outer(mub_vector(n, k), mub_vector(n, k)) for n in range(5) for k in ELEMENTS))
+    then its imaginary numerators, row-major, over 4.  b is the first column
+    of U_R^n D_(k,0), read as integer numerators (x_i + i y_i) over that
+    product's denominator e, so b_i conj(b_j) is (x_i x_j + y_i y_j) +
+    i (y_i x_j - x_i y_j) over e^2, and e divides 2."""
+    out = []
+    for n in range(5):
+        for k in ELEMENTS:
+            u = _U_R_POWERS[n] @ displacement((k, 0))
+            b, scale = list(zip(u.re[::4], u.im[::4])), 4 // (u.den * u.den)
+            out.append(tuple([scale * (x * z + y * t) for x, y in b for z, t in b]
+                             + [scale * (y * z - x * t) for x, y in b for z, t in b]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=16)  # a state's 16 displacements, D_0 rho D_0 = rho among them

@@ -9,15 +9,16 @@ exhaustive verification sweeps, compares integer tuples.  A sweep of many
 products packs each factor once, a big integer per column or row with every
 numerator in a lane of lane_width bits (packed_left, packed_right), and one
 dot of two packings then holds every entry of their product in its own lane.
-One kernel, product, multiplies numerators for @ and for any sweep whose
-factor has a packed integer per entry, each lane a matrix of its own.
+One kernel, product, multiplies numerators for @, for is_unitary (which
+compares them unreduced with den^2 I) and for any sweep whose factor has
+a packed integer per entry, each lane a matrix of its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, neg
+from operator import lshift, mul, neg
 from typing import Iterable, Sequence
 
 #: Largest decimal length of a numerator or denominator read from JSON.
@@ -55,8 +56,11 @@ class Scalar:
     @classmethod
     def from_json(cls, obj: dict) -> "Scalar":
         """Inverse of to_json; anything but two [int, nonzero int] parts of at
-        most MAX_JSON_DIGITS digits is a ValueError, so no float, string, bool
-        or unprintably large integer reaches the exact arithmetic."""
+        most MAX_JSON_DIGITS digits, and no other key, is a ValueError, so no
+        float, string, bool or unprintably large integer reaches the exact
+        arithmetic and no misspelt key goes unnoticed."""
+        if isinstance(obj, dict) and obj.keys() - {"re", "im"}:
+            raise ValueError(f'scalar must have only "re" and "im" parts: {obj!r}')
         parts = [obj.get(key) if isinstance(obj, dict) else None for key in ("re", "im")]
         for part in parts:
             if not (isinstance(part, list) and len(part) == 2
@@ -141,9 +145,11 @@ class Matrix:
         """Packed as a right factor: per row k, that row and i times it, entry j
         in lanes 2j (re) and 2j + 1 (im).  Dotted with a.packed_left(w), entry
         (i, j) of a @ self over a.den * self.den is in lanes 2(n i + j), +1."""
-        n, parts = self.n, ((self.re, self.im), (tuple(map(neg, self.im)), self.re))
-        return tuple(pack([x for pair in zip(a[p:p + n], b[p:p + n]) for x in pair], w)
-                     for p in range(0, n * n, n) for a, b in parts)
+        n, out = self.n, []
+        for p in range(0, n * n, n):
+            re, im = pack(self.re[p:p + n], 2 * w), pack(self.im[p:p + n], 2 * w)
+            out += (re + (im << w), (re << w) - im)
+        return tuple(out)
 
     def scaled(self, c: int | Fraction) -> "Matrix":
         return Matrix._reduced(self.n, [x * c.numerator for x in self.re],
@@ -171,7 +177,11 @@ class Matrix:
         return self == self.dagger()
 
     def is_unitary(self) -> bool:
-        return self.dagger() @ self == Matrix.identity(self.n)
+        """self^dag self == I, compared on the product's numerators over
+        den^2, so the product is not reduced."""
+        n, d, a = self.n, self.den, self.dagger()
+        re, im = product(n, a.re, a.im, self.re, self.im)
+        return not any(im) and re == [d * d * (i == j) for i in range(n) for j in range(n)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.den == other.den
@@ -218,16 +228,19 @@ def product(n: int, ar, ai, br, bi) -> tuple[list, list]:
     pack one matrix per lane (pack) gives the product of each lane."""
     # row: real then imaginary numerators; column: (re, -im) and (im, re)
     rows = [ar[i:i + n] + ai[i:i + n] for i in range(0, n * n, n)]
-    cols = [((*cr, *(-x for x in ci)), (*ci, *cr))
-            for cr, ci in ((br[j::n], bi[j::n]) for j in range(n))]
-    return ([sum(map(mul, r, c)) for r in rows for c, _ in cols],
-            [sum(map(mul, r, c)) for r in rows for _, c in cols])
+    re_cols, im_cols = [], []
+    for j in range(n):
+        cr, ci = br[j::n], bi[j::n]
+        re_cols.append((*cr, *map(neg, ci)))
+        im_cols.append((*ci, *cr))
+    return ([sum(map(mul, r, c)) for r in rows for c in re_cols],
+            [sum(map(mul, r, c)) for r in rows for c in im_cols])
 
 
 def pack(lanes: Sequence[int], w: int) -> int:
     """The sum of lanes[l] * 2^(l w).  With every |lane| < 2^(w-1) the lanes
     are its balanced base-2^w digits, so equal packings have equal lanes."""
-    return sum(x << (l * w) for l, x in enumerate(lanes))
+    return sum(map(lshift, lanes, range(0, len(lanes) * w, w)))
 
 
 def lane_width(matrices: Sequence[Matrix]) -> int:

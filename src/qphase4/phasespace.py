@@ -53,7 +53,8 @@ def displace_index(idx: Index, beta: Vec2) -> Index:
 def index_add(a: Index, b: Index) -> Index:
     if len(a) != len(b):
         raise AssertionError(f"index lengths differ: {len(a)} and {len(b)}")
-    return tuple(gf4.add(x, y) for x, y in zip(a, b))
+    add = gf4._ADD
+    return tuple([add[x][y] for x, y in zip(a, b)])
 
 
 @lru_cache(maxsize=None)
@@ -63,20 +64,34 @@ def index_operator(L: SympMat) -> IndexOperator:
     I is linear, so S_L is fixed by the indices of the basis images L e_q and
     L e_p.  Row m has one nonzero entry s, in the column n of the striation
     that L sends to striation m, with (I(L e_q)_m, I(L e_p)_m) == s (Q_n, P_n);
-    exactly one (n, s) must fit each row.
+    exactly one (n, s) must fit each row.  Each row reads its (n, s) from a
+    table of the 15 pairs s (Q_n, P_n), built from qp_vectors() on every
+    call, in which a pair that two (n, s) give fits neither.
     """
     symplectic.require_symplectic(L)
     q, p = qp_vectors()
+    mul, fits = gf4._MUL, {}
+    for n in range(5):
+        for s in ELEMENTS[1:]:
+            pair = (mul[s][q[n]], mul[s][p[n]])
+            fits[pair] = None if pair in fits else (n, s)
     a, b = map(point_index, gf4.transpose(L))  # the columns L e_q and L e_p
     rows = []
     for m in range(5):
-        fits = [(n, s) for n in range(5) for s in ELEMENTS[1:]
-                if (a[m], b[m]) == (gf4.mul(s, q[n]), gf4.mul(s, p[n]))]
-        if len(fits) != 1:
+        fit = fits.get((a[m], b[m]))
+        if fit is None:
             raise AssertionError(f"index-operator row {m} not well defined for {L}")
-        (n, s), = fits
+        n, s = fit
         rows.append(tuple(s if j == n else 0 for j in range(5)))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _monomial(L: SympMat) -> tuple[tuple[int, int], ...]:
+    """Per row of index_operator(L), the column n and value s of its one
+    nonzero entry."""
+    rows = index_operator(L)
+    return tuple((row.index(s), s) for row, s in zip(rows, map(max, rows)))
 
 
 _H_WBAR_T = gf4.transpose(symplectic.shear(gf4.OMEGA_BAR))
@@ -106,12 +121,9 @@ def shift_vector(L: SympMat) -> Index:
 def compose_frame(f: Index, L: SympMat) -> Index:
     """Frame reached from f after performing U_L: S_L f + f_L.  S_L is
     monomial, so component m of S_L f is s f_n for the one nonzero entry s
-    of row m, in column n, read off gf4's table."""
-    mul, sf = gf4._MUL, []
-    for row in index_operator(L):
-        s = max(row)
-        sf.append(mul[s][f[row.index(s)]])
-    return index_add(tuple(sf), shift_vector(L))
+    of row m, in column n (_monomial, read once per L), off gf4's table."""
+    mul = gf4._MUL
+    return index_add([mul[s][f[n]] for n, s in _monomial(L)], shift_vector(L))
 
 
 @lru_cache(maxsize=1)

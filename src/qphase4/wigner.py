@@ -31,7 +31,11 @@ frame: its 20 line sums, then its 16 displacements.  The verify sweeps
 pack the standard test states once, as the lanes of one matrix, and run
 each unitary as one step of one kernel, _packed_sweep: one conjugation,
 one Born pass and one comparison per distinct map of the step's frame
-pairs, covering every state.  transport_sweep checks what transport
+pairs, covering every state.  The Born pass is one dot with the 20 MUB
+projectors packed as lanes of k w + 1 bits, for k states in lanes of w
+bits, which no Born lane of the k states reaches; a map is then one
+big-integer equality, exact only for a permutation of the 20 Born
+indices, which the kernel requires.  transport_sweep checks what transport
 checks for every L in the 12 canonical frames; marginal_sweep checks what
 marginal_check checks in those frames, its line sums on a packed table of
 integers and its 16 displacements as steps; rotational_symmetry_check
@@ -47,6 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from operator import lshift
 from typing import NamedTuple
 
 from . import clifford, exact, gf4, phasespace, symplectic
@@ -79,7 +84,8 @@ class WignerTable(NamedTuple):
 def line_labels(f: Index) -> tuple[int, ...]:
     """Per line 4n + k, the Born index 4n + k + f_n of mub_vector(n, k + f_n),
     the vector by which frame f reads it."""
-    return tuple(4 * n + gf4.add(k, f[n]) for n in range(5) for k in ELEMENTS)
+    add = gf4._ADD
+    return tuple(4 * n + add[k][f[n]] for n in range(5) for k in ELEMENTS)
 
 
 @lru_cache(maxsize=1)
@@ -190,12 +196,18 @@ def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
     return tuple(points.index(gf4.vec_add(beta, alpha)) for alpha in points)
 
 
+@lru_cache(maxsize=1)
+def _lines() -> dict[frozenset, int]:
+    """Line 4n + k by the set of its positions in gf4.all_points()."""
+    return {frozenset(points): j for j, points in enumerate(_line_positions())}
+
+
 @lru_cache(maxsize=None)
 def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     """Line 4n + k goes to 4m + k' when move (a linear_perm or
     translation_perm) takes its four positions onto those of line 4m + k';
     None when the image of some line is not a line."""
-    lines = {frozenset(points): j for j, points in enumerate(_line_positions())}
+    lines = _lines()
     image = tuple(lines.get(frozenset(map(move.__getitem__, points)))
                   for points in _line_positions())
     return None if None in image else image
@@ -207,7 +219,7 @@ def born_map(move: tuple[int, ...], f: Index, g: Index) -> tuple[int, ...] | Non
     _line_map(move) image of line line_labels(f)[i] (line_labels(f) is its
     own inverse); None when _line_map(move) is."""
     image, at_g = _line_map(move), line_labels(g)
-    return None if image is None else tuple(at_g[image[j]] for j in line_labels(f))
+    return None if image is None else tuple([at_g[image[j]] for j in line_labels(f)])
 
 
 def covariant(rho: Matrix, u: Matrix, move, f: Index, g: Index, what: str) -> Matrix:
@@ -276,29 +288,41 @@ def _conjugated(u: Matrix, entries) -> list[int]:
     return re + im
 
 
-def _packed_sweep(entries, steps) -> int:
+def _packed_sweep(width: int, entries, steps) -> int:
     """How many steps (u, maps), in order, hold on every state packed in
     entries (_packed_states, its width computed with every step's u) before
     the first that fails; len(steps) when all hold.  A step holds when
     performing u moves each state's Born numerators along each born_map in
-    maps, the distinct maps of the step's frame pairs.
+    maps, the distinct maps of the step's frame pairs.  width is k w, the
+    bits of a packed entry of k states in lanes of w bits.
 
     Per step the packed states are conjugated (_conjugated), checked
-    Hermitian entry by entry and given one Born pass; each map is then one
-    comparison for all states, against the packed states' Born numerators
-    times u.den^2, which puts both over one denominator.  No lane reaches
-    2^(w-1), so equal packings have equal lanes.  A sweep that meets a
-    failing step runs its per-state route, which names the failure as a
-    state-by-state sweep would."""
+    Hermitian entry by entry and given one Born pass: one dot of the 32
+    conjugated entries with the 20 MUB projectors packed as lanes of W =
+    width + 1 bits, projector j in lane j, so Born numerator j of every
+    state is lane j.  Each map m, which must be a permutation of the 20
+    Born indices, is then one comparison for all states, against the
+    packed states' Born numerators times u.den^2 packed with numerator j in
+    lane m[j]: both sides over one denominator, and equal exactly when
+    numerator m[j] after u is numerator j before, times u.den^2, for every
+    j and state.  No state's lane reaches 2^(w-1), so no Born lane reaches
+    2^(width-1) < 2^(W-1), and equal packings have equal lanes.  A sweep
+    that meets a failing step runs its per-state route, which names the
+    failure as a state-by-state sweep would."""
+    lane = width + 1
+    projectors = [pack(column, lane) for column in zip(*clifford.projector_numerators())]
     before = clifford.born_numerators(entries)
+    indices = list(range(len(before)))
     for i, (u, maps) in enumerate(steps):
         conj = _conjugated(u, entries)
         re, im = conj[:16], conj[16:]
         hermitian = (re == [x for j in range(4) for x in re[j::4]]
                      and im == [-x for j in range(4) for x in im[j::4]])
-        after, scaled = clifford.born_numerators(conj), [x * u.den * u.den for x in before]
-        if not (hermitian and all(m is not None and [after[j] for j in m] == scaled
-                                  for m in maps)):
+        after, scale = dot(conj, projectors), u.den * u.den
+        if not (hermitian and all(
+                m is not None and sorted(m) == indices
+                and after == scale * sum(map(lshift, before, [j * lane for j in m]))
+                for m in maps)):
             return i
     return len(steps)
 
@@ -319,8 +343,8 @@ def transport_sweep() -> int:
     steps = [(clifford.unitary_for(L),
               {born_map(linear_perm(L), f, phasespace.compose_frame(f, L)) for f in frames})
              for L in group]
-    _, entries = _packed_states(states, [u for u, _ in steps])
-    passed = _packed_sweep(entries, steps)
+    w, entries = _packed_states(states, [u for u, _ in steps])
+    passed = _packed_sweep(len(states) * w, entries, steps)
     if passed < len(steps):
         L = group[passed]
         for rho in states:
@@ -441,8 +465,8 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
         firsts.setdefault((v, r_l, phasespace.shift_vector(L)), L)
 
     steps = [(v, {born_map(linear_perm(r_l), f_l, f_l)}) for v, r_l, f_l in firsts]
-    _, entries = _packed_states(states, [v for v, _ in steps])
-    passed = _packed_sweep(entries, steps)
+    w, entries = _packed_states(states, [v for v, _ in steps])
+    passed = _packed_sweep(len(states) * w, entries, steps)
     if passed < len(steps):
         (v, r_l, f_l), first = list(firsts.items())[passed]
         what = f"conjugated rotation for L={symplectic.to_text(first)}"
@@ -509,7 +533,7 @@ def marginal_sweep() -> dict:
     states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
     points = gf4.all_points()
     units = [clifford.displacement(beta) for beta in points]
-    _, entries = _packed_states(states, units)
+    w, entries = _packed_states(states, units)
     before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
 
     checks = [((4, _packed_table(before, trace, f)), (1, before), f) for f in frames]
@@ -518,7 +542,7 @@ def marginal_sweep() -> dict:
     bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None), None)
     steps = [(u, {born_map(translation_perm(beta), f, f) for f in frames})
              for beta, u in zip(points, units)]
-    passed = 0 if bad else _packed_sweep(entries, steps)
+    passed = 0 if bad else _packed_sweep(len(states) * w, entries, steps)
     if bad or passed < len(steps):
         for rho in states:
             for f in frames:

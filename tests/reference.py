@@ -5,8 +5,8 @@ the powers of i, the Hermitian inner product, a Wigner table from its
 Fraction values, covariance by comparing moved tables, a table's Fraction
 line sums, total and operator sum, the metaplectic check and the
 shear-rotation-shear phases on dense products, the 60 group elements
-spelled out with gf4.mat_mul, an index operator applied entry by entry,
-and the lanes of a packed integer."""
+spelled out with gf4.mat_mul, an index operator found by search and one
+applied entry by entry, and the lanes of a packed integer."""
 
 from fractions import Fraction
 from functools import reduce
@@ -167,6 +167,22 @@ def apply_index_operator(s, idx) -> tuple:
             acc = gf4.add(acc, gf4.mul(s[m][n], idx[n]))
         out.append(acc)
     return tuple(out)
+
+
+def index_operator_by_search(L) -> tuple:
+    """S_L with each row's one nonzero entry found by trying all 15 (n, s)
+    against (I(L e_q)_m, I(L e_p)_m) == s (Q_n, P_n), 75 comparisons, with
+    gf4.mul; exactly one (n, s) must fit each row."""
+    q, p = phasespace.qp_vectors()
+    a, b = map(phasespace.point_index, gf4.transpose(L))
+    rows = []
+    for m in range(5):
+        fits = [(n, s) for n in range(5) for s in gf4.ELEMENTS[1:]
+                if (a[m], b[m]) == (gf4.mul(s, q[n]), gf4.mul(s, p[n]))]
+        assert len(fits) == 1, f"row {m} of {L} has {len(fits)} fits"
+        (n, s), = fits
+        rows.append(tuple(s if j == n else 0 for j in range(5)))
+    return tuple(rows)
 
 
 def unpack(x: int, w: int, lanes: int) -> list:

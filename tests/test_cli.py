@@ -516,15 +516,17 @@ def test_stdout_absent_from_the_start_is_not_an_error():
 
 def test_verify_metaplectic_makes_one_dense_product_per_unitary(capsys, monkeypatch):
     # U_L U_L^dag == I is the one dense check; every U_L D_a == +/- D_{La} U_L is
-    # two dots of packed factors.  Counted at @, the dense kernel.
+    # two dots of packed factors.  Counted at exact.product, the dense kernel,
+    # which Matrix.is_unitary calls without building a product Matrix (no @).
     for L in symplectic.enumerate_group():
         clifford.unitary_for(L)
-    products = []
-    matmul = Matrix.__matmul__
-    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    products, matmuls = [], []
+    product, matmul = exact.product, Matrix.__matmul__
+    monkeypatch.setattr(exact, "product", lambda *args: products.append(1) or product(*args))
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: matmuls.append(1) or matmul(a, b))
     code, _, _ = run(capsys, "verify", "metaplectic")
     assert code == 0
-    assert len(products) == 60
+    assert (len(products), len(matmuls)) == (60, 0)
 
 
 def _flip(p):
@@ -770,6 +772,12 @@ VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
          'invalid state: state JSON must contain "vector" or "density", not both\n'),
         (["wigner", "--state", json.dumps({"vectors": [ONE] * 4})], 4,
          'invalid state: state JSON must contain "vector" or "density"\n'),
+        # A key the parser does not know is refused, not skipped.
+        (["wigner", "--state", json.dumps({"vector": [ONE] * 4, "extra": 1})], 4,
+         'invalid state: state JSON has keys other than "vector": "extra"\n'),
+        (["wigner", "--state", _state({"re": [1, 1], "im": [0, 1], "junk": 7})], 4,
+         "invalid state: scalar must have only \"re\" and \"im\" parts: "
+         "{'re': [1, 1], 'im': [0, 1], 'junk': 7}\n"),
         (["wigner", "--state", "[" * 10000], 4, None),
         (["wigner", "--state", _state(_digits(1100)), "--json"], 4, None),
         (["wigner", "--state", _state(_digits(MAX_JSON_DIGITS + 1))], 4, None),
@@ -781,7 +789,8 @@ VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
            f"{op!r} (expected D[q,p] with tokens 0,1,w,W)\n") for op in ("D[w]", "D[5,1]")),
     ],
     ids=["zero-den", "float", "string", "empty", "bool", "vector-2", "vector-int", "vector-null",
-         "vector-5", "density-2x2", "vector-and-density", "neither-key", "nested", "digits-1100", "digits-over-bound", "decompose",
+         "vector-5", "density-2x2", "vector-and-density", "neither-key", "state-extra-key",
+         "scalar-extra-key", "nested", "digits-1100", "digits-over-bound", "decompose",
          "unitary", "shift", "indexop", "apply", "wigner-empty-frame", "apply-empty-frame",
          "displacement-one-token", "displacement-bad-token"],
 )

@@ -251,11 +251,11 @@ def test_rep_phases_see_one_unitary_off_by_i(monkeypatch):
     # read off the phase table, so no dense product runs and no Matrix is built.
     (clifford.verify_projective_rep, 3600,
      {"__matmul__": 0, "_reduced": 0, "packed_left": 60, "packed_right": 60}),
-    # U_L^dag U_L == I is the one dense product per L, and builds U_L^dag, the
-    # product and I; the 960 pairs are read off two dots per L, of the 60 U_L
-    # and 16 D_beta packed once per side.
+    # U_L^dag U_L == I is the one dense product per L, compared on its
+    # numerators, so it builds U_L^dag alone; the 960 pairs are read off two
+    # dots per L, of the 60 U_L and 16 D_beta packed once per side.
     (clifford.verify_metaplectic, 960,
-     {"__matmul__": 60, "_reduced": 180, "packed_left": 76, "packed_right": 76}),
+     {"__matmul__": 0, "_reduced": 60, "packed_left": 76, "packed_right": 76}),
 ], ids=["rep", "metaplectic"])
 def test_clifford_sweeps_lay_out_each_unitary_once(monkeypatch, sweep, checked, counts):
     # Each U_L is packed once as a left and once as a right factor; @ is the

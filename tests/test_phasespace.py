@@ -17,7 +17,7 @@ from qphase4.phasespace import (
     qp_vectors,
     shift_vector,
 )
-from reference import apply_index_operator
+from reference import apply_index_operator, index_operator_by_search
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -218,14 +218,21 @@ def test_compose_frame():
     assert compose_frame(ZERO_INDEX, G) == f_g
 
 
+def test_index_operator_matches_the_search_on_every_L():
+    # index_operator reads each row's (n, s) from its 15-pair table; the
+    # reference tries all 15 (n, s) against every row.
+    for L in symplectic.enumerate_group():
+        assert index_operator(L) == index_operator_by_search(L)
+
+
 def test_compose_frame_matches_the_index_operator_on_every_frame():
-    # compose_frame reads each row's one nonzero entry off gf4's tables; the
-    # reference multiplies and adds all 25 entries of S_L.
-    group = symplectic.enumerate_group()
+    # compose_frame reads each row's one nonzero entry, once per L, off gf4's
+    # tables; the reference multiplies and adds all 25 entries of S_L, found
+    # by search.
+    searched = {L: index_operator_by_search(L) for L in symplectic.enumerate_group()}
     for f in itertools.product(ELEMENTS, repeat=5):
-        for L in group:
-            expect = phasespace.index_add(apply_index_operator(index_operator(L), f),
-                                          shift_vector(L))
+        for L, s_l in searched.items():
+            expect = phasespace.index_add(apply_index_operator(s_l, f), shift_vector(L))
             assert compose_frame.__wrapped__(f, L) == expect
 
 

@@ -710,7 +710,8 @@ def test_packed_sweeps_take_one_born_map_per_step(capsys, monkeypatch):
     # 12 steps, and the frame pairs of each step give it one map.
     seen, sweep = [], wigner._packed_sweep
     monkeypatch.setattr(wigner, "_packed_sweep",
-                        lambda entries, steps: seen.append(steps) or sweep(entries, steps))
+                        lambda width, entries, steps: seen.append(steps)
+                        or sweep(width, entries, steps))
     for scope, count in (("transport", 60), ("marginals", 16), ("symmetry", 12)):
         seen.clear()
         assert cli.main(["verify", scope]) == 0
@@ -718,6 +719,50 @@ def test_packed_sweeps_take_one_born_map_per_step(capsys, monkeypatch):
         assert len(steps) == count
         assert all(len(maps) == 1 and None not in maps for _, maps in steps)
     capsys.readouterr()
+
+
+def test_packed_born_comparison_matches_the_per_lane_comparison(capsys, monkeypatch):
+    # Every step verify transport, marginals and symmetry hand the kernel,
+    # 60 U_L, 16 D_beta and 12 V: its one comparison of packed Born lanes
+    # per map gives the verdict of the per-state comparison on the unpacked
+    # lanes, and three faults fail at their step: the map with entries 0
+    # and 1 swapped; the map with entry 13 repeating entry 12, which the
+    # per-state comparison passes (Born numerators 12 and 13 are equal in
+    # every standard state) but is no permutation; and None.
+    calls, sweep = [], wigner._packed_sweep
+    monkeypatch.setattr(wigner, "_packed_sweep", lambda *args: calls.append(args) or sweep(*args))
+    for scope in ("transport", "marginals", "symmetry"):
+        assert cli.main(["verify", scope]) == 0
+    capsys.readouterr()
+    assert [len(steps) for _, _, steps in calls] == [60, 16, 12]
+    k = len(wigner.standard_test_states())
+    for width, entries, steps in calls:
+        def lanes(packed):  # per state, its lane of each packed integer
+            return list(zip(*(unpack(x, width // k, k) for x in packed)))
+
+        before = lanes(clifford.born_numerators(entries))
+        for i, (u, (m,)) in enumerate(steps):
+            conj = wigner._conjugated(u, entries)
+            hermitian = all(c[:16] == tuple(x for j in range(4) for x in c[j:16:4])
+                            and c[16:] == tuple(-x for j in range(4) for x in c[16 + j::4])
+                            for c in lanes(conj))
+            after, scale = lanes(clifford.born_numerators(conj)), u.den * u.den
+
+            def per_state(image):
+                return hermitian and all([a[j] for j in image] == [x * scale for x in b]
+                                         for a, b in zip(after, before))
+
+            swapped, repeated = (m[1], m[0], *m[2:]), (*m[:13], m[12], *m[14:])
+            assert (per_state(m), per_state(swapped), per_state(repeated)) == (True, False, True)
+            assert sweep(width, entries, [(u, {m})]) == 1
+            for bad in (swapped, repeated, None):
+                assert sweep(width, entries, [(u, {bad})]) == 0
+                if i == len(steps) // 2:
+                    assert sweep(width, entries, [*steps[:i], (u, {bad}), *steps[i + 1:]]) == i
+            # With every lane 0 both sides are 0 under any map: only the
+            # permutation check fails the repeated one.
+            assert sweep(width, [0] * 32, [(u, {m})]) == 1
+            assert sweep(width, [0] * 32, [(u, {repeated})]) == 0
 
 
 def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
