@@ -281,17 +281,11 @@ def cmd_wigner(args) -> int:
 def cmd_apply(args) -> int:
     rho = parse_state(args.state)
     f = phasespace.ZERO_INDEX if args.frame is None else parse_frame(args.frame)
-    steps = []
-    table = wigner.wigner_table(rho, f)
-    steps.append(("initial", rho, table))
-    for text in args.ops:
-        kind, op = parse_op(text)
-        if kind == "displace":
-            rho, f, table = wigner.displace(rho, f, op)
-            steps.append((wigner.op_name(op), rho, table))
-        else:
-            rho, f, table = wigner.transport(rho, f, op)
-            steps.append((symplectic.to_text(op), rho, table))
+    steps = [("initial", rho, wigner.wigner_table(rho, f))]
+    for kind, op in map(parse_op, args.ops):  # parsed one by one, each before it is performed
+        step = {"displace": wigner.displacement_step, "symplectic": wigner.transport_step}[kind](op)
+        rho, f, table = wigner.perform(rho, f, step)
+        steps.append((step.name, rho, table))
     if args.json:
         print(
             json.dumps(

@@ -23,7 +23,7 @@ for all 60 L2, each chunk looked up among its target's four phases.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import lcm
 
@@ -106,9 +106,11 @@ _U_R_POWERS = tuple(accumulate([_U_R] * 4, Matrix.__matmul__, initial=Matrix.ide
 
 @lru_cache(maxsize=None)
 def unitary_for(L: SympMat) -> Matrix:
-    """U_L = U_R^r U_{H_x} U_R^s from the canonical decomposition of L."""
+    """U_L = U_R^r U_{H_x} U_R^s from the canonical decomposition of L, a
+    product of only the factors that are not I (r, x or s nonzero)."""
     d = symplectic.decompose(L)
-    return _U_R_POWERS[d.r] @ _GENERATORS[d.x] @ _U_R_POWERS[d.s]
+    factors = [u for u, k in zip((_U_R_POWERS[d.r], _GENERATORS[d.x], _U_R_POWERS[d.s]), d) if k]
+    return reduce(Matrix.__matmul__, factors or [_GENERATORS[0]])
 
 
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:

@@ -13,46 +13,50 @@ marginal_check read integer line sums there, and reconstruct weights the
 projectors' numerators by them in one dot product per entry.  frame()
 builds the 16 operators from mub_vector and the displacements as the oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
-map while reinterpreting the frame.  A step is performed by one of two
-routes: transport (U_L, f -> S_L f + f_L, alpha -> L alpha) or displace
-(D_beta, f -> f, alpha -> alpha + beta); marginal_check and the CLI's apply
-use only these.  Both routes, and the conjugated rotations of
-rotational_symmetry_check (V, f_L -> f_L, alpha -> R_L alpha) when one
-fails, are checked by covariant(), one step in one frame pair (f, g) per
-call: rho' from clifford.conjugate, the Born numerators of rho and rho',
-cross-multiplied by the two denominators and compared once under born_map,
-the step's map of the 20 Born indices (from a cached permutation of the 16
-positions, linear_perm or translation_perm).  A table is a fixed bijective
-function of the 20 line probabilities, so covariant() builds no table.  In
-the frame pairs a step is meant for, born_map is one map whatever f: the
-step's map of the MUB projectors.  One helper, _first_bad_line, compares
-every line sum with its Born probability.  marginal_check checks one
-frame: its 20 line sums, then its 16 displacements.  The verify sweeps
-pack the standard test states once, as the lanes of one matrix, and run
-each unitary as one step of one kernel, _packed_sweep: one conjugation,
-one Born pass and one comparison per distinct map of the step's frame
-pairs, covering every state.  The Born pass is one dot with the 20 MUB
+map while reinterpreting the frame.  Every move is one Step: u, its
+permutation of the 16 positions (linear_perm or translation_perm), its
+frame map f -> g, the text apply prints and the text FAIL lines name.
+transport_step gives U_L (alpha -> L alpha, f -> S_L f + f_L),
+displacement_step D_beta (alpha -> alpha + beta, f -> f), and
+rotational_symmetry_check its conjugated rotations V (alpha -> R_L alpha,
+checked in f_L -> f_L).  One performer, perform(), performs every step in
+one frame pair (f, g) per call: rho' from clifford.conjugate, the Born
+numerators of rho and rho', cross-multiplied by the two denominators and
+compared once under born_map, the step's map of the 20 Born indices (from
+its cached permutation of the 16 positions).  transport, displace,
+marginal_check and the CLI's apply perform their moves through it.  A
+table is a fixed bijective function of the 20 line probabilities, so the
+check builds no table.  In the frame pairs a step is meant for, born_map
+is one map whatever f: the step's map of the MUB projectors.  One helper,
+_first_bad_line, compares every line sum with its Born probability.
+marginal_check checks one frame: its 20 line sums, then its 16
+displacements.  The verify sweeps share one driver, _sweep: it packs the
+standard test states once, as the lanes of one matrix, and runs each
+step as one step of one kernel, _packed_sweep: one conjugation, one Born
+pass and one comparison per distinct map of the step's frame pairs,
+covering every state.  The Born pass is one dot with the 20 MUB
 projectors packed as lanes of k w + 1 bits, for k states in lanes of w
 bits, which no Born lane of the k states reaches; a map is then one
 big-integer equality, exact only for a permutation of the 20 Born
-indices, which the kernel requires.  transport_sweep checks what transport
-checks for every L in the 12 canonical frames; marginal_sweep checks what
-marginal_check checks in those frames, its line sums on a packed table of
-integers and its 16 displacements as steps; rotational_symmetry_check
-checks each L's R_L and runs each distinct (V, R_L, f_L) once, 12 steps
-for the 60 L.  Each replays the per-state route, transport or
-marginal_check frame by frame, or covariant, only when a check fails.
+indices, which the kernel requires.  transport_sweep checks what
+transport checks for every L in the 12 canonical frames; marginal_sweep
+checks what marginal_check checks in those frames, its line sums on a
+packed table of integers and its 16 displacements as steps;
+rotational_symmetry_check checks each L's R_L and runs each distinct
+(V, R_L, f_L) once, 12 steps for the 60 L.  Only when a check fails does
+one helper, _replay, run the per-state route, the failing step or
+marginal_check, state by state and frame by frame.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import lcm
 from operator import lshift
-from typing import NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from . import clifford, exact, gf4, phasespace, symplectic
 from .exact import Matrix, Scalar, dot, norm_sq, outer, pack, vector
@@ -222,10 +226,39 @@ def born_map(move: tuple[int, ...], f: Index, g: Index) -> tuple[int, ...] | Non
     return None if image is None else tuple([at_g[image[j]] for j in line_labels(f)])
 
 
-def covariant(rho: Matrix, u: Matrix, move, f: Index, g: Index, what: str) -> Matrix:
-    """Perform u: returns rho' = u rho u^dag (clifford.conjugate), and raises
-    AssertionError naming `what` and f unless the phase-space map holds in
-    the frame pair (f, g).
+class Step(NamedTuple):
+    """One phase-space move: performing u takes the Wigner value at point i
+    of gf4.all_points() to point move[i] (a linear_perm or translation_perm)
+    while frame f is reread as frame(f).  name is the move as apply prints
+    it, what as FAIL lines name it."""
+
+    name: str
+    what: str
+    u: Matrix
+    move: tuple[int, ...]
+    frame: Callable[[Index], Index]
+
+
+def transport_step(L: SympMat) -> Step:
+    """U_L: alpha -> L alpha, f -> compose_frame(f, L) = S_L f + f_L, which
+    is looked up whenever a frame is reread."""
+    name = symplectic.to_text(L)
+    return Step(name, f"transport by L={name}", clifford.unitary_for(L), linear_perm(L),
+                lambda f: phasespace.compose_frame(f, L))
+
+
+def displacement_step(beta: gf4.Vec2) -> Step:
+    """D_beta: alpha -> alpha + beta, f -> f, named as the CLI's apply op
+    D[q,p]."""
+    name = "D[" + ",".join(map(gf4.to_token, beta)) + "]"
+    return Step(name, name, clifford.displacement(beta), translation_perm(beta), lambda f: f)
+
+
+def perform(rho: Matrix, f: Index, step: Step):
+    """Perform step on rho read in frame f: returns (rho', g, table), rho' =
+    u rho u^dag (clifford.conjugate), g = step.frame(f) and the table of
+    rho' in g.  Raises AssertionError naming step.what and f unless the
+    phase-space map holds in the frame pair (f, g).
 
     The g-table of rho' must be the f-table of rho with the value at point
     i of gf4.all_points() moved to point move[i].  A table is a fixed
@@ -233,25 +266,25 @@ def covariant(rho: Matrix, u: Matrix, move, f: Index, g: Index, what: str) -> Ma
     when move takes lines to lines and each Born probability i of rho is
     the Born probability born_map(move, f, g)[i] of rho'.  The probabilities
     are clifford.born_probability's integer numerators, cross-multiplied by
-    the two denominators, so no table is built.
+    the two denominators, so the check builds no table.
     """
-    rho2 = clifford.conjugate(u, rho)
+    g, rho2 = step.frame(f), clifford.conjugate(step.u, rho)
     den, nums = clifford.born_probability(rho)
     den2, nums2 = clifford.born_probability(rho2)
-    image = born_map(move, f, g)
+    image = born_map(step.move, f, g)
     if image is None or [nums2[j] * den for j in image] != [x * den2 for x in nums]:
-        raise AssertionError(f"{what} is not covariant in frame f={f}")
-    return rho2
+        raise AssertionError(f"{step.what} is not covariant in frame f={f}")
+    return rho2, g, wigner_table(rho2, g)
 
 
 def transport(rho: Matrix, f: Index, L: SympMat):
-    """Apply U_L: returns (rho', g, table), rho' checked by covariant() along
-    alpha -> L alpha in the frame pair (f, g), g = S_L f + f_L the frame
-    compose_frame gives, and the table of rho' in g."""
-    g = phasespace.compose_frame(f, L)
-    rho2 = covariant(rho, clifford.unitary_for(L), linear_perm(L), f, g,
-                     f"transport by L={symplectic.to_text(L)}")
-    return rho2, g, wigner_table(rho2, g)
+    """Apply U_L: perform(rho, f, transport_step(L))."""
+    return perform(rho, f, transport_step(L))
+
+
+def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
+    """Apply D_beta: perform(rho, f, displacement_step(beta))."""
+    return perform(rho, f, displacement_step(beta))
 
 
 def _packed_states(states, units) -> tuple[int, list[int]]:
@@ -327,47 +360,50 @@ def _packed_sweep(width: int, entries, steps) -> int:
     return len(steps)
 
 
+def _sweep(moves, route=None, first_fault=lambda entries: None) -> int:
+    """Check each (step, frames) of moves, in order, on every standard test
+    state: returns len(moves).
+
+    The states are packed once (_packed_states) and each step is one step
+    of _packed_sweep, its maps the distinct born_map(step.move, f,
+    step.frame(f)) over its frames.  first_fault(entries) may name a fault
+    of the packed states, checked before any step.  A fault, or the first
+    step that fails, is replayed (_replay) in that step's frames by route,
+    or by performing the step when route is None."""
+    states = standard_test_states()
+    w, entries = _packed_states(states, [step.u for step, _ in moves])
+    what = first_fault(entries)
+    passed = 0 if what else _packed_sweep(len(states) * w, entries, [
+        (step.u, {born_map(step.move, f, step.frame(f)) for f in fs}) for step, fs in moves])
+    if what or passed < len(moves):
+        step, frames = moves[passed]
+        _replay(what or step.what, route or partial(perform, step=step), frames)
+    return passed
+
+
+def _replay(what: str, route, frames) -> NoReturn:
+    """Run route(rho, f) for each standard test state and then each frame,
+    which raises what a state-by-state sweep meets first; when nothing
+    raises, raise that `what` fails packed but passes state by state."""
+    for rho in standard_test_states():
+        for f in frames:
+            route(rho, f)
+    raise AssertionError(f"{what} fails packed but passes state by state")
+
+
 def transport_sweep() -> int:
     """What transport(rho, f, L) checks, for every L of the group, every
     standard test state rho and every canonical frame f, in that order:
     returns the number of (L, frame, state) triples checked.
 
-    The states are packed once (_packed_states) and each L is one step of
-    _packed_sweep, its maps the distinct born_map(linear_perm(L), f,
-    compose_frame(f, L)) over the frames f: one conjugation, one Born pass
-    and one comparison per distinct map, each covering all states.  An L
-    that fails runs transport() state by state and then frame by frame,
-    which raises for the first state in order at its first failing frame."""
-    states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
-    group = symplectic.enumerate_group()
-    steps = [(clifford.unitary_for(L),
-              {born_map(linear_perm(L), f, phasespace.compose_frame(f, L)) for f in frames})
-             for L in group]
-    w, entries = _packed_states(states, [u for u, _ in steps])
-    passed = _packed_sweep(len(states) * w, entries, steps)
-    if passed < len(steps):
-        L = group[passed]
-        for rho in states:
-            for f in frames:
-                transport(rho, f, L)
-        raise AssertionError(f"transport by L={symplectic.to_text(L)} fails packed "
-                             f"but passes state by state")
-    return len(group) * len(frames) * len(states)
-
-
-def op_name(beta: gf4.Vec2) -> str:
-    """D_beta as the CLI's apply op D[q,p]."""
-    return "D[" + ",".join(map(gf4.to_token, beta)) + "]"
-
-
-def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
-    """Apply D_beta: returns (rho', f, table), rho' checked by covariant()
-    along alpha -> alpha + beta in the frame pair (f, f), as a displacement
-    keeps the frame, and its table in f.  A failure names the step as the
-    CLI's apply op D[q,p]."""
-    rho2 = covariant(rho, clifford.displacement(beta), translation_perm(beta), f, f,
-                     op_name(beta))
-    return rho2, f, wigner_table(rho2, f)
+    Each L is one transport_step of _sweep in the 12 frames: one
+    conjugation, one Born pass and one comparison per distinct map, each
+    covering all states.  An L that fails is performed state by state and
+    then frame by frame, which raises for the first state in order at its
+    first failing frame."""
+    frames = phasespace.canonical_shift_vectors()
+    passed = _sweep([(transport_step(L), frames) for L in symplectic.enumerate_group()])
+    return passed * len(frames) * len(standard_test_states())
 
 
 def similarity_class(f: Index) -> int:
@@ -433,15 +469,14 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
 
     For each L, R_L = L R L^-1 must have period five and cycle all five
     striations, and V = U_L U_R U_L^dag must move the f_L-table of each
-    standard test state along alpha -> R_L alpha.  Many L share one step
-    (V, R_L, f_L): the 60 L of the group give 12.  The states are packed
-    once (_packed_states) and each distinct step, in the order of its first
-    L, is one step of _packed_sweep, its map born_map(linear_perm(R_L), f_L,
-    f_L).  A step that fails runs covariant() state by state for its first
-    L, which raises what a sweep L by L meets first at that step.
+    standard test state along alpha -> R_L alpha.  Many L share one Step
+    (V, R_L, f_L): the 60 L of the group give 12, each checked in the one
+    frame pair (f_L, f_L) by _sweep in the order of its first L, which also
+    names it.  A step that fails is performed state by state, which raises
+    what a sweep L by L meets first at that step.
     """
-    u_r, states = clifford.unitary_for(symplectic.R), standard_test_states()
-    firsts = {}  # (V, R_L, f_L) -> the first L that gives it
+    u_r = clifford.unitary_for(symplectic.R)
+    firsts = {}  # (V, R_L, f_L) -> what FAIL lines name it by, from the first L that gives it
     for L in (L, *more):
         r_l = symplectic.product(symplectic.product(L, symplectic.R), symplectic.inverse(L))
         power, period = r_l, 1
@@ -462,17 +497,11 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
                 f"R_L does not cycle all striations for {symplectic.to_text(L)}"
             )
         v = clifford.conjugate(clifford.unitary_for(L), u_r)
-        firsts.setdefault((v, r_l, phasespace.shift_vector(L)), L)
+        firsts.setdefault((v, r_l, phasespace.shift_vector(L)),
+                          f"conjugated rotation for L={symplectic.to_text(L)}")
 
-    steps = [(v, {born_map(linear_perm(r_l), f_l, f_l)}) for v, r_l, f_l in firsts]
-    w, entries = _packed_states(states, [v for v, _ in steps])
-    passed = _packed_sweep(len(states) * w, entries, steps)
-    if passed < len(steps):
-        (v, r_l, f_l), first = list(firsts.items())[passed]
-        what = f"conjugated rotation for L={symplectic.to_text(first)}"
-        for rho in states:
-            covariant(rho, v, linear_perm(r_l), f_l, f_l, what)
-        raise AssertionError(f"{what} fails packed but passes state by state")
+    _sweep([(Step(what, what, v, linear_perm(r_l), lambda f: f), (f_l,))
+            for (v, r_l, f_l), what in firsts.items()])
     return {"period": period, "striations_cycled": len(seen), "rotations": 1 + len(more)}
 
 
@@ -523,32 +552,26 @@ def marginal_sweep() -> dict:
     canonical frame f: returns the number of (frame, state) pairs and, per
     pair, of line sums and of displacements checked.
 
-    The states are packed once (_packed_states).  Line sums, each through
-    _first_bad_line: in each frame, on the packed table (_packed_table) of
+    Line sums, each through _first_bad_line, as _sweep's first_fault on the
+    packed states: in each frame, on the packed table (_packed_table) of
     every state's table; in the first frame also on each state's
-    wigner_table key, as marginal_check reads it.  Displacements: 16 steps
-    of _packed_sweep, D_beta with the distinct born_map(translation_perm(beta),
-    f, f).  Any failure runs marginal_check state by state and frame by
-    frame, which raises what a per-state sweep meets first."""
+    wigner_table key, as marginal_check reads it.  Displacements: the 16
+    displacement_steps of _sweep in the 12 frames.  Any failure runs
+    marginal_check state by state and frame by frame, which raises what a
+    per-state sweep meets first."""
     states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
-    points = gf4.all_points()
-    units = [clifford.displacement(beta) for beta in points]
-    w, entries = _packed_states(states, units)
-    before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
 
-    checks = [((4, _packed_table(before, trace, f)), (1, before), f) for f in frames]
-    checks += [(wigner_table(rho, frames[0]).key, clifford.born_probability(rho), frames[0])
-               for rho in states]
-    bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None), None)
-    steps = [(u, {born_map(translation_perm(beta), f, f) for f in frames})
-             for beta, u in zip(points, units)]
-    passed = 0 if bad else _packed_sweep(len(states) * w, entries, steps)
-    if bad or passed < len(steps):
-        for rho in states:
-            for f in frames:
-                marginal_check(rho, f)
-        what = f"marginal in frame f={bad}" if bad else op_name(points[passed])
-        raise AssertionError(f"{what} fails packed but passes state by state")
+    def bad_lines(entries):
+        before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
+        checks = [((4, _packed_table(before, trace, f)), (1, before), f) for f in frames]
+        checks += [(wigner_table(rho, frames[0]).key, clifford.born_probability(rho), frames[0])
+                   for rho in states]
+        bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None),
+                   None)
+        return bad and f"marginal in frame f={bad}"
+
+    passed = _sweep([(displacement_step(beta), frames) for beta in gf4.all_points()],
+                    marginal_check, bad_lines)
     return {"pairs": len(frames) * len(states), "lines": len(_line_positions()),
             "displacements": passed}
 

@@ -73,7 +73,7 @@ def table_of(f, values: dict) -> WignerTable:
 
 
 def tables_covariant(rho: Matrix, f, u: Matrix, g, move) -> bool:
-    """The table route to wigner.covariant's verdict: the g-table of
+    """The table route to wigner.perform's verdict: the g-table of
     u rho u^dag, a dense product, equals the f-table of rho with the value at
     point i of gf4.all_points() moved to point move[i], compared by keys."""
     den, nums = wigner_table(u @ rho @ u.dagger(), g).key

@@ -107,6 +107,20 @@ def test_apply_golden(capsys):
     assert out == golden("apply_g_twice.txt")
 
 
+#: A general pure state in a frame off zero, displaced and transported in turn.
+MIXED_CHAIN = ["--state", '{"vector":[{"re":[1,2],"im":[0,1]},{"re":[0,1],"im":[1,3]},'
+               '{"re":[-1,1],"im":[0,1]},{"re":[0,1],"im":[0,1]}]}', "--frame", "w,0,1,W,0",
+               "D[1,w]", "[[W,1],[1,0]]", "D[W,0]", "[[0,1],[1,0]]"]
+
+
+@pytest.mark.parametrize("json_flag, name", [([], "apply_mixed_chain.txt"),
+                                             (["--json"], "apply_mixed_chain.json")],
+                         ids=["text", "json"])
+def test_apply_mixed_chain_golden(capsys, json_flag, name):
+    code, out, err = run(capsys, "apply", *json_flag, *MIXED_CHAIN)
+    assert (code, out, err) == (0, golden(name), "")
+
+
 def test_verify_all_golden(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0
@@ -287,17 +301,17 @@ def test_verify_symmetry_runs_each_distinct_packed_step_once(capsys, monkeypatch
 def test_wrong_permutation_for_one_rotation_fails_packed_verify_symmetry_at_its_first_L(
         capsys, monkeypatch):
     # R_L of L = group[23] moved one position on: still a bijection, but it
-    # takes lines off the lines.  The packed step fails and replays
-    # covariant for the first L in group order that gives it, group[20], and
-    # raises at the first state: the line a sweep L by L printed.
-    group, perm, covariant = symplectic.enumerate_group(), wigner.linear_perm, wigner.covariant
+    # takes lines off the lines.  The packed step fails and is performed
+    # for the first L in group order that gives it, group[20], and raises at
+    # the first state: the line a sweep L by L printed.
+    group, perm, perform = symplectic.enumerate_group(), wigner.linear_perm, wigner.perform
     L = group[23]
     r_l = symplectic.product(symplectic.product(L, symplectic.R), symplectic.inverse(L))
     replayed = []
     monkeypatch.setattr(wigner, "linear_perm",
                         lambda m: perm(m)[1:] + perm(m)[:1] if m == r_l else perm(m))
-    monkeypatch.setattr(wigner, "covariant",
-                        lambda rho, *rest: replayed.append(rho) or covariant(rho, *rest))
+    monkeypatch.setattr(wigner, "perform",
+                        lambda rho, f, step: replayed.append(rho) or perform(rho, f, step))
     code, out, err = run(capsys, "verify", "symmetry")
     assert symplectic.to_text(group[20]) == "[[0,W],[w,1]]"
     assert (code, out, err) == (1, "", "FAIL symmetry: conjugated rotation for L=[[0,W],[w,1]] "
@@ -307,7 +321,7 @@ def test_wrong_permutation_for_one_rotation_fails_packed_verify_symmetry_at_its_
 
 def test_packed_symmetry_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
     # A packed conjugation that leaves the states as they are fails at the
-    # first step, L = I, while each state passes alone through covariant.
+    # first step, L = I, while each state passes alone when performed.
     monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
     code, out, err = run(capsys, "verify", "symmetry")
     assert (code, out, err) == (1, "", "FAIL symmetry: conjugated rotation for L=[[1,0],[0,1]] "
@@ -404,12 +418,10 @@ def _frame_off(g, n, c):
     return tuple(gf4.add(x, c) if i == n else x for i, x in enumerate(g))
 
 
-def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, monkeypatch):
-    # Under L = I, frame 0's target off in component 1 fails up*right alone
-    # (state 4), and frame 3's off in component 0 fails the four basis states
-    # alone.  The packed sweep sees both frames fail at once; the one line
-    # must name what a state-by-state sweep meets first: state 0, at frame 3.
-    frames, states = phasespace.canonical_shift_vectors(), wigner.standard_test_states()
+def _two_frames_off_under_identity(monkeypatch):
+    """Patch compose_frame so that, under L = I only, canonical frame 0's
+    target is off in component 1 and frame 3's in component 0."""
+    frames = phasespace.canonical_shift_vectors()
     compose, wrong = phasespace.compose_frame, {frames[0]: (1, 1), frames[3]: (0, 2)}
 
     def composed(f, L):
@@ -417,6 +429,15 @@ def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, mon
         return _frame_off(g, *wrong[f]) if L == symplectic.IDENTITY and f in wrong else g
 
     monkeypatch.setattr(phasespace, "compose_frame", composed)
+
+
+def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, monkeypatch):
+    # Under L = I, frame 0's target off in component 1 fails up*right alone
+    # (state 4), and frame 3's off in component 0 fails the four basis states
+    # alone.  The packed sweep sees both frames fail at once; the one line
+    # must name what a state-by-state sweep meets first: state 0, at frame 3.
+    frames, states = phasespace.canonical_shift_vectors(), wigner.standard_test_states()
+    _two_frames_off_under_identity(monkeypatch)
     failing = []
     for rho in states:
         failing.append([])
@@ -429,6 +450,19 @@ def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, mon
     code, out, err = run(capsys, "verify", "transport")
     assert (code, out, err) == (1, "", "FAIL transport: transport by L=[[1,0],[0,1]] "
                                        f"is not covariant in frame f={frames[3]}\n")
+
+
+def test_verify_transport_witness_replays_through_apply(capsys, monkeypatch):
+    # The witness verify transport names, L = I performed on state 0 (up*up)
+    # from frame 3, is an apply call that fails with the same detail.
+    frames = phasespace.canonical_shift_vectors()
+    _two_frames_off_under_identity(monkeypatch)
+    detail = f"transport by L=[[1,0],[0,1]] is not covariant in frame f={frames[3]}\n"
+    assert run(capsys, "verify", "transport") == (1, "", "FAIL transport: " + detail)
+    assert cli.parse_state("up*up") == wigner.standard_test_states()[0]
+    frame = ",".join(map(gf4.to_token, frames[3]))
+    assert run(capsys, "apply", "--state", "up*up", "--frame", frame, "[[1,0],[0,1]]") == (
+        1, "", "FAIL apply: " + detail)
 
 
 def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
@@ -444,7 +478,7 @@ def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeyp
 def test_verify_reports_a_fault_that_is_not_an_assertion_in_one_line(capsys, monkeypatch):
     # u rho, not u rho u^dag, is not Hermitian, so born_probability raises
     # ValueError inside the symmetry sweep, the one scope that still calls
-    # clifford.conjugate, when its first failing step replays covariant: one
+    # clifford.conjugate, when its first failing step is performed: one
     # FAIL line with the type, no traceback, exit 1, and the scopes before it
     # printed as usual.
     monkeypatch.setattr(clifford, "conjugate", lambda u, rho: u @ rho)
@@ -642,10 +676,11 @@ def test_apply_counterexample_is_one_fail_line(capsys, monkeypatch):
 
 
 def test_apply_names_each_displacement_step_as_its_op(capsys):
-    # apply and the FAIL lines name D_beta by one helper, in the text apply
-    # parses back to the same displacement.
+    # apply and the FAIL lines name D_beta by its one displacement_step, in
+    # the text apply parses back to the same displacement.
     points = gf4.all_points()
-    ops = [wigner.op_name(beta) for beta in points]
+    ops = [wigner.displacement_step(beta).name for beta in points]
+    assert ops == [wigner.displacement_step(beta).what for beta in points]
     assert [cli.parse_op(op) for op in ops] == [("displace", beta) for beta in points]
     code, out, _ = run(capsys, "apply", "--json", "--state", "up*right", *ops)
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qphase4 import clifford, gf4, symplectic
+from qphase4 import clifford, exact, gf4, symplectic
 from qphase4.clifford import (
     PAULI_I,
     PAULI_X,
@@ -81,6 +81,22 @@ def test_unitary_for_is_exact_product():
         for _ in range(d.s):
             u = u @ clifford._U_R
         assert unitary_for(L) == u
+
+
+def test_unitary_for_multiplies_only_the_factors_that_are_not_the_identity(monkeypatch):
+    # Of the 120 products of U_R^r U_{H_x} U_R^s over the 60 L, 36 have an
+    # identity operand (r, x or s zero); the other 84 are made, and every
+    # U_L is the literal three-factor product.
+    calls, product = [], exact.product
+    monkeypatch.setattr(exact, "product", lambda *args: calls.append(1) or product(*args))
+    unitary_for.cache_clear()
+    units = [unitary_for(L) for L in symplectic.enumerate_group()]
+    monkeypatch.undo()
+    assert len(calls) == 84
+    powers, generators = clifford._U_R_POWERS, clifford._GENERATORS
+    for L, u in zip(symplectic.enumerate_group(), units):
+        d = symplectic.decompose(L)
+        assert u == powers[d.r] @ generators[d.x] @ powers[d.s]
 
 
 def test_unitary_for_rejects_non_symplectic():

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 #: Functions that may go uncalled: a repr serves only debugging, a hash only
 #: callers that put the object in a set or dict, and cli's FAIL-line writer
-#: only a failed check, which working code never makes (tests/test_cli.py
-#: reaches it through every pinned FAIL line).
-MAY_GO_UNCALLED = {"__repr__", "__hash__", "_fail"}
+#: and wigner's replay of a packed sweep's failing step only a failed check,
+#: which working code never makes (tests/test_cli.py reaches each through
+#: the FAIL lines it pins).
+MAY_GO_UNCALLED = {"__repr__", "__hash__", "_fail", "_replay"}
 
 G = "[[W,0],[0,w]]"
 VECTOR = json.dumps({"vector": [{"re": [1, 3], "im": [2, 5]}, {"re": [-1, 1], "im": [0, 1]},

@@ -42,6 +42,11 @@ def _generic_state():
 GENERIC = _generic_state()
 
 
+def step_into(g, u: Matrix, move) -> wigner.Step:
+    """A Step named "step" that performs u along move from any frame into g."""
+    return wigner.Step("step", "step", u, move, lambda f: g)
+
+
 def _mat_vec(m: Matrix, v) -> tuple:
     """m v on numerators: a row's real then imaginary numerators dotted with
     (vr, -vi) and (vi, vr) give the real and imaginary part."""
@@ -276,10 +281,12 @@ def test_covariant_rejects_a_wrong_move_or_frame():
     up_up = wigner.density_from_vector([1, 0, 0, 0])
     d = clifford.displacement((1, 0))
     shift = wigner.translation_perm((1, 0))
-    rho2 = wigner.covariant(up_up, d, shift, ZERO_INDEX, ZERO_INDEX, "D[1,0]")
-    assert rho2 == d @ up_up @ d.dagger()
-    assert wigner.displace(up_up, ZERO_INDEX, (1, 0)) == (
-        rho2, ZERO_INDEX, wigner.wigner_table(rho2, ZERO_INDEX))
+    step = wigner.displacement_step((1, 0))
+    assert step == ("D[1,0]", "D[1,0]", d, shift, step.frame) and step.frame(G) == G
+    rho2, g, table = wigner.perform(up_up, ZERO_INDEX, step)
+    assert (rho2, g, table) == (d @ up_up @ d.dagger(), ZERO_INDEX,
+                                wigner.wigner_table(rho2, ZERO_INDEX))
+    assert wigner.displace(up_up, ZERO_INDEX, (1, 0)) == (rho2, g, table)
     # f_0 = 1 relabels the computational basis, the one basis up*up is not unbiased to.
     # Swapping the first two points takes lines off the lines, which no state
     # survives, not even I/4, whose table every point permutation keeps.
@@ -289,13 +296,39 @@ def test_covariant_rejects_a_wrong_move_or_frame():
              (wigner.MAXIMALLY_MIXED, Matrix.identity(4), ZERO_INDEX, swap)]
     for rho, u, g, move in cases:
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
-            wigner.covariant(rho, u, move, ZERO_INDEX, g, "D[1,0]")
+            wigner.perform(rho, ZERO_INDEX, step._replace(u=u, move=move, frame=lambda f, g=g: g))
     assert tables_covariant(wigner.MAXIMALLY_MIXED, ZERO_INDEX, Matrix.identity(4), ZERO_INDEX,
                             swap)
 
 
+def test_every_move_is_one_step_that_perform_performs(capsys, monkeypatch):
+    # A transport step reads compose_frame when a frame is reread, not when
+    # it is built; transport, displace, marginal_check's 16 displacements and
+    # apply's ops each perform one step.
+    step = wigner.transport_step(G)
+    assert step[:4] == ("[[W,0],[0,w]]", "transport by L=[[W,0],[0,w]]", clifford.unitary_for(G),
+                        wigner.linear_perm(G))
+    assert step.frame(ZERO_INDEX) == phasespace.compose_frame(ZERO_INDEX, G)
+    monkeypatch.setattr(phasespace, "compose_frame", lambda f, L: (f, L))
+    assert step.frame(ZERO_INDEX) == (ZERO_INDEX, G)
+    monkeypatch.undo()
+    performed, perform = [], wigner.perform
+    monkeypatch.setattr(wigner, "perform",
+                        lambda rho, f, step: performed.append(step.name) or perform(rho, f, step))
+    wigner.transport(UP_RIGHT, ZERO_INDEX, G)
+    wigner.displace(UP_RIGHT, ZERO_INDEX, (OMEGA, 1))
+    assert performed == ["[[W,0],[0,w]]", "D[w,1]"]
+    performed.clear()
+    wigner.marginal_check(GENERIC, ZERO_INDEX)
+    assert performed == [wigner.displacement_step(beta).name for beta in gf4.all_points()]
+    performed.clear()
+    assert cli.main(["apply", "--state", "up*right", "D[w,1]", "[[W,0],[0,w]]"]) == 0
+    assert performed == ["D[w,1]", "[[W,0],[0,w]]"]
+    capsys.readouterr()
+
+
 def test_covariant_names_the_first_wrong_frame_of_twelve():
-    # The 12 canonical frames checked in order, one pair per call.  With
+    # The 12 canonical frames performed in order, one pair per call.  With
     # target frame k off in one component, alone or with every later one,
     # the first failure is at frame k and names it; with every frame right
     # each call passes.  Each wrong pair also fails alone, naming its own f.
@@ -304,7 +337,7 @@ def test_covariant_names_the_first_wrong_frame_of_twelve():
 
     def check_in_order(pairs):
         for f, g in pairs:
-            rho2 = wigner.covariant(GENERIC, u, move, f, g, "step")
+            rho2, _, _ = wigner.perform(GENERIC, f, step_into(g, u, move))
         return rho2
 
     assert check_in_order(pairs) == u @ GENERIC @ u.dagger()
@@ -420,7 +453,7 @@ def test_covariant_sees_one_changed_value_of_the_moved_table(monkeypatch):
 
 
 def test_covariant_passes_exactly_when_the_moved_tables_match():
-    # covariant's line route against reference.tables_covariant.  Each right
+    # perform's line route against reference.tables_covariant.  Each right
     # step (60 L x the 12 canonical frames, then 16 beta x 16 sampled frames)
     # also runs with a wrong target frame or another element's move, which
     # still takes lines to lines, so both verdicts occur.
@@ -443,7 +476,7 @@ def test_covariant_passes_exactly_when_the_moved_tables_match():
             wrong_g = (*g[:n], gf4.add(g[n], 1 + i % 3), *g[n + 1:])
             for case in ((g, move), (wrong_g, move) if i % 2 else (g, other)):
                 try:
-                    wigner.covariant(rho, u, case[1], f, case[0], "step")
+                    wigner.perform(rho, f, step_into(case[0], u, case[1]))
                     verdict = True
                 except AssertionError:
                     verdict = False
