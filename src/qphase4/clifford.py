@@ -14,10 +14,11 @@ omega-bar in the field-basis expansion.
 Both sweeps pack each factor once per side (Matrix.packed_left, packed_right)
 and compare exact products of big integers with packed targets, one dot
 holding many products in chunks of one integer, each chunk read as a slice
-of its bytes: U_L D_a with +/- D_{La} U_L, one dot per side and L for all
-16 a, after one dense check U_L^dag U_L == I per L; and U_{L1} U_{L2} with
-i^k U_{L1 L2}, whose phase table holds the named identities, one dot per L1
-for all 60 L2, each chunk looked up among its target's four phases.
+of its bytes (exact.chunk_keys): U_L D_a with +/- D_{La} U_L, one dot per
+side and L for all 16 a, after one dense check U_L^dag U_L == I per L; and
+U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the named
+identities, one dot per L1 for all 60 L2 (exact.Family), each chunk looked
+up among its target's four phases.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
-from math import lcm
 
 from . import gf4, symplectic
-from .exact import Matrix, Scalar as _S, Vector, dot, lane_width, pack, product
+from .exact import (Family, Matrix, Scalar as _S, Vector, chunk_keys, chunked, dot, lane_width,
+                    product)
 from .gf4 import ELEMENTS, Vec2
 from .symplectic import SympMat
 
@@ -137,33 +138,29 @@ def verify_metaplectic() -> dict:
     U_L^dag U_L == I (Matrix.is_unitary) is the one dense product per L.
     Given that, the identity holds exactly when U_L D_a == +/- D_{La} U_L.
     As in verify_projective_rep, each U_L and each D_beta is packed once per
-    side, and the 16 D_beta are packed 32w bits apart, D_beta in chunk j for
+    side, and the 16 D_beta are packed side by side, D_beta in chunk j for
     beta the j-th point, into one integer per packed row (right factors) or
-    column (left factors).  So per L one dot holds the 16 U_L D_a and one
-    the 16 D_beta U_L, each chunk the 32 lanes of a product over U_L's
-    denominator (every D_beta has denominator 1).  The lanes are those of
-    the one-pair dots, all below 2^(w-1) (lane_width), so a chunk lies in
-    (-2^(32w-1), 2^(32w-1)); with 2^(32w-1) added to every chunk, chunk j is
-    bytes 4wj to 4w(j+1) of the little-endian bytes, and equal bytes mean
-    equal products.  U_L D_a is compared with D_{La} U_L and its negation,
-    read at La's chunk."""
+    column (left factors) (exact.chunked).  So per L one dot holds the 16
+    U_L D_a and one the 16 D_beta U_L, each chunk the 32 lanes of a product
+    over U_L's denominator (every D_beta has denominator 1).  The lanes are
+    those of the one-pair dots, all below 2^(w-1) (lane_width), so equal
+    chunk keys (exact.chunk_keys) mean equal products.  U_L D_a is compared
+    with D_{La} U_L and its negation, read at La's chunk."""
     group, points = symplectic.enumerate_group(), gf4.all_points()
     units, ds = [unitary_for(L) for L in group], [displacement(b) for b in points]
-    w = lane_width(units + ds)
-    chunk, size = 32 * w, 4 * w * len(points)
-    offset = pack([1 << (chunk - 1)] * len(points), chunk)
-    d_left_all = [pack(col, chunk) for col in zip(*(d.packed_left(w) for d in ds))]
-    d_right_all = [pack(row, chunk) for row in zip(*(d.packed_right(w) for d in ds))]
-    at = {b: slice(4 * w * j, 4 * w * (j + 1)) for j, b in enumerate(points)}
+    w, count = lane_width(units + ds), len(points)
+    d_left_all = chunked((d.packed_left(w) for d in ds), w)
+    d_right_all = chunked((d.packed_right(w) for d in ds), w)
+    at = {b: j for j, b in enumerate(points)}
     signs = {}
     for L, u in zip(group, units):
         # Without unitarity the identity already fails at alpha == (0, 0), the first point.
         unitary = u.is_unitary()
-        lhs = (dot(u.packed_left(w), d_right_all) + offset).to_bytes(size, "little")
+        lhs = chunk_keys(dot(u.packed_left(w), d_right_all), count, w)
         rhs = dot(d_left_all, u.packed_right(w))
-        plus, minus = ((offset + x).to_bytes(size, "little") for x in (rhs, -rhs))
-        for alpha in points:
-            x, y = lhs[at[alpha]], at[gf4.mat_vec(L, alpha)]
+        plus, minus = chunk_keys(rhs, count, w), chunk_keys(-rhs, count, w)
+        for x, alpha in zip(lhs, points):
+            y = at[gf4.mat_vec(L, alpha)]
             sign = 1 if x == plus[y] else -1 if x == minus[y] else None
             if sign is None or not unitary:
                 raise AssertionError(f"metaplectic check failed for "
@@ -175,23 +172,14 @@ def verify_metaplectic() -> dict:
 def verify_projective_rep() -> dict:
     """Check U_{L1} U_{L2} == i^k U_{L1 L2} over all 3600 ordered pairs.
 
-    Each U_L is packed once as a left and once as a right factor
-    (Matrix.packed_left, packed_right; lanes of w = lane_width bits), and
-    one dot of big integers per L1 holds its 60 products.  The right
-    factors' numerators are scaled to the common denominator d = 2 of the
-    U_L (each has 1 or 2), and each packed row of all 60 is one integer:
-    right factor j in chunk j, 32w bits wide, the 32 lanes of a product
-    (entry (i, j) real and imaginary at lanes 8i + 2j and 8i + 2j + 1).
-    Times d / den(U_{L1}), chunk j of the dot holds U_{L1} U_{L2} over d^2.
-    A chunk's lanes are balanced, so it lies in (-2^(32w-1), 2^(32w-1));
-    with 2^(32w-1) added to every chunk, chunk j is bytes 4wj to 4w(j+1)
-    of the little-endian bytes, looked up among the four packings of
-    d i^k U_{L1 L2} over d^2 (k = 0..3), each plus 2^(32w-1), as 4w bytes.
-
-    The lane bound: for numerators up to m and denominators up to e, a
-    scaled numerator is (d/den) m <= m d, so a product lane is at most
-    2n m^2 d^2 (n = 4) and a target lane m d^2, and lane_width keeps
-    2^(w-1) above 2n m^2 e^2; d == e, as every denominator divides 2.
+    The 60 U_L are one exact.Family, in lanes of w = lane_width bits: each
+    is packed once as a left and once as a right factor, the right
+    factors' numerators scaled to the common denominator d = 2 of the U_L
+    (each has 1 or 2), and one dot of big integers per L1 holds its 60
+    products, chunk j holding U_{L1} U_{L2} over d^2 in 32 lanes (entry
+    (i, j) real and imaginary at lanes 8i + 2j and 8i + 2j + 1).  Each
+    chunk's key is looked up among the keys of the four i^k U_{L1 L2}
+    (Family.phases), which also give k.
 
     The named special cases are entries of the same phase table, on the
     unitaries unitary_for gives: exact shear composition, the
@@ -199,23 +187,12 @@ def verify_projective_rep() -> dict:
     """
     group = symplectic.enumerate_group()
     units = [unitary_for(L) for L in group]
-    w, d = lane_width(units), lcm(*(u.den for u in units))
-    chunk, half, size = 32 * w, 1 << (32 * w - 1), 4 * w
-    rights = [[x * (d // u.den) for x in u.packed_right(w)] for u in units]
-    right_all = [pack(row, chunk) for row in zip(*rights)]
-    offset = pack([half] * len(group), chunk)
-    # The rows of a right packing, 8 lanes apart, are U and i U in a product's lanes.
-    targets = {}
-    for L, r in zip(group, rights):
-        p, ip = pack(r[::2], 8 * w), pack(r[1::2], 8 * w)
-        targets[L] = {(d * x + half).to_bytes(size, "little"): k
-                      for k, x in enumerate((p, ip, -p, -ip))}
+    family = Family.of(units, lane_width(units))
+    targets = {L: family.phases(j) for j, L in enumerate(group)}
     phases = {}
     for l1, u1 in zip(group, units):
-        x = dot(u1.packed_left(w), right_all) * (d // u1.den) + offset
-        x = x.to_bytes(size * len(group), "little")
-        for j, l2 in enumerate(group):
-            k = targets[symplectic.product(l1, l2)].get(x[size * j:size * (j + 1)])
+        for l2, key in zip(group, family.products(u1)):
+            k = targets[symplectic.product(l1, l2)].get(key)
             if k is None:
                 raise AssertionError(f"projective representation failed for "
                                      f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}")
@@ -260,16 +237,10 @@ def born_probability(rho: Matrix) -> tuple[int, tuple[int, ...]]:
     """The 20 Born probabilities Tr(P rho) of the MUB projectors P =
     |b><b|, b = mub_vector(n, k), as (den, nums): nums[4n + k] over the one
     denominator den = 4 rho.den.  Each is the real Hilbert-Schmidt product
-    sum_ij P_ij conj(rho_ij) on numerators, exact for Hermitian rho only; any
-    other rho raises ValueError."""
+    sum_ij P_ij conj(rho_ij), the dot of P's numerators over 4
+    (projector_numerators) with rho's real then imaginary numerators, exact
+    for Hermitian rho only; any other rho raises ValueError."""
     if not rho.is_hermitian():
         raise ValueError("Born probabilities of a non-Hermitian operator")
-    return 4 * rho.den, born_numerators(rho.re + rho.im)
-
-
-def born_numerators(entries) -> tuple[int, ...]:
-    """Per MUB projector P at its Born index, the dot of its numerators
-    with entries, a matrix's real then imaginary numerators: Tr(P rho) over
-    4 times their denominator for a Hermitian rho.  The dot is linear, so
-    entries that pack one matrix per lane give every lane's numerators."""
-    return tuple(dot(p, entries) for p in projector_numerators())
+    entries = rho.re + rho.im
+    return 4 * rho.den, tuple(dot(p, entries) for p in projector_numerators())

@@ -5,21 +5,27 @@ they serve only where user rationals come in or go out (construction, JSON,
 printing).  Matrices (2x2 and 4x4) store integer real and imaginary
 numerators over one shared denominator in lowest terms, so their arithmetic
 is integer arithmetic, nothing rounds, and equality, used directly by the
-exhaustive verification sweeps, compares integer tuples.  A sweep of many
-products packs each factor once, a big integer per column or row with every
-numerator in a lane of lane_width bits (packed_left, packed_right), and one
-dot of two packings then holds every entry of their product in its own lane.
-One kernel, product, multiplies numerators for @, for is_unitary (which
-compares them unreduced with den^2 I) and for any sweep whose factor has
-a packed integer per entry, each lane a matrix of its own.
+exhaustive verification sweeps, compares integer tuples.  One kernel,
+product, multiplies numerators for @, for is_unitary (which compares them
+unreduced with den^2 I) and for clifford.conjugate.  A sweep of many
+products packs each factor once instead, a big integer per column or row
+with every numerator in a lane of lane_width bits (packed_left,
+packed_right), so one dot of two packings holds every entry of their
+product in its own lane.  Many matrices packed side by side (chunked) put
+one product per chunk of 32 lanes in a single dot, and one chunk reader,
+chunk_keys, reads each chunk as a slice of the dot's bytes that compares
+exactly; a Family of right factors scaled to one denominator reads every
+product of a left factor that way and keys each factor's four phases
+i^k m for lookup.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from operator import lshift, mul, neg
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 #: Largest decimal length of a numerator or denominator read from JSON.
 #: Wigner values and transported states of inputs at this bound print below
@@ -224,8 +230,7 @@ def outer(u: Vector, v: Vector) -> Matrix:
 def product(n: int, ar, ai, br, bi) -> tuple[list, list]:
     """The real and imaginary numerators of the n x n product a b, given
     a's (ar, ai) and b's (br, bi) row-major: over the product of the two
-    denominators, unreduced.  It is bilinear, so a factor whose entries
-    pack one matrix per lane (pack) gives the product of each lane."""
+    denominators, unreduced."""
     # row: real then imaginary numerators; column: (re, -im) and (im, re)
     rows = [ar[i:i + n] + ai[i:i + n] for i in range(0, n * n, n)]
     re_cols, im_cols = [], []
@@ -244,10 +249,66 @@ def pack(lanes: Sequence[int], w: int) -> int:
 
 
 def lane_width(matrices: Sequence[Matrix]) -> int:
-    """Bits per lane so that, for numerators up to m and denominators up to d,
-    a product's lane times one denominator and an entry times two stay below 2^(w-1)."""
-    m, d = max(max(map(abs, u.re + u.im)) for u in matrices), max(u.den for u in matrices)
+    """Bits per lane so that, for numerators up to m and a common denominator
+    d, a product's lane times d and an entry times d^2 stay below 2^(w-1)."""
+    m, d = max(max(map(abs, u.re + u.im)) for u in matrices), lcm(*(u.den for u in matrices))
     return (2 * matrices[0].n * m * m * d * d).bit_length() + 1
+
+
+def chunked(packings: Iterable[Sequence[int]], w: int) -> list[int]:
+    """Several matrices' packings (lanes of w bits) side by side: one
+    integer per packed column or row, matrix j's in chunk j of 32 w bits.
+    Dotted with one packing of the other side, chunk j holds the product
+    with matrix j in its 32 lanes."""
+    return [pack(lanes, 32 * w) for lanes in zip(*packings)]
+
+
+def chunk_keys(x: int, count: int, w: int) -> tuple[bytes, ...]:
+    """The count chunks of x, 32 w bits each, as keys that are equal exactly
+    when the chunks are.  Every lane is below 2^(w-1) in absolute value, so
+    a chunk lies in (-2^(32w-1), 2^(32w-1)); with 2^(32w-1) added to every
+    chunk (the top bit of its last byte), chunk j is bytes 4wj to 4w(j+1)
+    of the little-endian bytes."""
+    size = 4 * w
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    return struct.unpack(f"{size}s" * count, (x + offset).to_bytes(size * count, "little"))
+
+
+class Family(NamedTuple):
+    """Matrices m_j packed once, side by side, as right factors, so that one
+    dot per left factor a holds every product a m_j.  Their packed_right
+    numerators are scaled to their common denominator d (rights), one
+    integer per packed row holds them all (rows, chunked), and a's dot is
+    read times d / a.den, so chunk j is a m_j over d^2 when a.den divides d.
+
+    w must be lane_width of a and the family together.  For numerators up
+    to m, a product lane is then at most 2 n m^2 d^2 and a key's lane, d
+    times a numerator scaled to d, at most m d^2: both below 2^(w-1), so
+    chunk_keys reads each chunk exactly."""
+
+    w: int
+    d: int
+    rights: list
+    rows: list
+
+    @classmethod
+    def of(cls, matrices: Sequence[Matrix], w: int) -> "Family":
+        d = lcm(*(m.den for m in matrices))
+        rights = [[x * (d // m.den) for x in m.packed_right(w)] for m in matrices]
+        return cls(w, d, rights, chunked(rights, w))
+
+    def products(self, a: Matrix) -> tuple[bytes, ...]:
+        """Per m_j, the key (chunk_keys) of a m_j over d^2; a.den must divide d."""
+        return chunk_keys(dot(a.packed_left(self.w), self.rows) * (self.d // a.den),
+                          len(self.rights), self.w)
+
+    def phases(self, j: int) -> dict[bytes, int]:
+        """k by the key of i^k m_j over d, read as d i^k m_j over d^2, for
+        k = 0..3.  The rows of a right packing, 8 lanes apart, are m_j and
+        i m_j in a product's lanes."""
+        r, w = self.rights[j], self.w
+        p, ip = pack(r[::2], 8 * w), pack(r[1::2], 8 * w)
+        return {chunk_keys(self.d * x, 1, w)[0]: k for k, x in enumerate((p, ip, -p, -ip))}
 
 
 def proportional(a: Matrix, b: Matrix):

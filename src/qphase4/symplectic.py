@@ -41,12 +41,9 @@ def require_symplectic(m: Mat2) -> None:
         raise DomainError(f"matrix is not symplectic (det != 1): {m}")
 
 
-def product(a: SympMat, b: SympMat) -> SympMat:
-    return gf4.mat_mul(a, b)
-
-
-def inverse(a: SympMat) -> SympMat:
-    return gf4.inverse(a)
+#: The group's product and inverse are GF(4)'s 2x2 matrix product and inverse.
+product = gf4.mat_mul
+inverse = gf4.inverse
 
 
 class Decomposition(NamedTuple):

@@ -30,22 +30,24 @@ check builds no table.  In the frame pairs a step is meant for, born_map
 is one map whatever f: the step's map of the MUB projectors.  One helper,
 _first_bad_line, compares every line sum with its Born probability.
 marginal_check checks one frame: its 20 line sums, then its 16
-displacements.  The verify sweeps share one driver, _sweep: it packs the
-standard test states once, as the lanes of one matrix, and runs each
-step as one step of one kernel, _packed_sweep: one conjugation, one Born
-pass and one comparison per distinct map of the step's frame pairs,
-covering every state.  The Born pass is one dot with the 20 MUB
-projectors packed as lanes of k w + 1 bits, for k states in lanes of w
-bits, which no Born lane of the k states reaches; a map is then one
-big-integer equality, exact only for a permutation of the 20 Born
-indices, which the kernel requires.  transport_sweep checks what
-transport checks for every L in the 12 canonical frames; marginal_sweep
-checks what marginal_check checks in those frames, its line sums on a
-packed table of integers and its 16 displacements as steps;
-rotational_symmetry_check checks each L's R_L and runs each distinct
-(V, R_L, f_L) once, 12 steps for the 60 L.  Only when a check fails does
-one helper, _replay, run the per-state route, the failing step or
-marginal_check, state by state and frame by frame.
+displacements.  The verify sweeps share one driver, _sweep, and one
+kernel, _packed_sweep, which checks a step for every state at once.
+A^f_alpha is a sum of MUB projectors minus I, so a step holds for every
+state in the frame pair (f, g) when u P_i u^dag == P_j for each of the 20
+projectors P_i = |b_i><b_i|, j = born_map(move, f, g)[i]; they span the
+Hermitian operators (Wootters & Fields, Ann. Phys. 191, 363 (1989)), so
+only then.  _hilbert_maps reads that j off u b_i == i^k b_j: one dot of u
+with the 20 matrices |b_i><0| packed side by side (exact.Family), each
+product's chunk looked up among the keys of every i^k |b_j><0|.  A step
+holds when that one map is the born_map of each of its frame pairs.
+transport_sweep checks what transport checks for every L in the 12
+canonical frames; marginal_sweep checks what marginal_check checks in
+those frames, its line sums on integer tables and its 16 displacements as
+steps; rotational_symmetry_check checks each L's R_L and runs each
+distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Only when a check
+fails does one helper, _replay, run the per-state route, the failing step
+or marginal_check, state by state and frame by frame, on the standard
+test states and then the 20 MUB states.
 """
 
 from __future__ import annotations
@@ -55,11 +57,10 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm
-from operator import lshift
 from typing import Callable, NamedTuple, NoReturn
 
 from . import clifford, exact, gf4, phasespace, symplectic
-from .exact import Matrix, Scalar, dot, norm_sq, outer, pack, vector
+from .exact import Matrix, Scalar, dot, norm_sq, outer, vector
 from .gf4 import ELEMENTS
 from .phasespace import Index
 from .symplectic import SympMat
@@ -287,94 +288,57 @@ def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
     return perform(rho, f, displacement_step(beta))
 
 
-def _packed_states(states, units) -> tuple[int, list[int]]:
-    """(w, entries): the states as lanes of one 4x4 matrix, entry e of
-    state s in lane s of entries[e] (real parts, then imaginary), its
-    numerator over the states' least common denominator, in lanes of w bits.
-
-    w keeps under 2^(w-1) every lane the packed sweeps form from these
-    states and unitaries u.  For state numerators up to m, u's numerators
-    up to a and denominators up to d, and projector numerators summing in
-    absolute value to at most s: an entry of u rho u^dag is at most
-    4 n^2 a^2 m (n = 4; two products of 2n terms), its Born lanes at most s
-    times that, and a Born lane of rho times u.den^2 at most s m d^2.  As
-    a >= 1, also 2^(w-1) > 64 s m: a lane of a packed table (_packed_table)
-    is at most 5 s m + 16 m, and the sum of a line's four at most
-    20 s m + 64 m, below 64 s m because every projector has trace 1, so
-    s >= 4."""
-    den = lcm(*(rho.den for rho in states))
-    scaled = [[x * (den // rho.den) for x in rho.re + rho.im] for rho in states]
-    m = max(abs(x) for lanes in scaled for x in lanes)
-    a, d = max(abs(x) for u in units for x in u.re + u.im), max(u.den for u in units)
-    s = max(sum(map(abs, p)) for p in clifford.projector_numerators())
-    w = (s * m * max(4 * 4**2 * a * a, d * d)).bit_length() + 1
-    return w, [pack(lanes, w) for lanes in zip(*scaled)]
+@lru_cache(maxsize=1)
+def _mub_columns() -> tuple[Matrix, ...]:
+    """Per Born index 4n + k, the matrix |b><0| of b = mub_vector(n, k)."""
+    return tuple(Matrix([[x, 0, 0, 0] for x in clifford.mub_vector(n, k)])
+                 for n in range(5) for k in ELEMENTS)
 
 
-def _conjugated(u: Matrix, entries) -> list[int]:
-    """u X u^dag for X the 4x4 matrix of packed entries, real parts then
-    imaginary, as packed entries over u.den^2 times X's denominator: each
-    lane conjugated, nothing reduced."""
-    ud = u.dagger()
-    re, im = exact.product(4, *exact.product(4, u.re, u.im, entries[:16], entries[16:]),
-                           ud.re, ud.im)
-    return re + im
+@lru_cache(maxsize=None)
+def _mub_family(w: int) -> tuple[exact.Family, dict[bytes, int]]:
+    """The 20 _mub_columns as one exact.Family in lanes of w bits, and the
+    Born index j by the key of each i^k |b_j><0|, k = 0..3."""
+    family = exact.Family.of(_mub_columns(), w)
+    return family, {key: j for j in range(20) for key in family.phases(j)}
 
 
-def _packed_sweep(width: int, entries, steps) -> int:
-    """How many steps (u, maps), in order, hold on every state packed in
-    entries (_packed_states, its width computed with every step's u) before
-    the first that fails; len(steps) when all hold.  A step holds when
-    performing u moves each state's Born numerators along each born_map in
-    maps, the distinct maps of the step's frame pairs.  width is k w, the
-    bits of a packed entry of k states in lanes of w bits.
+def _hilbert_maps(units) -> list[tuple | None]:
+    """Per unitary u, its map of the 20 Born indices: entry i is the j with
+    u b_i == i^k b_j for some k (b_i = mub_vector at Born index i), or None
+    when u b_i is no such vector.  One dot per u holds every u |b_i><0|
+    (exact.Family.products), and each chunk is looked up among the keys of
+    every i^k |b_j><0|.  The map is None when u.den does not divide 2, the
+    b_j's common denominator: u's columns, u b_i for the computational
+    basis b_0..b_3, are then none of the i^k b_j."""
+    w = exact.lane_width([*units, *_mub_columns()])
+    family, born_index = _mub_family(w)
+    return [None if family.d % u.den else tuple(map(born_index.get, family.products(u)))
+            for u in units]
 
-    Per step the packed states are conjugated (_conjugated), checked
-    Hermitian entry by entry and given one Born pass: one dot of the 32
-    conjugated entries with the 20 MUB projectors packed as lanes of W =
-    width + 1 bits, projector j in lane j, so Born numerator j of every
-    state is lane j.  Each map m, which must be a permutation of the 20
-    Born indices, is then one comparison for all states, against the
-    packed states' Born numerators times u.den^2 packed with numerator j in
-    lane m[j]: both sides over one denominator, and equal exactly when
-    numerator m[j] after u is numerator j before, times u.den^2, for every
-    j and state.  No state's lane reaches 2^(w-1), so no Born lane reaches
-    2^(width-1) < 2^(W-1), and equal packings have equal lanes.  A sweep
-    that meets a failing step runs its per-state route, which names the
-    failure as a state-by-state sweep would."""
-    lane = width + 1
-    projectors = [pack(column, lane) for column in zip(*clifford.projector_numerators())]
-    before = clifford.born_numerators(entries)
-    indices = list(range(len(before)))
-    for i, (u, maps) in enumerate(steps):
-        conj = _conjugated(u, entries)
-        re, im = conj[:16], conj[16:]
-        hermitian = (re == [x for j in range(4) for x in re[j::4]]
-                     and im == [-x for j in range(4) for x in im[j::4]])
-        after, scale = dot(conj, projectors), u.den * u.den
-        if not (hermitian and all(
-                m is not None and sorted(m) == indices
-                and after == scale * sum(map(lshift, before, [j * lane for j in m]))
-                for m in maps)):
+
+def _packed_sweep(moves) -> int:
+    """How many (step, frames) of moves, in order, hold before the first
+    that fails; len(moves) when all hold.  A step holds when its
+    _hilbert_maps map is born_map(step.move, f, step.frame(f)) in each of
+    its frames."""
+    images = _hilbert_maps([step.u for step, _ in moves])
+    for i, ((step, frames), image) in enumerate(zip(moves, images)):
+        if image is None or any(born_map(step.move, f, step.frame(f)) != image for f in frames):
             return i
-    return len(steps)
+    return len(moves)
 
 
-def _sweep(moves, route=None, first_fault=lambda entries: None) -> int:
-    """Check each (step, frames) of moves, in order, on every standard test
-    state: returns len(moves).
+def _sweep(moves, route=None, first_fault=lambda: None) -> int:
+    """Check each (step, frames) of moves, in order, for every state:
+    returns len(moves).
 
-    The states are packed once (_packed_states) and each step is one step
-    of _packed_sweep, its maps the distinct born_map(step.move, f,
-    step.frame(f)) over its frames.  first_fault(entries) may name a fault
-    of the packed states, checked before any step.  A fault, or the first
-    step that fails, is replayed (_replay) in that step's frames by route,
-    or by performing the step when route is None."""
-    states = standard_test_states()
-    w, entries = _packed_states(states, [step.u for step, _ in moves])
-    what = first_fault(entries)
-    passed = 0 if what else _packed_sweep(len(states) * w, entries, [
-        (step.u, {born_map(step.move, f, step.frame(f)) for f in fs}) for step, fs in moves])
+    first_fault() may name a fault checked before any step; each step is
+    then one step of _packed_sweep.  A fault, or the first step that fails,
+    is replayed (_replay) in that step's frames by route, or by performing
+    the step when route is None."""
+    what = first_fault()
+    passed = 0 if what else _packed_sweep(moves)
     if what or passed < len(moves):
         step, frames = moves[passed]
         _replay(what or step.what, route or partial(perform, step=step), frames)
@@ -382,10 +346,14 @@ def _sweep(moves, route=None, first_fault=lambda entries: None) -> int:
 
 
 def _replay(what: str, route, frames) -> NoReturn:
-    """Run route(rho, f) for each standard test state and then each frame,
-    which raises what a state-by-state sweep meets first; when nothing
-    raises, raise that `what` fails packed but passes state by state."""
-    for rho in standard_test_states():
+    """Run route(rho, f) for each standard test state and then each of the
+    20 MUB states, each in every frame in turn, which raises what a
+    state-by-state sweep meets first; the MUB states give a witness to a
+    fault that no standard state shows.  When nothing raises, raise that
+    `what` fails packed but passes state by state."""
+    mub_states = (density_from_vector(clifford.mub_vector(n, k))
+                  for n in range(5) for k in ELEMENTS)
+    for rho in (*standard_test_states(), *mub_states):
         for f in frames:
             route(rho, f)
     raise AssertionError(f"{what} fails packed but passes state by state")
@@ -396,11 +364,11 @@ def transport_sweep() -> int:
     standard test state rho and every canonical frame f, in that order:
     returns the number of (L, frame, state) triples checked.
 
-    Each L is one transport_step of _sweep in the 12 frames: one
-    conjugation, one Born pass and one comparison per distinct map, each
-    covering all states.  An L that fails is performed state by state and
-    then frame by frame, which raises for the first state in order at its
-    first failing frame."""
+    Each L is one transport_step of _sweep in the 12 frames: one dot for
+    its map of the Born indices, compared with the map of each frame pair,
+    which covers every state.  An L that fails is performed state by state
+    and then frame by frame, which raises for the first state in order at
+    its first failing frame."""
     frames = phasespace.canonical_shift_vectors()
     passed = _sweep([(transport_step(L), frames) for L in symplectic.enumerate_group()])
     return passed * len(frames) * len(standard_test_states())
@@ -469,11 +437,11 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
 
     For each L, R_L = L R L^-1 must have period five and cycle all five
     striations, and V = U_L U_R U_L^dag must move the f_L-table of each
-    standard test state along alpha -> R_L alpha.  Many L share one Step
-    (V, R_L, f_L): the 60 L of the group give 12, each checked in the one
-    frame pair (f_L, f_L) by _sweep in the order of its first L, which also
-    names it.  A step that fails is performed state by state, which raises
-    what a sweep L by L meets first at that step.
+    state along alpha -> R_L alpha.  Many L share one Step (V, R_L, f_L):
+    the 60 L of the group give 12, each checked in the one frame pair
+    (f_L, f_L) by _sweep in the order of its first L, which also names it.
+    A step that fails is performed state by state, which raises what a
+    sweep L by L meets first at that step.
     """
     u_r = clifford.unitary_for(symplectic.R)
     firsts = {}  # (V, R_L, f_L) -> what FAIL lines name it by, from the first L that gives it
@@ -508,8 +476,8 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
 def _first_bad_line(key, born, f: Index) -> int | None:
     """The first line 4n + k of frame f whose values in key do not sum to
     its Born probability in born, or None; both are (den, nums): a
-    WignerTable.key and born_probability, or (4, a packed table) and (1,
-    packed Born numerators)."""
+    WignerTable.key and born_probability, or (4, an _integer_table) and (1,
+    its Born numerators)."""
     (den, nums), (prob_den, probs) = key, born
     for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
         if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
@@ -535,11 +503,11 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     return {"lines": len(_line_positions()), "displacements": 16}
 
 
-def _packed_table(before, trace: int, f: Index) -> list[int]:
-    """The packed Wigner table in frame f, per point of gf4.all_points():
-    the packed Born numerators before of the five lines through it, minus
-    4 times the packed trace.  Each lane is 16 den W^f for its state, den
-    the denominator of the packing."""
+def _integer_table(before, trace: int, f: Index) -> list[int]:
+    """A state's Wigner table in frame f on integers, per point of
+    gf4.all_points(): the state's Born numerators before (over 4 den) of the
+    five lines through it, minus 4 times its trace numerator (over den):
+    16 den W^f."""
     table = [-4 * trace] * 16
     for label, points in zip(line_labels(f), _line_positions()):
         for i in points:
@@ -552,18 +520,18 @@ def marginal_sweep() -> dict:
     canonical frame f: returns the number of (frame, state) pairs and, per
     pair, of line sums and of displacements checked.
 
-    Line sums, each through _first_bad_line, as _sweep's first_fault on the
-    packed states: in each frame, on the packed table (_packed_table) of
-    every state's table; in the first frame also on each state's
-    wigner_table key, as marginal_check reads it.  Displacements: the 16
-    displacement_steps of _sweep in the 12 frames.  Any failure runs
-    marginal_check state by state and frame by frame, which raises what a
-    per-state sweep meets first."""
+    Line sums, each through _first_bad_line, as _sweep's first_fault: in
+    each frame, on every state's _integer_table; in the first frame also on
+    each state's wigner_table key, as marginal_check reads it.
+    Displacements: the 16 displacement_steps of _sweep in the 12 frames.
+    Any failure runs marginal_check state by state and frame by frame,
+    which raises what a per-state sweep meets first."""
     states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
 
-    def bad_lines(entries):
-        before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
-        checks = [((4, _packed_table(before, trace, f)), (1, before), f) for f in frames]
+    def bad_lines():
+        borns = [(clifford.born_probability(rho)[1], sum(rho.re[::5])) for rho in states]
+        checks = [((4, _integer_table(before, trace, f)), (1, before), f)
+                  for f in frames for before, trace in borns]
         checks += [(wigner_table(rho, frames[0]).key, clifford.born_probability(rho), frames[0])
                    for rho in states]
         bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None),

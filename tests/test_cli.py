@@ -286,11 +286,12 @@ def test_verify_line_counts_come_from_the_sweep(capsys, monkeypatch, scope, modu
 
 def test_verify_symmetry_runs_each_distinct_packed_step_once(capsys, monkeypatch):
     # Each of the 60 L forms its own V = U_L U_R U_L^dag, one conjugate call
-    # each; the 60 give 12 distinct steps (V, R_L, f_L), one packed
-    # conjugation each.
-    packed, conjugated = [], wigner._conjugated
+    # each; the 60 give 12 distinct steps (V, R_L, f_L), one kernel dot
+    # each.
+    packed, read = [], exact.Family.products
     calls, conjugate = [], clifford.conjugate
-    monkeypatch.setattr(wigner, "_conjugated", lambda u, x: packed.append(u) or conjugated(u, x))
+    monkeypatch.setattr(exact.Family, "products", lambda family, a: packed.append(a)
+                        or read(family, a))
     monkeypatch.setattr(clifford, "conjugate", lambda u, rho: calls.append(u) or conjugate(u, rho))
     code, out, _ = run(capsys, "verify", "symmetry")
     assert (code, out) == (0, golden("verify_all.txt").splitlines()[4] + "\n")
@@ -319,10 +320,16 @@ def test_wrong_permutation_for_one_rotation_fails_packed_verify_symmetry_at_its_
     assert replayed == [wigner.standard_test_states()[0]]
 
 
+def _read_every_unitary_as_the_identity(monkeypatch):
+    read = exact.Family.products
+    monkeypatch.setattr(exact.Family, "products",
+                        lambda family, a: read(family, Matrix.identity(4)))
+
+
 def test_packed_symmetry_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
-    # A packed conjugation that leaves the states as they are fails at the
-    # first step, L = I, while each state passes alone when performed.
-    monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
+    # A chunk reader that reads every u as I fails at the first step, L = I,
+    # while each state passes alone when performed.
+    _read_every_unitary_as_the_identity(monkeypatch)
     code, out, err = run(capsys, "verify", "symmetry")
     assert (code, out, err) == (1, "", "FAIL symmetry: conjugated rotation for L=[[1,0],[0,1]] "
                                        "fails packed but passes state by state\n")
@@ -374,6 +381,69 @@ def test_wrong_shift_vector_for_one_L_fails_verify_transport(capsys, monkeypatch
     assert err.startswith(f"FAIL transport: transport by L={symplectic.to_text(symplectic.R)} ")
 
 
+@pytest.mark.parametrize("n, c", [(n, c) for n in range(5) for c in (1, OMEGA, OMEGA_BAR)])
+def test_every_wrong_shift_vector_entry_fails_verify_transport(capsys, monkeypatch, n, c):
+    # f_L off by c in component n, each of the 15 at its own L: the kernel
+    # checks every operator, not only the standard states, so each fails
+    # and the replay names L (the MUB states witness what the six standard
+    # states miss).  compose_frame is cached, so it is rebuilt from the
+    # patched f_L and dropped after.
+    L = symplectic.enumerate_group()[12 * n + 4 * (c - 1) + 3]
+    phasespace.canonical_shift_vectors()
+    shift_vector = phasespace.shift_vector
+    monkeypatch.setattr(phasespace, "shift_vector",
+                        lambda m: _frame_off(shift_vector(m), n, c) if m == L else shift_vector(m))
+    phasespace.compose_frame.cache_clear()
+    try:
+        code, out, err = run(capsys, "verify", "transport")
+    finally:
+        phasespace.compose_frame.cache_clear()
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"FAIL transport: transport by L={re.escape(symplectic.to_text(L))} "
+                        r"is not covariant in frame f=\(\d, \d, \d, \d, \d\)\n", err), err
+
+
+def _sign_flipped_displacement(monkeypatch):
+    """Patch D_(1,w) to D_(1,w) diag(1, 1, 1, -1): it still moves the six
+    standard states as D_(1,w) does, but not every MUB state."""
+    displacement, beta = clifford.displacement, (1, OMEGA)
+    flip = Matrix([[int(i == j) * (-1 if i == 3 else 1) for j in range(4)] for i in range(4)])
+    monkeypatch.setattr(clifford, "displacement",
+                        lambda b: displacement(b) @ flip if b == beta else displacement(b))
+
+
+def test_sign_flipped_displacement_fails_verify_marginals(capsys, monkeypatch):
+    # Every standard state passes marginal_check with it in every canonical
+    # frame; the kernel fails its step, and the replay meets it at a MUB
+    # state, in the first frame.
+    _sign_flipped_displacement(monkeypatch)
+    for rho in wigner.standard_test_states():
+        for f in phasespace.canonical_shift_vectors():
+            wigner.marginal_check(rho, f)
+    assert run(capsys, "verify", "marginals") == (
+        1, "", "FAIL marginals: D[1,w] is not covariant in frame f=(0, 0, 0, 0, 0)\n")
+
+
+def test_verify_marginals_witness_replays_through_apply(capsys, monkeypatch):
+    # The witness of an operator-level fault: the first MUB state that
+    # D[1,w] fails, performed by apply in the frame verify names, fails with
+    # the same detail.
+    _sign_flipped_displacement(monkeypatch)
+    detail = "D[1,w] is not covariant in frame f=(0, 0, 0, 0, 0)\n"
+    assert run(capsys, "verify", "marginals") == (1, "", "FAIL marginals: " + detail)
+    vectors = [clifford.mub_vector(n, k) for n in range(5) for k in gf4.ELEMENTS]
+    failing = []
+    for b in vectors:
+        try:
+            wigner.displace(wigner.density_from_vector(b), phasespace.ZERO_INDEX, (1, OMEGA))
+        except AssertionError:
+            failing.append(b)
+    assert 0 < len(failing) < len(vectors)
+    state = json.dumps({"vector": [x.to_json() for x in failing[0]]})
+    assert run(capsys, "apply", "--state", state, "--frame", "0,0,0,0,0", "D[1,w]") == (
+        1, "", "FAIL apply: " + detail)
+
+
 def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
     # An extra component, as a range(6) loop in shift_vector would give: the
     # index sum must refuse it, not let zip drop it.  compose_frame is cached,
@@ -389,29 +459,27 @@ def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "FAIL transport: index lengths differ: 5 and 6\n")
 
 
-@pytest.mark.parametrize("scope, pairs", [("transport", 60 * 6), ("marginals", 16 * 6)])
-def test_verify_conjugates_each_state_once_per_unitary(capsys, monkeypatch, scope, pairs):
-    # Both scopes pack their six states into the lanes of one matrix: one
-    # packed conjugation per unitary, U_L in group order or D_beta in
-    # gf4.all_points() order, covering each (unitary, state) pair once, and
-    # no conjugate call or @.  The packed conjugation runs on exact.product,
-    # the kernel of @: two calls each.
+@pytest.mark.parametrize("scope, steps", [("transport", 60), ("marginals", 16)])
+def test_packed_sweeps_take_one_kernel_dot_per_step(capsys, monkeypatch, scope, steps):
+    # Each unitary, U_L in group order or D_beta in gf4.all_points() order,
+    # is read by one kernel dot (exact.Family.products) that covers every
+    # state, and no state is conjugated: no conjugate call and no @ once
+    # the 20 MUB columns are built.
     if scope == "transport":
         units = [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
     else:
         units = [clifford.displacement(beta) for beta in gf4.all_points()]
-    products, packed, kernel, calls = [], [], [], []
-    matmul, conjugated, product = Matrix.__matmul__, wigner._conjugated, exact.product
-    conjugate = clifford.conjugate
+    wigner._mub_columns()
+    products, packed, calls = [], [], []
+    matmul, read, conjugate = Matrix.__matmul__, exact.Family.products, clifford.conjugate
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
     monkeypatch.setattr(clifford, "conjugate", lambda u, rho: calls.append(u) or conjugate(u, rho))
-    monkeypatch.setattr(wigner, "_conjugated", lambda u, x: packed.append(u) or conjugated(u, x))
-    monkeypatch.setattr(exact, "product", lambda *args: kernel.append(1) or product(*args))
+    monkeypatch.setattr(exact.Family, "products", lambda family, a: packed.append(a)
+                        or read(family, a))
     code, _, _ = run(capsys, "verify", scope)
     assert code == 0
     assert (len(calls), len(products)) == (0, 0)
-    assert packed == units and len(units) * len(wigner.standard_test_states()) == pairs
-    assert len(kernel) == 2 * len(packed)
+    assert packed == units and len(units) == steps
 
 
 def _frame_off(g, n, c):
@@ -452,6 +520,18 @@ def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, mon
                                        f"is not covariant in frame f={frames[3]}\n")
 
 
+def test_a_frame_fault_in_the_last_frame_alone_fails_verify_transport(capsys, monkeypatch):
+    # Under L = I, only the last canonical frame's target is off, in
+    # component 0: the kernel compares its map with every frame's, not the
+    # first frame's alone, and the basis states fail there.
+    frames, compose = phasespace.canonical_shift_vectors(), phasespace.compose_frame
+    monkeypatch.setattr(phasespace, "compose_frame", lambda f, L: _frame_off(compose(f, L), 0, 1)
+                        if L == symplectic.IDENTITY and f == frames[-1] else compose(f, L))
+    assert run(capsys, "verify", "transport") == (
+        1, "", f"FAIL transport: transport by L=[[1,0],[0,1]] is not covariant in frame "
+               f"f={frames[-1]}\n")
+
+
 def test_verify_transport_witness_replays_through_apply(capsys, monkeypatch):
     # The witness verify transport names, L = I performed on state 0 (up*up)
     # from frame 3, is an apply call that fails with the same detail.
@@ -466,9 +546,9 @@ def test_verify_transport_witness_replays_through_apply(capsys, monkeypatch):
 
 
 def test_packed_transport_that_disagrees_with_each_state_says_so(capsys, monkeypatch):
-    # A packed conjugation that leaves the states as they are fails at the
-    # first L that moves them, while each state passes alone through transport.
-    monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
+    # A chunk reader that reads every u as I fails at the first L that
+    # moves the frames' lines, while each state passes alone through transport.
+    _read_every_unitary_as_the_identity(monkeypatch)
     code, out, err = run(capsys, "verify", "transport")
     assert (code, out) == (1, "")
     assert re.fullmatch(r"FAIL transport: transport by L=\S+ fails packed but passes state "
@@ -727,13 +807,14 @@ def test_rotated_translation_for_one_beta_fails_verify_marginals_state_by_state(
 
 
 def test_packed_table_with_a_flipped_trace_fails_verify_marginals(capsys, monkeypatch):
-    # The packed table alone is wrong: every line sum is off by 32 traces,
-    # while each state passes marginal_check.  One FAIL line, also under -O.
-    mutation = ("table = wigner._packed_table\n"
-                "wigner._packed_table = lambda before, trace, f: table(before, -trace, f)\n")
+    # The integer tables alone are wrong: every line sum is off by 32
+    # traces, while each state passes marginal_check.  One FAIL line, also
+    # under -O.
+    mutation = ("table = wigner._integer_table\n"
+                "wigner._integer_table = lambda before, trace, f: table(before, -trace, f)\n")
     expect = (1, "", "FAIL marginals: marginal in frame f=(0, 0, 0, 0, 0) fails packed "
                      "but passes state by state\n")
-    monkeypatch.setattr(wigner, "_packed_table", wigner._packed_table)
+    monkeypatch.setattr(wigner, "_integer_table", wigner._integer_table)
     exec(mutation, {"wigner": wigner})
     assert run(capsys, "verify", "marginals") == expect
     program = ("import sys\nfrom qphase4 import cli, wigner\n" + mutation
@@ -742,10 +823,22 @@ def test_packed_table_with_a_flipped_trace_fails_verify_marginals(capsys, monkey
     assert (proc.returncode, proc.stdout, proc.stderr) == expect
 
 
+def test_integer_tables_off_in_the_last_frame_fail_verify_marginals(capsys, monkeypatch):
+    # The line sums are checked in every canonical frame, not the first
+    # alone: integer tables off in the last frame only fail there, while
+    # each state passes marginal_check.
+    frames, table = phasespace.canonical_shift_vectors(), wigner._integer_table
+    monkeypatch.setattr(wigner, "_integer_table", lambda before, trace, f: table(
+        before, -trace if f == frames[-1] else trace, f))
+    assert run(capsys, "verify", "marginals") == (
+        1, "", f"FAIL marginals: marginal in frame f={frames[-1]} fails packed but passes "
+               "state by state\n")
+
+
 def test_packed_marginals_that_disagree_with_each_state_say_so(capsys, monkeypatch):
-    # A packed conjugation that leaves the states as they are fails at the
-    # first D_beta that moves one of them, while each state passes alone.
-    monkeypatch.setattr(wigner, "_conjugated", lambda u, entries: entries)
+    # A chunk reader that reads every u as I fails at the first D_beta that
+    # moves a line, while each state passes alone.
+    _read_every_unitary_as_the_identity(monkeypatch)
     code, out, err = run(capsys, "verify", "marginals")
     assert (code, out) == (1, "")
     assert re.fullmatch(r"FAIL marginals: D\[\S+\] fails packed but passes state by state\n",

@@ -8,8 +8,8 @@ from math import gcd
 import pytest
 
 from qphase4 import clifford, gf4, symplectic
-from qphase4.exact import (MAX_JSON_DIGITS, Matrix, Scalar, dot, lane_width, norm_sq, outer,
-                           pack, proportional, vector)
+from qphase4.exact import (MAX_JSON_DIGITS, Family, Matrix, Scalar, dot, lane_width, norm_sq,
+                           outer, pack, proportional, vector)
 from reference import I_POWERS, add, conj, inner, mul, neg, scalar_sum, scaled, sub, unpack
 
 
@@ -194,6 +194,38 @@ def test_packed_product_is_the_packed_dense_product(digits, pairs):
     _assert_packed_product(a, b)
     _assert_packed_product(a, -b)
     assert (a @ b).re == (8 * m * m,) * 16
+
+
+@pytest.mark.parametrize("digits", [1, 3])
+def test_family_chunk_keys_hold_every_product_and_phase(digits):
+    # Four random matrices over denominators 1, 2, 3 and 4 (so d = 12) as one
+    # exact.Family, read through its one chunk reader: chunk j of a left
+    # factor a's dot, read back from its key, is a @ m_j over d^2 in 32
+    # lanes, none reaching 2^(w-1); the keys of i^k I are phases(j)'s for
+    # k = 0..3, and those of a random a are none of them.
+    rng = random.Random(digits)
+    bound = 10**digits
+
+    def random_matrix(den):
+        return Matrix([[Scalar(Fraction(rng.randrange(1 - bound, bound), den),
+                               Fraction(rng.randrange(1 - bound, bound), den))
+                        for _ in range(4)] for _ in range(4)])
+
+    family_matrices = [random_matrix(den) for den in (1, 2, 3, 4)]
+    a = random_matrix(12)
+    units = [scaled(Matrix.identity(4), i_k) for i_k in I_POWERS]
+    w = lane_width([*family_matrices, a, *units])
+    family = Family.of(family_matrices, w)
+    assert family.d == a.den == 12
+    for k, unit in enumerate(units):
+        assert [family.phases(j)[key] for j, key in enumerate(family.products(unit))] == [k] * 4
+    half = 1 << (32 * w - 1)
+    for j, (m, key) in enumerate(zip(family_matrices, family.products(a))):
+        lanes = unpack(int.from_bytes(key, "little") - half, w, 32)
+        dense = a @ m
+        assert lanes == [x * (144 // dense.den) for x in _interleaved(dense.re, dense.im)]
+        assert max(map(abs, lanes)) < 1 << (w - 1)
+        assert all(key not in family.phases(i) for i in range(4))
 
 
 def test_equal_values_have_one_form():

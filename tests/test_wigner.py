@@ -7,13 +7,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 import pytest
 
-from qphase4 import cli, clifford, gf4, phasespace, symplectic, wigner
-from qphase4.exact import MAX_JSON_DIGITS, Matrix, Scalar, dot, numerators, outer
+from qphase4 import cli, clifford, exact, gf4, phasespace, symplectic, wigner
+from qphase4.exact import Matrix, Scalar, dot, numerators, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
@@ -184,6 +184,10 @@ def test_standard_states_do_not_span_the_hermitian_operators():
     assert _real_rank(wigner.standard_test_states()) == 5
     assert _real_rank([*wigner.standard_test_states(), GENERIC]) == 6
     assert _real_rank([clifford.displacement(beta) for beta in gf4.all_points()]) == 16
+    # The 20 MUB projectors do span them (Wootters & Fields), so the verify
+    # kernel, which checks each step on the 20 MUB vectors, covers every state.
+    assert _real_rank([outer(b, b) for b in (clifford.mub_vector(n, k)
+                                             for n in range(5) for k in ELEMENTS)]) == 16
 
 
 def _trace_product(a: Matrix, b: Matrix) -> Scalar:
@@ -350,73 +354,64 @@ def test_covariant_names_the_first_wrong_frame_of_twelve():
             assert str(error.value) == f"step is not covariant in frame f={f}"
 
 
-def test_packed_transport_lanes_match_the_matrix_oracle():
-    # All 60 L x the six standard states: each lane of the packed sweep,
-    # unpacked and reduced, is clifford.conjugate's u rho u^dag, its Born
-    # lanes are born_probability's, and no lane that the sweep compares
-    # reaches 2^(w-1), below which equal packings have equal lanes.
-    states = wigner.standard_test_states()
-    units = [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
-    w, entries = wigner._packed_states(states, units)
-    den = lcm(*(rho.den for rho in states))
-
-    def lanes(packed):  # per state, its lane of each packed integer
-        return list(zip(*(unpack(x, w, len(states)) for x in packed)))
-
-    assert lanes(entries) == [tuple(x * (den // rho.den) for x in rho.re + rho.im)
-                              for rho in states]
-    before = lanes(clifford.born_numerators(entries))
-    widest = 0
-    for u in units:
-        conj = wigner._conjugated(u, entries)
-        after, scale = lanes(clifford.born_numerators(conj)), u.den * u.den
-        for rho, c, b, b0 in zip(states, lanes(conj), after, before):
-            rho2 = clifford.conjugate(u, rho)
-            assert Matrix._reduced(4, c[:16], c[16:], scale * den) == rho2
-            for (bden, nums), lane, d in ((clifford.born_probability(rho2), b, scale * den),
-                                          (clifford.born_probability(rho), b0, den)):
-                assert [Fraction(x, 4 * d) for x in lane] == [Fraction(x, bden) for x in nums]
-            widest = max(widest, *map(abs, c + b), *(abs(x) * scale for x in b0))
-    assert 0 < widest < 1 << (w - 1)
+def kernel_units(capsys, monkeypatch, scope):
+    """The unitaries verify <scope> hands the kernel, in order."""
+    seen, maps = [], wigner._hilbert_maps
+    monkeypatch.setattr(wigner, "_hilbert_maps", lambda units: seen.append(units) or maps(units))
+    assert cli.main(["verify", scope]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    (units,) = seen
+    return units
 
 
-def test_packed_marginal_lanes_match_the_matrix_oracle():
-    # The six standard states, GENERIC and a state read from 100-digit parts,
-    # in the 12 canonical frames: each lane of the packed table, over 16 den,
-    # is wigner_table's values; each lane of each packed displacement is the
-    # dense D_beta rho D_beta^dag, with born_probability's Born lanes; and no
-    # lane that the marginals sweep compares reaches 2^(w-1).
-    top = 10**MAX_JSON_DIGITS
-    wide = wigner.density_from_vector(
-        [Scalar(Fraction(top - k, top - k - 1), Fraction(top - k - 2, top - k - 3))
-         for k in (1, 5, 9, 13)])
-    states = (*wigner.standard_test_states(), GENERIC, wide)
-    points = gf4.all_points()
-    units = [clifford.displacement(beta) for beta in points]
-    w, entries = wigner._packed_states(states, units)
-    den = lcm(*(rho.den for rho in states))
+def assert_kernel_matches_the_matrix_oracle(units):
+    """Each u's kernel map is the dense map u P_i u^dag = P_j of the 20 MUB
+    projectors; chunk i of its dot, unpacked, is the dense u |b_i><0| over
+    d^2; and no lane of the dot or of a key it is looked up among reaches
+    2^(w-1), below which equal keys have equal lanes."""
+    columns = wigner._mub_columns()
+    w = exact.lane_width([*units, *columns])
+    family, born_index = wigner._mub_family(w)
+    projectors = [outer(b, b) for b in
+                  (clifford.mub_vector(n, k) for n in range(5) for k in ELEMENTS)]
+    assert family.d == 2 and len(born_index) == 80
+    keys = [unpack(int.from_bytes(key, "little") - (1 << (32 * w - 1)), w, 32)
+            for key in born_index]
+    assert 0 < max(abs(x) for lanes in keys for x in lanes) < 1 << (w - 1)
+    for u, image in zip(units, wigner._hilbert_maps(units)):
+        assert image == tuple(projectors.index(clifford.conjugate(u, p)) for p in projectors)
+        lanes = unpack(dot(u.packed_left(w), family.rows) * (family.d // u.den), w, 32 * 20)
+        for i, b in enumerate(columns):
+            dense = u @ b
+            scale = family.d ** 2 // dense.den
+            assert lanes[32 * i:32 * (i + 1)] == [
+                x * scale for pair in zip(dense.re, dense.im) for x in pair]
+        assert max(map(abs, lanes)) < 1 << (w - 1)
 
-    def lanes(packed):  # per state, its lane of each packed integer
-        return list(zip(*(unpack(x, w, len(states)) for x in packed)))
 
-    before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
-    widest = 0
-    for f in phasespace.canonical_shift_vectors():
-        table = wigner._packed_table(before, trace, f)
-        sums = [sum(map(table.__getitem__, line)) for line in wigner._line_positions()]
-        for rho, lane in zip(states, lanes(table)):
-            values = wigner.wigner_table(rho, f).values
-            assert [Fraction(x, 16 * den) for x in lane] == [values[a] for a in points]
-        widest = max(widest, *(abs(x) for lane in lanes(table) + lanes(sums) for x in lane))
-    for u in units:
-        conj, scale = wigner._conjugated(u, entries), u.den * u.den * den
-        for rho, c, b in zip(states, lanes(conj), lanes(clifford.born_numerators(conj))):
-            rho2 = u @ rho @ u.dagger()
-            assert Matrix._reduced(4, c[:16], c[16:], scale) == rho2
-            bden, nums = clifford.born_probability(rho2)
-            assert [Fraction(x, 4 * scale) for x in b] == [Fraction(x, bden) for x in nums]
-            widest = max(widest, *map(abs, c + b))
-    assert 0 < widest < 1 << (w - 1)
+def test_packed_transport_lanes_match_the_matrix_oracle(capsys, monkeypatch):
+    # The 60 U_L of verify transport, in group order.
+    units = kernel_units(capsys, monkeypatch, "transport")
+    assert units == [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
+    assert_kernel_matches_the_matrix_oracle(units)
+
+
+def test_packed_marginal_lanes_match_the_matrix_oracle(capsys, monkeypatch):
+    # The 16 D_beta of verify marginals, in gf4.all_points() order.
+    units = kernel_units(capsys, monkeypatch, "marginals")
+    assert units == [clifford.displacement(beta) for beta in gf4.all_points()]
+    assert_kernel_matches_the_matrix_oracle(units)
+
+
+def test_packed_symmetry_lanes_match_the_matrix_oracle(capsys, monkeypatch):
+    # The 12 distinct V = U_L U_R U_L^dag of verify symmetry.
+    units = kernel_units(capsys, monkeypatch, "symmetry")
+    assert len(units) == len(set(units)) == 12
+    u_r = clifford.unitary_for(symplectic.R)
+    assert set(units) == {clifford.conjugate(clifford.unitary_for(L), u_r)
+                          for L in symplectic.enumerate_group()}
+    assert_kernel_matches_the_matrix_oracle(units)
 
 
 def test_verify_all_tables_have_equal_keys_exactly_when_their_values_are_equal():
@@ -696,28 +691,30 @@ def test_verify_marginals_reads_wigner_table_in_the_first_frame(capsys, monkeypa
 
 def test_first_bad_line_names_the_first_line_through_a_changed_value():
     # GENERIC and the standard states in the 12 canonical frames: every line
-    # sums right, as a WignerTable.key against born_probability and as one
-    # packed table against the packed Born numerators.  One table value one
-    # unit more breaks the five lines through its point, and the first of
-    # them is named.
+    # sums right, as a WignerTable.key against born_probability and as an
+    # integer table against its Born numerators.  One table value one unit
+    # more breaks the five lines through its point, and the first of them
+    # is named.
     states = (*wigner.standard_test_states(), GENERIC)
-    _, entries = wigner._packed_states(states, [Matrix.identity(4)])
-    before, trace = clifford.born_numerators(entries), sum(entries[:16:5])
     lines = wigner._line_positions()
     for f in phasespace.canonical_shift_vectors():
-        packed = wigner._packed_table(before, trace, f)
-        assert wigner._first_bad_line((4, packed), (1, before), f) is None
         for rho in states:
-            key = wigner.wigner_table(rho, f).key
-            assert wigner._first_bad_line(key, clifford.born_probability(rho), f) is None
+            born = clifford.born_probability(rho)
+            table = wigner._integer_table(born[1], sum(rho.re[::5]), f)
+            values = wigner.wigner_table(rho, f).values
+            assert [Fraction(x, 4 * born[0]) for x in table] == [
+                values[a] for a in gf4.all_points()]
+            assert wigner._first_bad_line((4, table), (1, born[1]), f) is None
+            assert wigner._first_bad_line(wigner.wigner_table(rho, f).key, born, f) is None
         den, nums = wigner.wigner_table(GENERIC, f).key
+        born = clifford.born_probability(GENERIC)
+        table = wigner._integer_table(born[1], sum(GENERIC.re[::5]), f)
         for i in range(16):
             first = min(j for j, points in enumerate(lines) if i in points)
             changed = (*nums[:i], nums[i] + 1, *nums[i + 1:])
-            assert wigner._first_bad_line((den, changed), clifford.born_probability(GENERIC),
-                                          f) == first
-            changed = (*packed[:i], packed[i] + 1, *packed[i + 1:])
-            assert wigner._first_bad_line((4, changed), (1, before), f) == first
+            assert wigner._first_bad_line((den, changed), born, f) == first
+            changed = (*table[:i], table[i] + 1, *table[i + 1:])
+            assert wigner._first_bad_line((4, changed), (1, born[1]), f) == first
 
 
 def test_born_map_is_frame_free_and_the_projector_map():
@@ -739,63 +736,64 @@ def test_born_map_is_frame_free_and_the_projector_map():
 
 
 def test_packed_sweeps_take_one_born_map_per_step(capsys, monkeypatch):
-    # verify transport, marginals and symmetry hand the kernel 60, 16 and
-    # 12 steps, and the frame pairs of each step give it one map.
-    seen, sweep = [], wigner._packed_sweep
+    # verify transport, marginals and symmetry hand the kernel 60, 16 and 12
+    # steps and compute one Hilbert map per step, in one _hilbert_maps call:
+    # a permutation of the 20 Born indices, and the born_map of each of the
+    # step's frame pairs.
+    seen, maps = [], wigner._hilbert_maps
+    monkeypatch.setattr(wigner, "_hilbert_maps",
+                        lambda units: seen.append(maps(units)) or seen[-1])
+    sweeps, sweep = [], wigner._packed_sweep
     monkeypatch.setattr(wigner, "_packed_sweep",
-                        lambda width, entries, steps: seen.append(steps)
-                        or sweep(width, entries, steps))
+                        lambda moves: sweeps.append(moves) or sweep(moves))
     for scope, count in (("transport", 60), ("marginals", 16), ("symmetry", 12)):
         seen.clear()
+        sweeps.clear()
         assert cli.main(["verify", scope]) == 0
-        (steps,) = seen
-        assert len(steps) == count
-        assert all(len(maps) == 1 and None not in maps for _, maps in steps)
+        (images,), (moves,) = seen, sweeps
+        assert len(images) == len(moves) == count
+        for (step, frames), image in zip(moves, images):
+            assert sorted(image) == list(range(20))
+            assert all(wigner.born_map(step.move, f, step.frame(f)) == image for f in frames)
     capsys.readouterr()
 
 
-def test_packed_born_comparison_matches_the_per_lane_comparison(capsys, monkeypatch):
+def test_packed_comparison_fails_a_wrong_map_or_a_non_unitary_at_its_step(capsys, monkeypatch):
     # Every step verify transport, marginals and symmetry hand the kernel,
-    # 60 U_L, 16 D_beta and 12 V: its one comparison of packed Born lanes
-    # per map gives the verdict of the per-state comparison on the unpacked
-    # lanes, and three faults fail at their step: the map with entries 0
-    # and 1 swapped; the map with entry 13 repeating entry 12, which the
-    # per-state comparison passes (Born numerators 12 and 13 are equal in
-    # every standard state) but is no permutation; and None.
-    calls, sweep = [], wigner._packed_sweep
-    monkeypatch.setattr(wigner, "_packed_sweep", lambda *args: calls.append(args) or sweep(*args))
+    # 60 U_L, 16 D_beta and 12 V, holds.  At the middle step of each sweep
+    # five faults fail the sweep there: its Hilbert map with entries 0 and
+    # 1 swapped, or None; its u doubled, or with its first column doubled,
+    # neither of them unitary; and a u and a move that both have no map.
+    calls, sweep, maps = [], wigner._packed_sweep, wigner._hilbert_maps
+    monkeypatch.setattr(wigner, "_packed_sweep", lambda moves: calls.append(moves) or sweep(moves))
     for scope in ("transport", "marginals", "symmetry"):
         assert cli.main(["verify", scope]) == 0
     capsys.readouterr()
-    assert [len(steps) for _, _, steps in calls] == [60, 16, 12]
-    k = len(wigner.standard_test_states())
-    for width, entries, steps in calls:
-        def lanes(packed):  # per state, its lane of each packed integer
-            return list(zip(*(unpack(x, width // k, k) for x in packed)))
-
-        before = lanes(clifford.born_numerators(entries))
-        for i, (u, (m,)) in enumerate(steps):
-            conj = wigner._conjugated(u, entries)
-            hermitian = all(c[:16] == tuple(x for j in range(4) for x in c[j:16:4])
-                            and c[16:] == tuple(-x for j in range(4) for x in c[16 + j::4])
-                            for c in lanes(conj))
-            after, scale = lanes(clifford.born_numerators(conj)), u.den * u.den
-
-            def per_state(image):
-                return hermitian and all([a[j] for j in image] == [x * scale for x in b]
-                                         for a, b in zip(after, before))
-
-            swapped, repeated = (m[1], m[0], *m[2:]), (*m[:13], m[12], *m[14:])
-            assert (per_state(m), per_state(swapped), per_state(repeated)) == (True, False, True)
-            assert sweep(width, entries, [(u, {m})]) == 1
-            for bad in (swapped, repeated, None):
-                assert sweep(width, entries, [(u, {bad})]) == 0
-                if i == len(steps) // 2:
-                    assert sweep(width, entries, [*steps[:i], (u, {bad}), *steps[i + 1:]]) == i
-            # With every lane 0 both sides are 0 under any map: only the
-            # permutation check fails the repeated one.
-            assert sweep(width, [0] * 32, [(u, {m})]) == 1
-            assert sweep(width, [0] * 32, [(u, {repeated})]) == 0
+    monkeypatch.undo()
+    assert [len(moves) for moves in calls] == [60, 16, 12]
+    for moves in calls:
+        assert sweep(moves) == len(moves)
+        i = len(moves) // 2
+        step, frames = moves[i]
+        m = maps([step.u])[0]
+        for bad in ((m[1], m[0], *m[2:]), None):
+            monkeypatch.setattr(wigner, "_hilbert_maps", lambda units: [
+                bad if k == i else image for k, image in enumerate(maps(units))])
+            assert sweep(moves) == i
+            monkeypatch.undo()
+        u = step.u
+        doubled = Matrix._reduced(4, [x * (1 + (j % 4 == 0)) for j, x in enumerate(u.re)],
+                                  [x * (1 + (j % 4 == 0)) for j, x in enumerate(u.im)], u.den)
+        for bad in (u.scaled(2), doubled):
+            assert not bad.is_unitary()
+            assert sweep([*moves[:i], (step._replace(u=bad), frames), *moves[i + 1:]]) == i
+        # u / 3 has no Hilbert map (its denominator does not divide 2), and a
+        # move that takes lines off the lines has no born_map: they still
+        # do not match.
+        off = step._replace(u=u.scaled(Fraction(1, 3)), move=step.move[1:] + step.move[:1])
+        assert maps([off.u]) == [None]
+        assert all(wigner.born_map(off.move, f, off.frame(f)) is None for f in frames)
+        assert sweep([*moves[:i], (off, frames), *moves[i + 1:]]) == i
 
 
 def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
