@@ -9,7 +9,9 @@ unitary_for is the only route from L to U_L: every sweep, the named
 identities of the representation included, checks the unitaries it gives.
 
 The first tensor factor is the first qubit, i.e. the coefficient of
-omega-bar in the field-basis expansion.
+omega-bar in the field-basis expansion.  So D_(k,0) |0> is a computational
+basis vector, and the 20 MUB vectors U_R^n D_(k,0) |0> are columns of the
+powers of U_R (mub_columns), read off without a product.
 
 Both sweeps pack each factor once per side (Matrix.packed_left, packed_right)
 and compare exact products of big integers with packed targets, one dot
@@ -121,15 +123,22 @@ def conjugate(u: Matrix, rho: Matrix) -> Matrix:
                            u.den * rho.den * u.den)
 
 
+@lru_cache(maxsize=1)
+def mub_columns() -> tuple[Matrix, ...]:
+    """Per Born index 4n + k, the matrix |b><0| of b = U_R^n D_(k,0) |0>,
+    vector k of mutually unbiased basis n.  D_(k,0) |0> is the basis vector
+    |c>, c = 2 x1 + x2 for (x1, x2) = gf4.expand(k), with no phase, so b is
+    column c of U_R^n and no product is taken."""
+    return tuple(Matrix([[row[2 * x1 + x2], 0, 0, 0] for row in u.rows])
+                 for u in _U_R_POWERS for x1, x2 in map(gf4.expand, ELEMENTS))
+
+
 @lru_cache(maxsize=None)
 def mub_vector(n: int, k: int) -> Vector:
-    """Vector k of mutually unbiased basis n: U_R^n D_(k,0) |0>, the first
-    column of the product U_R^n D_(k,0).
-
-    Basis 0 is the computational basis; the others follow by repeated
-    rotation.  All 20 vectors have exact unit norm.
-    """
-    return tuple(row[0] for row in (_U_R_POWERS[n % 5] @ displacement((k, 0))).rows)
+    """Vector k of mutually unbiased basis n, U_R^n D_(k,0) |0>, read off
+    mub_columns.  Basis 0 is the computational basis; the others follow by
+    repeated rotation.  All 20 vectors have exact unit norm."""
+    return tuple(row[0] for row in mub_columns()[4 * (n % 5) + k].rows)
 
 
 def verify_metaplectic() -> dict:
@@ -217,18 +226,15 @@ def verify_projective_rep() -> dict:
 
 @lru_cache(maxsize=1)
 def projector_numerators() -> tuple[tuple[int, ...], ...]:
-    """Per MUB projector |b><b|, b = mub_vector(n, k), at 4n + k: its real
-    then its imaginary numerators, row-major, over 4.  b is the first column
-    of U_R^n D_(k,0), read as integer numerators (x_i + i y_i) over that
-    product's denominator e, so b_i conj(b_j) is (x_i x_j + y_i y_j) +
-    i (y_i x_j - x_i y_j) over e^2, and e divides 2."""
+    """Per MUB projector |b><b| at Born index 4n + k: its real then its
+    imaginary numerators, row-major, over 4.  b is read off mub_columns as
+    integer numerators (x_i + i y_i) over a denominator e that divides 2, so
+    b_i conj(b_j) is (x_i x_j + y_i y_j) + i (y_i x_j - x_i y_j) over e^2."""
     out = []
-    for n in range(5):
-        for k in ELEMENTS:
-            u = _U_R_POWERS[n] @ displacement((k, 0))
-            b, scale = list(zip(u.re[::4], u.im[::4])), 4 // (u.den * u.den)
-            out.append(tuple([scale * (x * z + y * t) for x, y in b for z, t in b]
-                             + [scale * (y * z - x * t) for x, y in b for z, t in b]))
+    for m in mub_columns():
+        b, scale = list(zip(m.re[::4], m.im[::4])), 4 // (m.den * m.den)
+        out.append(tuple([scale * (x * z + y * t) for x, y in b for z, t in b]
+                         + [scale * (y * z - x * t) for x, y in b for z, t in b]))
     return tuple(out)
 
 

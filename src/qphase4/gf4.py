@@ -36,9 +36,6 @@ _MUL = (
 
 _INV = (None, 1, 3, 2)
 
-#: Distinguished "infinite" slope, arising when the q-component vanishes.
-INF = "inf"
-
 # Tokens used in JSON and on the CLI; ASCII rendering uses w~ for omega-bar.
 _TOKENS = ("0", "1", "w", "W")
 _ASCII = ("0", "1", "w", "w~")
@@ -57,10 +54,6 @@ def inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse in GF(4)")
     return _INV[a]
-
-
-def div(a: int, b: int) -> int:
-    return mul(a, inv(b))
 
 
 def to_token(a: int) -> str:
@@ -91,16 +84,6 @@ MAT_IDENTITY: Mat2 = ((1, 0), (0, 1))
 
 def vec_add(u: Vec2, v: Vec2) -> Vec2:
     return (add(u[0], v[0]), add(u[1], v[1]))
-
-
-def slope(v: Vec2):
-    """Slope p/q of a nonzero vector; INF when q == 0."""
-    q, p = v
-    if q == 0:
-        if p == 0:
-            raise ValueError("slope undefined at origin")
-        return INF
-    return div(p, q)
 
 
 def expand(x: int) -> tuple[int, int]:

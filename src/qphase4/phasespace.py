@@ -58,15 +58,15 @@ def index_add(a: Index, b: Index) -> Index:
 
 
 @lru_cache(maxsize=None)
-def index_operator(L: SympMat) -> IndexOperator:
-    """The monomial 5x5 matrix S_L with I(L alpha) == S_L I(alpha).
+def _monomial(L: SympMat) -> tuple[tuple[int, int], ...]:
+    """Per row m of S_L, the column n and value s of its one nonzero entry.
 
     I is linear, so S_L is fixed by the indices of the basis images L e_q and
-    L e_p.  Row m has one nonzero entry s, in the column n of the striation
-    that L sends to striation m, with (I(L e_q)_m, I(L e_p)_m) == s (Q_n, P_n);
-    exactly one (n, s) must fit each row.  Each row reads its (n, s) from a
-    table of the 15 pairs s (Q_n, P_n), built from qp_vectors() on every
-    call, in which a pair that two (n, s) give fits neither.
+    L e_p: n is the striation that L sends to striation m, and
+    (I(L e_q)_m, I(L e_p)_m) == s (Q_n, P_n).  Each row reads its (n, s)
+    from a table of the 15 pairs s (Q_n, P_n), built from qp_vectors() on
+    every miss, in which a pair that two (n, s) give fits neither; exactly
+    one (n, s) must fit each row.
     """
     symplectic.require_symplectic(L)
     q, p = qp_vectors()
@@ -76,22 +76,20 @@ def index_operator(L: SympMat) -> IndexOperator:
             pair = (mul[s][q[n]], mul[s][p[n]])
             fits[pair] = None if pair in fits else (n, s)
     a, b = map(point_index, gf4.transpose(L))  # the columns L e_q and L e_p
-    rows = []
+    out = []
     for m in range(5):
         fit = fits.get((a[m], b[m]))
         if fit is None:
             raise AssertionError(f"index-operator row {m} not well defined for {L}")
-        n, s = fit
-        rows.append(tuple(s if j == n else 0 for j in range(5)))
-    return tuple(rows)
+        out.append(fit)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _monomial(L: SympMat) -> tuple[tuple[int, int], ...]:
-    """Per row of index_operator(L), the column n and value s of its one
-    nonzero entry."""
-    rows = index_operator(L)
-    return tuple((row.index(s), s) for row, s in zip(rows, map(max, rows)))
+def index_operator(L: SympMat) -> IndexOperator:
+    """The monomial 5x5 matrix S_L with I(L alpha) == S_L I(alpha), its rows
+    expanded from _monomial(L)."""
+    return tuple(tuple(s if j == n else 0 for j in range(5)) for n, s in _monomial(L))
 
 
 _H_WBAR_T = gf4.transpose(symplectic.shear(gf4.OMEGA_BAR))
@@ -101,27 +99,24 @@ _H_WBAR_T = gf4.transpose(symplectic.shear(gf4.OMEGA_BAR))
 def shift_vector(L: SympMat) -> Index:
     """The shift vector f_L, computed purely over the field.
 
-    Component n is the slope of R^-n L H_W^T L^T R^-n (1,0)^T, which is
-    always finite for symplectic L.
+    Component n is the slope p/q of (q, p) = R^-n L H_W^T L^T R^-n (1,0)^T,
+    which is always finite for symplectic L.
     """
     symplectic.require_symplectic(L)
     core = gf4.mat_mul(gf4.mat_mul(L, _H_WBAR_T), gf4.transpose(L))
     out = []
     for n in range(5):
         rn = R_POWERS[-n % 5]
-        mu = gf4.mat_vec(gf4.mat_mul(gf4.mat_mul(rn, core), rn), (1, 0))
-        s = gf4.slope(mu)
-        if s is gf4.INF:
+        q, p = gf4.mat_vec(gf4.mat_mul(gf4.mat_mul(rn, core), rn), (1, 0))
+        if q == 0:
             raise AssertionError(f"shift-vector slope infinite for {L}, n={n}")
-        out.append(s)
+        out.append(gf4.mul(p, gf4.inv(q)))
     return tuple(out)
 
 
-@lru_cache(maxsize=720)  # the 12 canonical frames times 60 L of verify and stream
 def compose_frame(f: Index, L: SympMat) -> Index:
-    """Frame reached from f after performing U_L: S_L f + f_L.  S_L is
-    monomial, so component m of S_L f is s f_n for the one nonzero entry s
-    of row m, in column n (_monomial, read once per L), off gf4's table."""
+    """Frame reached from f after performing U_L: S_L f + f_L.  Component m
+    of S_L f is s f_n for row m's (n, s) in _monomial(L)."""
     mul = gf4._MUL
     return index_add([mul[s][f[n]] for n, s in _monomial(L)], shift_vector(L))
 

@@ -8,8 +8,9 @@ by line from the 20 integer Born numerators of clifford.born_probability.
 Every routine reads line 4n + k by two cached tuples: line_labels(f), its
 Born index 4n + k + f_n, and _line_positions(), its four positions in
 gf4.all_points().  wigner_table adds each line's probability there and
-keeps only the table's integer form (WignerTable.key); reconstruct and
-marginal_check read integer line sums there, and reconstruct weights the
+keeps only the table's integer form (WignerTable.key).  One helper,
+_line_sums, reads a table's 20 line sums by Born index: _first_bad_line
+compares them with the Born probabilities, and reconstruct weights the
 projectors' numerators by them in one dot product per entry.  frame()
 builds the 16 operators from mub_vector and the displacements as the oracle.
 Performing a unitary is the same as moving Wigner values by a phase-space
@@ -27,8 +28,7 @@ its cached permutation of the 16 positions).  transport, displace,
 marginal_check and the CLI's apply perform their moves through it.  A
 table is a fixed bijective function of the 20 line probabilities, so the
 check builds no table.  In the frame pairs a step is meant for, born_map
-is one map whatever f: the step's map of the MUB projectors.  One helper,
-_first_bad_line, compares every line sum with its Born probability.
+is one map whatever f: the step's map of the MUB projectors.
 marginal_check checks one frame: its 20 line sums, then its 16
 displacements.  The verify sweeps share one driver, _sweep, and one
 kernel, _packed_sweep, which checks a step for every state at once.
@@ -37,17 +37,17 @@ state in the frame pair (f, g) when u P_i u^dag == P_j for each of the 20
 projectors P_i = |b_i><b_i|, j = born_map(move, f, g)[i]; they span the
 Hermitian operators (Wootters & Fields, Ann. Phys. 191, 363 (1989)), so
 only then.  _hilbert_maps reads that j off u b_i == i^k b_j: one dot of u
-with the 20 matrices |b_i><0| packed side by side (exact.Family), each
-product's chunk looked up among the keys of every i^k |b_j><0|.  A step
-holds when that one map is the born_map of each of its frame pairs.
-transport_sweep checks what transport checks for every L in the 12
-canonical frames; marginal_sweep checks what marginal_check checks in
-those frames, its line sums on integer tables and its 16 displacements as
-steps; rotational_symmetry_check checks each L's R_L and runs each
-distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Only when a check
-fails does one helper, _replay, run the per-state route, the failing step
-or marginal_check, state by state and frame by frame, on the standard
-test states and then the 20 MUB states.
+with the 20 matrices |b_i><0| (clifford.mub_columns) packed side by side
+(exact.Family), each product's chunk looked up among the keys of every
+i^k |b_j><0|.  A step holds when that one map is the born_map of each of
+its frame pairs.  transport_sweep checks what transport checks for every L
+in the 12 canonical frames; marginal_sweep checks what marginal_check
+checks in those frames, its line sums on integer tables and then its 16
+displacements as steps; rotational_symmetry_check checks each L's R_L and
+runs each distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Only when
+a check fails does one helper, _replay, run the per-state route, the
+failing step or marginal_check, state by state and frame by frame, on the
+standard test states and then the 20 MUB states.
 """
 
 from __future__ import annotations
@@ -288,18 +288,11 @@ def displace(rho: Matrix, f: Index, beta: gf4.Vec2):
     return perform(rho, f, displacement_step(beta))
 
 
-@lru_cache(maxsize=1)
-def _mub_columns() -> tuple[Matrix, ...]:
-    """Per Born index 4n + k, the matrix |b><0| of b = mub_vector(n, k)."""
-    return tuple(Matrix([[x, 0, 0, 0] for x in clifford.mub_vector(n, k)])
-                 for n in range(5) for k in ELEMENTS)
-
-
 @lru_cache(maxsize=None)
 def _mub_family(w: int) -> tuple[exact.Family, dict[bytes, int]]:
-    """The 20 _mub_columns as one exact.Family in lanes of w bits, and the
-    Born index j by the key of each i^k |b_j><0|, k = 0..3."""
-    family = exact.Family.of(_mub_columns(), w)
+    """The 20 clifford.mub_columns as one exact.Family in lanes of w bits, and
+    the Born index j by the key of each i^k |b_j><0|, k = 0..3."""
+    family = exact.Family.of(clifford.mub_columns(), w)
     return family, {key: j for j in range(20) for key in family.phases(j)}
 
 
@@ -311,7 +304,7 @@ def _hilbert_maps(units) -> list[tuple | None]:
     every i^k |b_j><0|.  The map is None when u.den does not divide 2, the
     b_j's common denominator: u's columns, u b_i for the computational
     basis b_0..b_3, are then none of the i^k b_j."""
-    w = exact.lane_width([*units, *_mub_columns()])
+    w = exact.lane_width([*units, *clifford.mub_columns()])
     family, born_index = _mub_family(w)
     return [None if family.d % u.den else tuple(map(born_index.get, family.products(u)))
             for u in units]
@@ -329,19 +322,15 @@ def _packed_sweep(moves) -> int:
     return len(moves)
 
 
-def _sweep(moves, route=None, first_fault=lambda: None) -> int:
-    """Check each (step, frames) of moves, in order, for every state:
-    returns len(moves).
-
-    first_fault() may name a fault checked before any step; each step is
-    then one step of _packed_sweep.  A fault, or the first step that fails,
-    is replayed (_replay) in that step's frames by route, or by performing
-    the step when route is None."""
-    what = first_fault()
-    passed = 0 if what else _packed_sweep(moves)
-    if what or passed < len(moves):
+def _sweep(moves, route=None) -> int:
+    """Check each (step, frames) of moves, in order, for every state
+    (_packed_sweep): returns len(moves).  The first step that fails is
+    replayed (_replay) in its frames by route, or by performing the step
+    when route is None."""
+    passed = _packed_sweep(moves)
+    if passed < len(moves):
         step, frames = moves[passed]
-        _replay(what or step.what, route or partial(perform, step=step), frames)
+        _replay(step.what, route or partial(perform, step=step), frames)
     return passed
 
 
@@ -454,12 +443,14 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
         if power != symplectic.IDENTITY or period != 5:
             raise AssertionError(f"R_L does not have period 5 for {symplectic.to_text(L)}")
 
-        s_rl = phasespace.index_operator(r_l)
+        # R_L sends striation n to m for row m's (n, s); the walk follows the
+        # inverse map, which cycles all five exactly when the map does.
+        monomial = phasespace._monomial(r_l)
         striation = 0
         seen = set()
         for _ in range(5):
             seen.add(striation)
-            striation = next(m for m in range(5) if s_rl[m][striation] != 0)
+            striation = monomial[striation][0]
         if len(seen) != 5:
             raise AssertionError(
                 f"R_L does not cycle all striations for {symplectic.to_text(L)}"
@@ -473,16 +464,24 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
     return {"period": period, "striations_cycled": len(seen), "rotations": 1 + len(more)}
 
 
+def _line_sums(nums, f: Index) -> list[int]:
+    """Per Born index, the sum of the 16 values nums, in gf4.all_points()
+    order, over the line of frame f that the index labels."""
+    sums = [0] * 20
+    for label, points in zip(line_labels(f), _line_positions()):
+        sums[label] = sum(map(nums.__getitem__, points))
+    return sums
+
+
 def _first_bad_line(key, born, f: Index) -> int | None:
     """The first line 4n + k of frame f whose values in key do not sum to
     its Born probability in born, or None; both are (den, nums): a
     WignerTable.key and born_probability, or (4, an _integer_table) and (1,
     its Born numerators)."""
     (den, nums), (prob_den, probs) = key, born
-    for j, (label, points) in enumerate(zip(line_labels(f), _line_positions())):
-        if sum(map(nums.__getitem__, points)) * prob_den != probs[label] * den:
-            return j
-    return None
+    sums = _line_sums(nums, f)
+    return next((j for j, label in enumerate(line_labels(f))
+                 if sums[label] * prob_den != probs[label] * den), None)
 
 
 def marginal_check(rho: Matrix, f: Index) -> dict:
@@ -520,26 +519,23 @@ def marginal_sweep() -> dict:
     canonical frame f: returns the number of (frame, state) pairs and, per
     pair, of line sums and of displacements checked.
 
-    Line sums, each through _first_bad_line, as _sweep's first_fault: in
-    each frame, on every state's _integer_table; in the first frame also on
-    each state's wigner_table key, as marginal_check reads it.
-    Displacements: the 16 displacement_steps of _sweep in the 12 frames.
-    Any failure runs marginal_check state by state and frame by frame,
-    which raises what a per-state sweep meets first."""
+    Line sums first, each through _first_bad_line: in each frame, on every
+    state's _integer_table; in the first frame also on each state's
+    wigner_table key, as marginal_check reads it.  Then displacements: the
+    16 displacement_steps of _sweep in the 12 frames.  Any failure runs
+    marginal_check state by state and frame by frame (_replay), which
+    raises what a per-state sweep meets first."""
     states, frames = standard_test_states(), phasespace.canonical_shift_vectors()
-
-    def bad_lines():
-        borns = [(clifford.born_probability(rho)[1], sum(rho.re[::5])) for rho in states]
-        checks = [((4, _integer_table(before, trace, f)), (1, before), f)
-                  for f in frames for before, trace in borns]
-        checks += [(wigner_table(rho, frames[0]).key, clifford.born_probability(rho), frames[0])
-                   for rho in states]
-        bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None),
-                   None)
-        return bad and f"marginal in frame f={bad}"
-
+    borns = [(clifford.born_probability(rho)[1], sum(rho.re[::5])) for rho in states]
+    checks = [((4, _integer_table(before, trace, f)), (1, before), f)
+              for f in frames for before, trace in borns]
+    checks += [(wigner_table(rho, frames[0]).key, clifford.born_probability(rho), frames[0])
+               for rho in states]
+    bad = next((f for key, born, f in checks if _first_bad_line(key, born, f) is not None), None)
+    if bad is not None:
+        _replay(f"marginal in frame f={bad}", marginal_check, frames)
     passed = _sweep([(displacement_step(beta), frames) for beta in gf4.all_points()],
-                    marginal_check, bad_lines)
+                    marginal_check)
     return {"pairs": len(frames) * len(states), "lines": len(_line_positions()),
             "displacements": passed}
 
@@ -553,10 +549,8 @@ def reconstruct(table: WignerTable) -> Matrix:
     weights on Hermitian projectors give a Hermitian sum, so only a total
     other than 1 can reject a table."""
     den, nums = table.key
-    weights = [0] * 20 + [-sum(nums)]
-    if weights[20] != -den:
+    if sum(nums) != den:
         raise ValueError("corrupted Wigner table: reconstruction is not a state")
-    for label, points in zip(line_labels(table.f), _line_positions()):
-        weights[label] = sum(map(nums.__getitem__, points))
+    weights = [*_line_sums(nums, table.f), -den]
     entries = [dot(column, weights) for column in _projector_columns()]
     return Matrix._reduced(4, entries[:16], entries[16:], 4 * den)

@@ -359,9 +359,7 @@ def test_wrong_permutation_for_one_L_fails_verify_transport(capsys, monkeypatch)
 def test_wrong_shift_vector_for_one_L_fails_verify_transport(capsys, monkeypatch):
     # f_R off in component 1: U_R takes the computational basis states into
     # MUB 1, and the frame reached by R then mislabels that basis's lines.
-    # The 12 swept frames are read first, from the true shift vectors;
-    # compose_frame is cached, so it is rebuilt from the patched f_R and
-    # dropped after.
+    # The 12 swept frames are read first, from the true shift vectors.
     phasespace.canonical_shift_vectors()
     shift_vector = phasespace.shift_vector
 
@@ -370,11 +368,7 @@ def test_wrong_shift_vector_for_one_L_fails_verify_transport(capsys, monkeypatch
         return (f[0], gf4.add(f[1], 1), *f[2:]) if L == symplectic.R else f
 
     monkeypatch.setattr(phasespace, "shift_vector", wrong)
-    phasespace.compose_frame.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "transport")
-    finally:
-        phasespace.compose_frame.cache_clear()
+    code, out, err = run(capsys, "verify", "transport")
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -386,18 +380,13 @@ def test_every_wrong_shift_vector_entry_fails_verify_transport(capsys, monkeypat
     # f_L off by c in component n, each of the 15 at its own L: the kernel
     # checks every operator, not only the standard states, so each fails
     # and the replay names L (the MUB states witness what the six standard
-    # states miss).  compose_frame is cached, so it is rebuilt from the
-    # patched f_L and dropped after.
+    # states miss).
     L = symplectic.enumerate_group()[12 * n + 4 * (c - 1) + 3]
     phasespace.canonical_shift_vectors()
     shift_vector = phasespace.shift_vector
     monkeypatch.setattr(phasespace, "shift_vector",
                         lambda m: _frame_off(shift_vector(m), n, c) if m == L else shift_vector(m))
-    phasespace.compose_frame.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "transport")
-    finally:
-        phasespace.compose_frame.cache_clear()
+    code, out, err = run(capsys, "verify", "transport")
     assert (code, out) == (1, "")
     assert re.fullmatch(rf"FAIL transport: transport by L={re.escape(symplectic.to_text(L))} "
                         r"is not covariant in frame f=\(\d, \d, \d, \d, \d\)\n", err), err
@@ -446,16 +435,11 @@ def test_verify_marginals_witness_replays_through_apply(capsys, monkeypatch):
 
 def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
     # An extra component, as a range(6) loop in shift_vector would give: the
-    # index sum must refuse it, not let zip drop it.  compose_frame is cached,
-    # so it is rebuilt from the patched shift vectors and dropped after.
+    # index sum must refuse it, not let zip drop it.
     phasespace.canonical_shift_vectors()
     shift_vector = phasespace.shift_vector
     monkeypatch.setattr(phasespace, "shift_vector", lambda L: (*shift_vector(L), 0))
-    phasespace.compose_frame.cache_clear()
-    try:
-        code, out, err = run(capsys, "verify", "transport")
-    finally:
-        phasespace.compose_frame.cache_clear()
+    code, out, err = run(capsys, "verify", "transport")
     assert (code, out, err) == (1, "", "FAIL transport: index lengths differ: 5 and 6\n")
 
 
@@ -463,13 +447,13 @@ def test_six_component_shift_vector_fails_verify_transport(capsys, monkeypatch):
 def test_packed_sweeps_take_one_kernel_dot_per_step(capsys, monkeypatch, scope, steps):
     # Each unitary, U_L in group order or D_beta in gf4.all_points() order,
     # is read by one kernel dot (exact.Family.products) that covers every
-    # state, and no state is conjugated: no conjugate call and no @ once
-    # the 20 MUB columns are built.
+    # state, and no state is conjugated: no conjugate call and no @, not
+    # even for the 20 MUB columns, which the run builds afresh.
     if scope == "transport":
         units = [clifford.unitary_for(L) for L in symplectic.enumerate_group()]
     else:
         units = [clifford.displacement(beta) for beta in gf4.all_points()]
-    wigner._mub_columns()
+    clifford.mub_columns.cache_clear()
     products, packed, calls = [], [], []
     matmul, read, conjugate = Matrix.__matmul__, exact.Family.products, clifford.conjugate
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))

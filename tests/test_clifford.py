@@ -114,6 +114,15 @@ def test_mub_vector_base_cases():
     e0 = mub_vector(0, 0)
     assert e0 == tuple(Scalar(v) for v in (1, 0, 0, 0))
     assert mub_vector(0, 1) == mat_vec(displacement((1, 0)), e0)
+    # The paper's definition on the dense oracle: vector k of basis n is the
+    # first column of U_R^n D_(k,0), U_R^n multiplied out from U_R.
+    u_r, power = unitary_for(symplectic.R), Matrix.identity(4)
+    for n in range(5):
+        for k in ELEMENTS:
+            column = [row[0] for row in (power @ displacement((k, 0))).rows]
+            assert list(mub_vector(n, k)) == column
+            assert clifford.mub_columns()[4 * n + k] == Matrix([[x, 0, 0, 0] for x in column])
+        power = power @ u_r
 
 
 def test_mub_completeness():

@@ -3,7 +3,7 @@
 import pytest
 
 from qphase4 import gf4
-from qphase4.gf4 import ELEMENTS, INF, OMEGA, OMEGA_BAR
+from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 
 
 def unexpand(x1, x2):
@@ -54,16 +54,6 @@ def test_nonzero_elements_cyclic_of_order_3():
         x = gf4.mul(x, OMEGA)
     assert x == 1
     assert powers == {1, OMEGA, OMEGA_BAR}
-
-
-def test_slope():
-    assert gf4.slope((0, 1)) == INF
-    assert gf4.slope((1, OMEGA)) == OMEGA
-    # oracle: 1/w is the unique b with w*b == 1
-    b = next(b for b in ELEMENTS if gf4.mul(OMEGA, b) == 1)
-    assert gf4.slope((OMEGA, 1)) == b == OMEGA_BAR
-    with pytest.raises(ValueError):
-        gf4.slope((0, 0))
 
 
 def test_expand_bijection():

@@ -182,9 +182,24 @@ def test_index_operator_row_needs_exactly_one_fit(monkeypatch, name):
         "qp_vectors": lambda: ((q[0], q[0], *q[2:]), (p[0], p[0], *p[2:])),
     }[name]
     index_operator.cache_clear()
+    phasespace._monomial.cache_clear()
     monkeypatch.setattr(phasespace, name, fake)
     with pytest.raises(AssertionError, match="row 0 not well defined"):
         index_operator(symplectic.IDENTITY)
+
+
+@pytest.mark.parametrize("h, n", [(symplectic.IDENTITY, 3), (((0, 0), (0, 0)), 0)])
+def test_shift_vector_guard_names_an_infinite_slope(monkeypatch, h, n):
+    # With H_W^T replaced by I, component 3 of f_I is the slope of
+    # R^-6 (1,0)^T = (0, 1)^T; with 0 every component is read at the origin.
+    # Neither is reachable with the true constant and a symplectic L.
+    monkeypatch.setattr(phasespace, "_H_WBAR_T", h)
+    shift_vector.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match=rf"shift-vector slope infinite for .*, n={n}$"):
+            shift_vector(symplectic.IDENTITY)
+    finally:
+        shift_vector.cache_clear()
 
 
 def test_shift_vectors_of_generators():
@@ -233,7 +248,7 @@ def test_compose_frame_matches_the_index_operator_on_every_frame():
     for f in itertools.product(ELEMENTS, repeat=5):
         for L, s_l in searched.items():
             expect = phasespace.index_add(apply_index_operator(s_l, f), shift_vector(L))
-            assert compose_frame.__wrapped__(f, L) == expect
+            assert compose_frame(f, L) == expect
 
 
 def test_compose_frame_matches_product_shift_exhaustively():

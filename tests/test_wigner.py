@@ -370,7 +370,7 @@ def assert_kernel_matches_the_matrix_oracle(units):
     projectors; chunk i of its dot, unpacked, is the dense u |b_i><0| over
     d^2; and no lane of the dot or of a key it is looked up among reaches
     2^(w-1), below which equal keys have equal lanes."""
-    columns = wigner._mub_columns()
+    columns = clifford.mub_columns()
     w = exact.lane_width([*units, *columns])
     family, born_index = wigner._mub_family(w)
     projectors = [outer(b, b) for b in
@@ -641,6 +641,23 @@ def test_importing_the_cli_builds_no_projector():
     assert (proc.returncode, proc.stdout) == (0, "0 0\n")
 
 
+def test_mub_vectors_projectors_and_kernel_family_take_no_product():
+    # In a fresh interpreter, after import: the projector numerators, the 20
+    # MUB vectors and the verify kernel's MUB family are read off the powers
+    # of U_R built at import, with no dense product.
+    code = ("import qphase4.cli; from qphase4 import clifford, exact, gf4, wigner\n"
+            "calls = []\n"
+            "matmul, product = exact.Matrix.__matmul__, exact.product\n"
+            "exact.Matrix.__matmul__ = lambda a, b: calls.append('@') or matmul(a, b)\n"
+            "exact.product = clifford.product = lambda *a: calls.append('product') or product(*a)\n"
+            "clifford.projector_numerators()\n"
+            "vectors = [clifford.mub_vector(n, k) for n in range(5) for k in gf4.ELEMENTS]\n"
+            "wigner._mub_family(exact.lane_width(clifford.mub_columns()))\n"
+            "print(len(set(vectors)), calls)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "20 []\n"), proc.stderr
+
+
 def test_a_frame_is_read_by_one_rule():
     # Line 4n + k of frame f is read by vector k + f_n of basis n, whose Born
     # probability sits at 4n + k + f_n; each line's points are line_points'.
@@ -723,8 +740,8 @@ def test_born_map_is_frame_free_and_the_projector_map():
     # indices, whatever f; on the dense oracle it is the map of the MUB
     # projectors, u P_i u^dag = P_map[i].
     frames = list(product(ELEMENTS, repeat=5))
-    compose = phasespace.compose_frame.__wrapped__  # leaves its cache as it is
-    steps = [(clifford.unitary_for(L), wigner.linear_perm(L), partial(compose, L=L))
+    steps = [(clifford.unitary_for(L), wigner.linear_perm(L),
+              partial(phasespace.compose_frame, L=L))
              for L in symplectic.enumerate_group()]
     steps += [(clifford.displacement(beta), wigner.translation_perm(beta), lambda f: f)
               for beta in gf4.all_points()]
