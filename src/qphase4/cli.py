@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from functools import lru_cache
+from typing import NoReturn
 
 from . import clifford, gf4, phasespace, symplectic, wigner
 from .exact import Matrix, Scalar
@@ -388,9 +389,18 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors in one line, like every other parse error;
+    the subcommands' parsers are of this class too."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"parse error: {self.prog}: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
 @lru_cache(maxsize=1)  # one tree per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qphase4",
         description="Exact two-qubit discrete phase space over GF(4)",
     )
@@ -440,7 +450,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        # argparse exits 2 on bad usage, which matches our parse-error code
+        # bad usage has printed its one parse-error line; --help exits 0
         return int(e.code or 0)
     code = 0
     try:

@@ -8,28 +8,36 @@ global phase fixed by the generator matrices below -- not merely up to phase.
 unitary_for is the only route from L to U_L: every sweep, the named
 identities of the representation included, checks the unitaries it gives.
 
+The 60 U_L share 12 left factors U_R^r U_{H_x}, so they take 52 dense
+products.
+
 The first tensor factor is the first qubit, i.e. the coefficient of
 omega-bar in the field-basis expansion.  So D_(k,0) |0> is a computational
 basis vector, and the 20 MUB vectors U_R^n D_(k,0) |0> are columns of the
-powers of U_R (mub_columns), read off without a product.
+powers of U_R (mub_columns), their integer numerators copied without a
+product.
 
-Both sweeps pack each factor once per side (Matrix.packed_left, packed_right)
-and compare exact products of big integers with packed targets, one dot
-holding many products in chunks of one integer, each chunk read as a slice
-of its bytes (exact.chunk_keys): U_L D_a with +/- D_{La} U_L, one dot per
-side and L for all 16 a, after one dense check U_L^dag U_L == I per L; and
-U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the named
+Both sweeps, and the wigner kernel after them, pack each factor once per
+side at one shared lane width (sweep_width; Matrix.packed_left,
+packed_right are cached) and compare exact products of big integers with
+packed targets, one dot holding many products in chunks of one integer,
+each chunk read as a slice of its bytes (exact.chunk_keys): U_L D_a with
++/- D_{La} U_L, one dot per side and L for all 16 a, La's position read
+off phasespace.linear_perm, after one dense check U_L^dag U_L == I per L;
+and U_{L1} U_{L2} with i^k U_{L1 L2}, whose phase table holds the named
 identities, one dot per L1 for all 60 L2 (exact.Family), each chunk looked
-up among its target's four phases.
+up among the four phases of its target, read off the group's product
+table (symplectic.cayley).
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 
-from . import gf4, symplectic
+from . import gf4, phasespace, symplectic
 from .exact import (Family, Matrix, Scalar as _S, Vector, chunk_keys, chunked, dot, lane_width,
                     product)
 from .gf4 import ELEMENTS, Vec2
@@ -108,12 +116,24 @@ _U_R_POWERS = tuple(accumulate([_U_R] * 4, Matrix.__matmul__, initial=Matrix.ide
 
 
 @lru_cache(maxsize=None)
+def _left_factor(r: int, x: int) -> Matrix:
+    """U_R^r U_{H_x}, a product only when neither factor is I (r and x
+    nonzero); the 60 U_L share 12 of these, 11 besides I."""
+    if r and x:
+        return _U_R_POWERS[r] @ _GENERATORS[x]
+    return _U_R_POWERS[r] if r else _GENERATORS[x]
+
+
+@lru_cache(maxsize=None)
 def unitary_for(L: SympMat) -> Matrix:
-    """U_L = U_R^r U_{H_x} U_R^s from the canonical decomposition of L, a
-    product of only the factors that are not I (r, x or s nonzero)."""
-    d = symplectic.decompose(L)
-    factors = [u for u, k in zip((_U_R_POWERS[d.r], _GENERATORS[d.x], _U_R_POWERS[d.s]), d) if k]
-    return reduce(Matrix.__matmul__, factors or [_GENERATORS[0]])
+    """U_L = U_R^r U_{H_x} U_R^s from the canonical decomposition of L: its
+    left factor U_R^r U_{H_x} (_left_factor) times U_R^s, a product only
+    when neither is I."""
+    r, x, s = symplectic.decompose(L)
+    if r or x:
+        left = _left_factor(r, x)
+        return left @ _U_R_POWERS[s] if s else left
+    return _U_R_POWERS[s]
 
 
 def conjugate(u: Matrix, rho: Matrix) -> Matrix:
@@ -128,9 +148,11 @@ def mub_columns() -> tuple[Matrix, ...]:
     """Per Born index 4n + k, the matrix |b><0| of b = U_R^n D_(k,0) |0>,
     vector k of mutually unbiased basis n.  D_(k,0) |0> is the basis vector
     |c>, c = 2 x1 + x2 for (x1, x2) = gf4.expand(k), with no phase, so b is
-    column c of U_R^n and no product is taken."""
-    return tuple(Matrix([[row[2 * x1 + x2], 0, 0, 0] for row in u.rows])
-                 for u in _U_R_POWERS for x1, x2 in map(gf4.expand, ELEMENTS))
+    column c of U_R^n, whose integer numerators are copied with no product."""
+    columns = [2 * x1 + x2 for x1, x2 in map(gf4.expand, ELEMENTS)]
+    return tuple(Matrix._reduced(4, [y for x in u.re[c::4] for y in (x, 0, 0, 0)],
+                                 [y for x in u.im[c::4] for y in (x, 0, 0, 0)], u.den)
+                 for u in _U_R_POWERS for c in columns)
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +161,14 @@ def mub_vector(n: int, k: int) -> Vector:
     mub_columns.  Basis 0 is the computational basis; the others follow by
     repeated rotation.  All 20 vectors have exact unit norm."""
     return tuple(row[0] for row in mub_columns()[4 * (n % 5) + k].rows)
+
+
+def sweep_width(units) -> int:
+    """The lane width of every packed sweep: lane_width of units with the 16
+    D_beta and the 20 MUB columns.  It covers each product a sweep takes, and
+    with today's factors all three sweeps share it (7 bits), so that each
+    U_L is packed once per side (Matrix.packed_left, packed_right)."""
+    return lane_width([*units, *map(displacement, gf4.all_points()), *mub_columns()])
 
 
 def verify_metaplectic() -> dict:
@@ -152,15 +182,15 @@ def verify_metaplectic() -> dict:
     column (left factors) (exact.chunked).  So per L one dot holds the 16
     U_L D_a and one the 16 D_beta U_L, each chunk the 32 lanes of a product
     over U_L's denominator (every D_beta has denominator 1).  The lanes are
-    those of the one-pair dots, all below 2^(w-1) (lane_width), so equal
+    those of the one-pair dots, all below 2^(w-1) (sweep_width), so equal
     chunk keys (exact.chunk_keys) mean equal products.  U_L D_a is compared
-    with D_{La} U_L and its negation, read at La's chunk."""
+    with D_{La} U_L and its negation, read at La's chunk, the position
+    phasespace.linear_perm(L) gives a."""
     group, points = symplectic.enumerate_group(), gf4.all_points()
     units, ds = [unitary_for(L) for L in group], [displacement(b) for b in points]
-    w, count = lane_width(units + ds), len(points)
+    w, count = sweep_width(units), len(points)
     d_left_all = chunked((d.packed_left(w) for d in ds), w)
     d_right_all = chunked((d.packed_right(w) for d in ds), w)
-    at = {b: j for j, b in enumerate(points)}
     signs = {}
     for L, u in zip(group, units):
         # Without unitarity the identity already fails at alpha == (0, 0), the first point.
@@ -168,8 +198,7 @@ def verify_metaplectic() -> dict:
         lhs = chunk_keys(dot(u.packed_left(w), d_right_all), count, w)
         rhs = dot(d_left_all, u.packed_right(w))
         plus, minus = chunk_keys(rhs, count, w), chunk_keys(-rhs, count, w)
-        for x, alpha in zip(lhs, points):
-            y = at[gf4.mat_vec(L, alpha)]
+        for x, alpha, y in zip(lhs, points, phasespace.linear_perm(L)):
             sign = 1 if x == plus[y] else -1 if x == minus[y] else None
             if sign is None or not unitary:
                 raise AssertionError(f"metaplectic check failed for "
@@ -181,14 +210,15 @@ def verify_metaplectic() -> dict:
 def verify_projective_rep() -> dict:
     """Check U_{L1} U_{L2} == i^k U_{L1 L2} over all 3600 ordered pairs.
 
-    The 60 U_L are one exact.Family, in lanes of w = lane_width bits: each
+    The 60 U_L are one exact.Family, in lanes of w = sweep_width bits: each
     is packed once as a left and once as a right factor, the right
     factors' numerators scaled to the common denominator d = 2 of the U_L
     (each has 1 or 2), and one dot of big integers per L1 holds its 60
     products, chunk j holding U_{L1} U_{L2} over d^2 in 32 lanes (entry
-    (i, j) real and imaginary at lanes 8i + 2j and 8i + 2j + 1).  Each
+    (i, j) real and imaginary at lanes 8i + 2j and 8i + 2j + 1).  L1 L2 is
+    read off the group's product table (symplectic.cayley), and each
     chunk's key is looked up among the keys of the four i^k U_{L1 L2}
-    (Family.phases), which also give k.
+    (Family.phases), which also give k: one lookup per chunk, row by row.
 
     The named special cases are entries of the same phase table, on the
     unitaries unitary_for gives: exact shear composition, the
@@ -196,16 +226,17 @@ def verify_projective_rep() -> dict:
     """
     group = symplectic.enumerate_group()
     units = [unitary_for(L) for L in group]
-    family = Family.of(units, lane_width(units))
-    targets = {L: family.phases(j) for j, L in enumerate(group)}
-    phases = {}
-    for l1, u1 in zip(group, units):
-        for l2, key in zip(group, family.products(u1)):
-            k = targets[symplectic.product(l1, l2)].get(key)
-            if k is None:
-                raise AssertionError(f"projective representation failed for "
-                                     f"{symplectic.to_text(l1)}, {symplectic.to_text(l2)}")
-            phases[(l1, l2)] = k
+    family = Family.of(units, sweep_width(units))
+    targets = [family.phases(j) for j in range(len(group))]
+    found = []
+    for l1, u1, row in zip(group, units, symplectic.cayley()):
+        ks = list(map(dict.get, map(targets.__getitem__, row), family.products(u1)))
+        if None in ks:
+            raise AssertionError(f"projective representation failed for "
+                                 f"{symplectic.to_text(l1)}, "
+                                 f"{symplectic.to_text(group[ks.index(None)])}")
+        found += ks
+    phases = dict(zip(itertools.product(group, repeat=2), found))
 
     shear, R, R_POWERS = symplectic.shear, symplectic.R, symplectic.R_POWERS
     # Shears compose exactly, with no phase.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import lshift, mul, neg
 from typing import Iterable, NamedTuple, Sequence
@@ -141,12 +142,16 @@ class Matrix:
         return Matrix._reduced(self.n, *product(self.n, self.re, self.im, other.re, other.im),
                                self.den * other.den)
 
+    # The packings are cached: the verify sweeps share their factors and one
+    # lane width (clifford.sweep_width), so each is packed once per side.
+    @lru_cache(maxsize=256)
     def packed_left(self, w: int) -> tuple[int, ...]:
         """Packed as a left factor: per column k, its real and its imaginary
         numerators, row i in lane 2 n i (lanes of w bits; see pack)."""
         n = self.n
         return tuple(pack(part[k::n], 2 * n * w) for k in range(n) for part in (self.re, self.im))
 
+    @lru_cache(maxsize=256)
     def packed_right(self, w: int) -> tuple[int, ...]:
         """Packed as a right factor: per row k, that row and i times it, entry j
         in lanes 2j (re) and 2j + 1 (im).  Dotted with a.packed_left(w), entry

@@ -6,12 +6,17 @@ index of a point (or of one line per striation) is the five-component GF(4)
 vector recording which line of each striation is selected.  It is linear,
 I(alpha) = alpha_q Q + alpha_p P, so a symplectic matrix L acts on indices
 through the monomial 5x5 index operator S_L read off the indices of L's two
-basis images, plus, on the Hilbert side, an affine shift vector f_L.
+basis images, plus, on the Hilbert side, an affine shift vector f_L.  A
+frame is reread by data, a FrameMap f -> S f + t: frame_map(L) is U_L's,
+(S_L, f_L), and FRAME_IDENTITY a displacement's.  Points move by cached
+permutations of their positions in gf4.all_points(): linear_perm and
+translation_perm.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gf4, symplectic
 from .gf4 import ELEMENTS, Vec2
@@ -114,11 +119,46 @@ def shift_vector(L: SympMat) -> Index:
     return tuple(out)
 
 
+class FrameMap(NamedTuple):
+    """The affine map f -> S f + t of frames, as data: the linear part S,
+    monomial, by the (n, s) of each row m's one nonzero entry (rows, so
+    component m of S f is s f_n), and the shift t.  Calling it applies it."""
+
+    rows: tuple[tuple[int, int], ...]
+    shift: Index
+
+    def __call__(self, f: Index) -> Index:
+        mul = gf4._MUL
+        return index_add([mul[s][f[n]] for n, s in self.rows], self.shift)
+
+
+#: The frame map of a displacement, which rereads no frame.
+FRAME_IDENTITY = FrameMap(tuple((n, 1) for n in range(5)), ZERO_INDEX)
+
+
+def frame_map(L: SympMat) -> FrameMap:
+    """U_L's frame map f -> S_L f + f_L: _monomial(L) and shift_vector(L)."""
+    return FrameMap(_monomial(L), shift_vector(L))
+
+
 def compose_frame(f: Index, L: SympMat) -> Index:
-    """Frame reached from f after performing U_L: S_L f + f_L.  Component m
-    of S_L f is s f_n for row m's (n, s) in _monomial(L)."""
-    mul = gf4._MUL
-    return index_add([mul[s][f[n]] for n, s in _monomial(L)], shift_vector(L))
+    """Frame reached from f after performing U_L: frame_map(L) applied to f."""
+    return frame_map(L)(f)
+
+
+_POSITION = {alpha: i for i, alpha in enumerate(gf4.all_points())}
+
+
+@lru_cache(maxsize=None)
+def linear_perm(L: SympMat) -> tuple[int, ...]:
+    """alpha -> L alpha: entry i is the position of L points[i] in points."""
+    return tuple([_POSITION[gf4.mat_vec(L, alpha)] for alpha in gf4.all_points()])
+
+
+@lru_cache(maxsize=None)
+def translation_perm(beta: Vec2) -> tuple[int, ...]:
+    """alpha -> alpha + beta: entry i is the position of points[i] + beta."""
+    return tuple([_POSITION[gf4.vec_add(beta, alpha)] for alpha in gf4.all_points()])
 
 
 @lru_cache(maxsize=1)

@@ -5,6 +5,8 @@ H_x is a vertical shear and R is the order-5 "rotation" that cycles the five
 slopes; r is fixed at 0 when x is 0 or omega-bar (those elements need no left
 rotation).  The 60 triples are enumerated once, into one mapping from matrix to
 triple: ``enumerate_group`` returns its keys and ``decompose`` reads it back.
+The group's product table, on indices into that enumeration (``cayley``), is
+composed from the left multiplications by R and the three shears.
 """
 
 from __future__ import annotations
@@ -79,6 +81,24 @@ def _canonical() -> dict[SympMat, Decomposition]:
 def enumerate_group() -> tuple[SympMat, ...]:
     """All 60 symplectic matrices, in the canonical four-family order."""
     return tuple(_canonical())
+
+
+@lru_cache(maxsize=1)
+def cayley() -> tuple[tuple[int, ...], ...]:
+    """Row i, entry j: the index in enumerate_group() of the product of its
+    elements i and j.  Left multiplication by R and by each shear H_x is read
+    once off gf4.mat_mul as a permutation of the indices, R^k's by composing
+    R's, and element i = R^r H_x R^s's row is R^s's taken through H_x's and
+    then R^r's permutation."""
+    group = enumerate_group()
+    at = {L: j for j, L in enumerate(group)}
+    rotate, *shears = ([at[gf4.mat_mul(g, L)] for L in group] if g != IDENTITY else range(60)
+                       for g in (R, *map(shear, gf4.ELEMENTS)))
+    powers = [range(60)]
+    for _ in range(4):
+        powers.append(list(map(rotate.__getitem__, powers[-1])))
+    return tuple(tuple(map(powers[r].__getitem__, map(shears[x].__getitem__, powers[s])))
+                 for r, x, s in _canonical().values())
 
 
 def decompose(L: SympMat) -> Decomposition:

@@ -12,42 +12,47 @@ keeps only the table's integer form (WignerTable.key).  One helper,
 _line_sums, reads a table's 20 line sums by Born index: _first_bad_line
 compares them with the Born probabilities, and reconstruct weights the
 projectors' numerators by them in one dot product per entry.  frame()
-builds the 16 operators from mub_vector and the displacements as the oracle.
-Performing a unitary is the same as moving Wigner values by a phase-space
-map while reinterpreting the frame.  Every move is one Step: u, its
-permutation of the 16 positions (linear_perm or translation_perm), its
-frame map f -> g, the text apply prints and the text FAIL lines name.
+builds the 16 operators from mub_vector and the displacements as the
+oracle.  Performing a unitary is the same as moving Wigner values by a
+phase-space map while reinterpreting the frame.  Every move is one Step:
+u, its permutation of the 16 positions (phasespace.linear_perm or
+translation_perm), its frame map f -> g as data (phasespace.FrameMap, the
+affine f -> S f + t), the text apply prints and the text FAIL lines name.
 transport_step gives U_L (alpha -> L alpha, f -> S_L f + f_L),
 displacement_step D_beta (alpha -> alpha + beta, f -> f), and
 rotational_symmetry_check its conjugated rotations V (alpha -> R_L alpha,
-checked in f_L -> f_L).  One performer, perform(), performs every step in
-one frame pair (f, g) per call: rho' from clifford.conjugate, the Born
-numerators of rho and rho', cross-multiplied by the two denominators and
-compared once under born_map, the step's map of the 20 Born indices (from
-its cached permutation of the 16 positions).  transport, displace,
-marginal_check and the CLI's apply perform their moves through it.  A
-table is a fixed bijective function of the 20 line probabilities, so the
-check builds no table.  In the frame pairs a step is meant for, born_map
-is one map whatever f: the step's map of the MUB projectors.
-marginal_check checks one frame: its 20 line sums, then its 16
-displacements.  The verify sweeps share one driver, _sweep, and one
-kernel, _packed_sweep, which checks a step for every state at once.
-A^f_alpha is a sum of MUB projectors minus I, so a step holds for every
-state in the frame pair (f, g) when u P_i u^dag == P_j for each of the 20
-projectors P_i = |b_i><b_i|, j = born_map(move, f, g)[i]; they span the
-Hermitian operators (Wootters & Fields, Ann. Phys. 191, 363 (1989)), so
+with R_L's frame map, checked from f_L, which it must fix).  One performer,
+perform(), performs every step in one frame pair (f, g) per call: rho' from
+clifford.conjugate, the Born numerators of rho and rho', cross-multiplied
+by the two denominators and compared once under born_map, the step's map of
+the 20 Born indices (from its cached permutation of the 16 positions).
+transport, displace, marginal_check and the CLI's apply perform their moves
+through it.  A table is a fixed bijective function of the 20 line
+probabilities, so the check builds no table.  When the move takes line
+(n, k) to line (m, s k + c_m) for each row m's (n, s) of S, the frame law
+(_obeys_frame_law), born_map in (f, S f + t) is one map whatever f: the
+step's map of the MUB projectors.  marginal_check checks one frame: its 20
+line sums, then its 16 displacements.  The verify sweeps share one loop,
+_sweep, and one kernel, _packed_sweep, which checks a step for every state
+at once.  A^f_alpha is a sum of MUB projectors minus I, so a step holds for
+every state in the frame pair (f, g) when u P_i u^dag == P_j for each of
+the 20 projectors P_i = |b_i><b_i|, j = born_map(move, f, g)[i]; they span
+the Hermitian operators (Wootters & Fields, Ann. Phys. 191, 363 (1989)), so
 only then.  _hilbert_maps reads that j off u b_i == i^k b_j: one dot of u
 with the 20 matrices |b_i><0| (clifford.mub_columns) packed side by side
-(exact.Family), each product's chunk looked up among the keys of every
-i^k |b_j><0|.  A step holds when that one map is the born_map of each of
-its frame pairs.  transport_sweep checks what transport checks for every L
-in the 12 canonical frames; marginal_sweep checks what marginal_check
-checks in those frames, its line sums on integer tables and then its 16
-displacements as steps; rotational_symmetry_check checks each L's R_L and
-runs each distinct (V, R_L, f_L) once, 12 steps for the 60 L.  Only when
-a check fails does one helper, _replay, run the per-state route, the
-failing step or marginal_check, state by state and frame by frame, on the
-standard test states and then the 20 MUB states.
+(exact.Family), each product's chunk looked up among the keys of every i^k
+|b_j><0|.  A step holds when its move obeys the frame law and that one map
+is the born_map of its first frame pair; once per sweep, each listed frame
+f must read line (n, k) by Born index 4n + k + f_n.  So one comparison per
+step covers every frame, listed or not.  transport_sweep checks what
+transport checks for every L in the 12 canonical frames; marginal_sweep
+checks what marginal_check checks in those frames, its line sums on integer
+tables and then its 16 displacements as steps; rotational_symmetry_check
+checks each L's R_L, read off the group's product table
+(symplectic.cayley), and runs each distinct (V, R_L, f_L) once, 12 steps
+for the 60 L.  Only when a check fails does one helper, _replay, run the
+per-state route, the failing step or marginal_check, state by state and
+frame by frame, on the standard test states and then the 20 MUB states.
 """
 
 from __future__ import annotations
@@ -57,12 +62,13 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import lcm
-from typing import Callable, NamedTuple, NoReturn
+from operator import itemgetter
+from typing import NamedTuple, NoReturn
 
 from . import clifford, exact, gf4, phasespace, symplectic
 from .exact import Matrix, Scalar, dot, norm_sq, outer, vector
 from .gf4 import ELEMENTS
-from .phasespace import Index
+from .phasespace import FrameMap, Index, linear_perm, translation_perm
 from .symplectic import SympMat
 
 
@@ -187,35 +193,29 @@ def wigner_table(rho: Matrix, f: Index) -> WignerTable:
     return WignerTable(f, (den, tuple(v.numerator * (den // v.denominator) for v in values)))
 
 
-@lru_cache(maxsize=None)
-def linear_perm(L: SympMat) -> tuple[int, ...]:
-    """alpha -> L alpha: entry i is the position of L points[i] in points."""
-    points = gf4.all_points()
-    return tuple(points.index(gf4.mat_vec(L, alpha)) for alpha in points)
-
-
-@lru_cache(maxsize=None)
-def translation_perm(beta: gf4.Vec2) -> tuple[int, ...]:
-    """alpha -> alpha + beta: entry i is the position of points[i] + beta."""
-    points = gf4.all_points()
-    return tuple(points.index(gf4.vec_add(beta, alpha)) for alpha in points)
-
-
 @lru_cache(maxsize=1)
-def _lines() -> dict[frozenset, int]:
-    """Line 4n + k by the set of its positions in gf4.all_points()."""
-    return {frozenset(points): j for j, points in enumerate(_line_positions())}
+def _line_through() -> dict[tuple[int, int], int]:
+    """Line 4n + k by each ordered pair of two of its positions in
+    gf4.all_points(); two distinct points lie on exactly one line."""
+    return {(a, b): j for j, points in enumerate(_line_positions())
+            for a in points for b in points if a != b}
 
 
 @lru_cache(maxsize=None)
 def _line_map(move: tuple[int, ...]) -> tuple[int, ...] | None:
     """Line 4n + k goes to 4m + k' when move (a linear_perm or
-    translation_perm) takes its four positions onto those of line 4m + k';
-    None when the image of some line is not a line."""
-    lines = _lines()
-    image = tuple(lines.get(frozenset(map(move.__getitem__, points)))
-                  for points in _line_positions())
-    return None if None in image else image
+    translation_perm) takes its four positions onto those of line 4m + k':
+    the line through the images of its first two points, which the images
+    of the other two must lie on.  None when the image of some line is not
+    a line."""
+    through, image = _line_through(), []
+    for a, b, c, d in _line_positions():
+        j = through.get((move[a], move[b]))
+        if (j is None or through.get((move[a], move[c])) != j
+                or through.get((move[a], move[d])) != j):
+            return None
+        image.append(j)
+    return tuple(image)
 
 
 def born_map(move: tuple[int, ...], f: Index, g: Index) -> tuple[int, ...] | None:
@@ -230,29 +230,29 @@ def born_map(move: tuple[int, ...], f: Index, g: Index) -> tuple[int, ...] | Non
 class Step(NamedTuple):
     """One phase-space move: performing u takes the Wigner value at point i
     of gf4.all_points() to point move[i] (a linear_perm or translation_perm)
-    while frame f is reread as frame(f).  name is the move as apply prints
-    it, what as FAIL lines name it."""
+    while frame f is reread as frame(f), an affine phasespace.FrameMap.
+    name is the move as apply prints it, what as FAIL lines name it."""
 
     name: str
     what: str
     u: Matrix
     move: tuple[int, ...]
-    frame: Callable[[Index], Index]
+    frame: FrameMap
 
 
 def transport_step(L: SympMat) -> Step:
-    """U_L: alpha -> L alpha, f -> compose_frame(f, L) = S_L f + f_L, which
-    is looked up whenever a frame is reread."""
+    """U_L: alpha -> L alpha, f -> S_L f + f_L (phasespace.frame_map)."""
     name = symplectic.to_text(L)
     return Step(name, f"transport by L={name}", clifford.unitary_for(L), linear_perm(L),
-                lambda f: phasespace.compose_frame(f, L))
+                phasespace.frame_map(L))
 
 
 def displacement_step(beta: gf4.Vec2) -> Step:
     """D_beta: alpha -> alpha + beta, f -> f, named as the CLI's apply op
     D[q,p]."""
     name = "D[" + ",".join(map(gf4.to_token, beta)) + "]"
-    return Step(name, name, clifford.displacement(beta), translation_perm(beta), lambda f: f)
+    return Step(name, name, clifford.displacement(beta), translation_perm(beta),
+                phasespace.FRAME_IDENTITY)
 
 
 def perform(rho: Matrix, f: Index, step: Step):
@@ -303,21 +303,49 @@ def _hilbert_maps(units) -> list[tuple | None]:
     (exact.Family.products), and each chunk is looked up among the keys of
     every i^k |b_j><0|.  The map is None when u.den does not divide 2, the
     b_j's common denominator: u's columns, u b_i for the computational
-    basis b_0..b_3, are then none of the i^k b_j."""
-    w = exact.lane_width([*units, *clifford.mub_columns()])
-    family, born_index = _mub_family(w)
+    basis b_0..b_3, are then none of the i^k b_j.  The lanes are the
+    clifford sweeps' (clifford.sweep_width), so each U_L is packed as
+    clifford.verify_metaplectic packed it."""
+    family, born_index = _mub_family(clifford.sweep_width(units))
     return [None if family.d % u.den else tuple(map(born_index.get, family.products(u)))
             for u in units]
 
 
+def _obeys_frame_law(move: tuple[int, ...], frame: FrameMap) -> bool:
+    """Whether move takes line (n, k) to line (m, s k + c_m), for each row
+    m's (n, s) of frame's linear part and one c_m per row.  Then the Born
+    index 4n + j, read in f by line k = j + f_n, goes in g = frame(f) to
+    4m + s j + c_m + t_m (t = frame.shift), the same for every f."""
+    image = _line_map(move)
+    if image is None:
+        return False
+    add, mul, law = gf4._ADD, gf4._MUL, [None] * 20
+    for m, (n, s) in enumerate(frame.rows):
+        c = image[4 * n] - 4 * m  # line (n, 0) goes to line (m, c_m)
+        if not 0 <= c < 4:
+            return False
+        law[4 * n:4 * n + 4] = [4 * m + add[mul[s][k]][c] for k in ELEMENTS]
+    return law == list(image)
+
+
 def _packed_sweep(moves) -> int:
     """How many (step, frames) of moves, in order, hold before the first
-    that fails; len(moves) when all hold.  A step holds when its
-    _hilbert_maps map is born_map(step.move, f, step.frame(f)) in each of
-    its frames."""
+    that fails; len(moves) when all hold.  Once per sweep, each listed frame
+    f must read line (n, k) by Born index 4n + k + f_n (line_labels), or the
+    first step fails.  A step holds when its move obeys its frame map's law
+    (_obeys_frame_law) and its _hilbert_maps map is born_map(step.move, f,
+    step.frame(f)) at its first frame f: by the law, born_map is that one
+    map in every frame, so the step holds in every frame, listed or not."""
+    add = gf4._ADD
+    listed = dict.fromkeys(f for _, frames in moves for f in frames)
+    if any(line_labels(f) != tuple(4 * n + add[k][f[n]] for n in range(5) for k in ELEMENTS)
+           for f in listed):
+        return 0
     images = _hilbert_maps([step.u for step, _ in moves])
     for i, ((step, frames), image) in enumerate(zip(moves, images)):
-        if image is None or any(born_map(step.move, f, step.frame(f)) != image for f in frames):
+        f = frames[0]
+        if (image is None or not _obeys_frame_law(step.move, step.frame)
+                or born_map(step.move, f, step.frame(f)) != image):
             return i
     return len(moves)
 
@@ -354,10 +382,11 @@ def transport_sweep() -> int:
     returns the number of (L, frame, state) triples checked.
 
     Each L is one transport_step of _sweep in the 12 frames: one dot for
-    its map of the Born indices, compared with the map of each frame pair,
-    which covers every state.  An L that fails is performed state by state
-    and then frame by frame, which raises for the first state in order at
-    its first failing frame."""
+    its map of the Born indices, compared once, in the first frame, with
+    born_map after the frame law, which covers every state in every frame
+    whose lines are read by their labels.  An L that fails is performed
+    state by state and then frame by frame, which raises for the first
+    state in order at its first failing frame."""
     frames = phasespace.canonical_shift_vectors()
     passed = _sweep([(transport_step(L), frames) for L in symplectic.enumerate_group()])
     return passed * len(frames) * len(standard_test_states())
@@ -424,24 +453,32 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
     then for each further L: returns R_L's period, the striations it cycles
     and the number of L checked.
 
-    For each L, R_L = L R L^-1 must have period five and cycle all five
-    striations, and V = U_L U_R U_L^dag must move the f_L-table of each
-    state along alpha -> R_L alpha.  Many L share one Step (V, R_L, f_L):
-    the 60 L of the group give 12, each checked in the one frame pair
-    (f_L, f_L) by _sweep in the order of its first L, which also names it.
-    A step that fails is performed state by state, which raises what a
-    sweep L by L meets first at that step.
+    For each L, R_L = L R L^-1, read off the group's product table
+    (symplectic.cayley) at the indices of L, R and L^-1, must have period
+    five, as the same table gives it, and cycle all five striations; its
+    frame map f -> S_{R_L} f + f_{R_L} (phasespace.frame_map) must fix f_L;
+    and V = U_L U_R U_L^dag must move the f_L-table of each state along
+    alpha -> R_L alpha.  Many L share one Step (V, R_L, f_L): the 60 L of
+    the group give 12, each checked from the one frame f_L by _sweep in the
+    order of its first L, which also names it.  A step that fails is
+    performed state by state, which raises what a sweep L by L meets first
+    at that step.
     """
+    group, table = symplectic.enumerate_group(), symplectic.cayley()
+    at = {m: j for j, m in enumerate(group)}
+    one, rotation = at[symplectic.IDENTITY], at[symplectic.R]
     u_r = clifford.unitary_for(symplectic.R)
     firsts = {}  # (V, R_L, f_L) -> what FAIL lines name it by, from the first L that gives it
     for L in (L, *more):
-        r_l = symplectic.product(symplectic.product(L, symplectic.R), symplectic.inverse(L))
-        power, period = r_l, 1
-        while power != symplectic.IDENTITY and period < 5:
-            power = symplectic.product(power, r_l)
+        symplectic.require_symplectic(L)
+        k = table[table[at[L]][rotation]][at[symplectic.inverse(L)]]  # R_L's index
+        power, period = k, 1
+        while power != one and period < 5:
+            power = table[power][k]
             period += 1
-        if power != symplectic.IDENTITY or period != 5:
+        if power != one or period != 5:
             raise AssertionError(f"R_L does not have period 5 for {symplectic.to_text(L)}")
+        r_l = group[k]
 
         # R_L sends striation n to m for row m's (n, s); the walk follows the
         # inverse map, which cycles all five exactly when the map does.
@@ -455,11 +492,13 @@ def rotational_symmetry_check(L: SympMat, *more: SympMat) -> dict:
             raise AssertionError(
                 f"R_L does not cycle all striations for {symplectic.to_text(L)}"
             )
+        f_l = phasespace.shift_vector(L)
+        if phasespace.compose_frame(f_l, r_l) != f_l:
+            raise AssertionError(f"R_L does not fix f_L for {symplectic.to_text(L)}")
         v = clifford.conjugate(clifford.unitary_for(L), u_r)
-        firsts.setdefault((v, r_l, phasespace.shift_vector(L)),
-                          f"conjugated rotation for L={symplectic.to_text(L)}")
+        firsts.setdefault((v, r_l, f_l), f"conjugated rotation for L={symplectic.to_text(L)}")
 
-    _sweep([(Step(what, what, v, linear_perm(r_l), lambda f: f), (f_l,))
+    _sweep([(Step(what, what, v, linear_perm(r_l), phasespace.frame_map(r_l)), (f_l,))
             for (v, r_l, f_l), what in firsts.items()])
     return {"period": period, "striations_cycled": len(seen), "rotations": 1 + len(more)}
 
@@ -502,16 +541,21 @@ def marginal_check(rho: Matrix, f: Index) -> dict:
     return {"lines": len(_line_positions()), "displacements": 16}
 
 
+@lru_cache(maxsize=1)
+def _point_lines() -> tuple[itemgetter, ...]:
+    """Per position in gf4.all_points(), a getter of the five lines 4n + k
+    through it."""
+    return tuple(itemgetter(*(j for j, points in enumerate(_line_positions()) if i in points))
+                 for i in range(16))
+
+
 def _integer_table(before, trace: int, f: Index) -> list[int]:
     """A state's Wigner table in frame f on integers, per point of
-    gf4.all_points(): the state's Born numerators before (over 4 den) of the
-    five lines through it, minus 4 times its trace numerator (over den):
-    16 den W^f."""
-    table = [-4 * trace] * 16
-    for label, points in zip(line_labels(f), _line_positions()):
-        for i in points:
-            table[i] += before[label]
-    return table
+    gf4.all_points(): the sum of the tuple of the state's Born numerators
+    before (over 4 den) of the five lines through it, each line's read at
+    its label, minus 4 times its trace numerator (over den): 16 den W^f."""
+    by_line = itemgetter(*line_labels(f))(before)
+    return [sum(lines(by_line)) - 4 * trace for lines in _point_lines()]
 
 
 def marginal_sweep() -> dict:

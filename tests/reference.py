@@ -6,13 +6,16 @@ Fraction values, covariance by comparing moved tables, a table's Fraction
 line sums, total and operator sum, the metaplectic check and the
 shear-rotation-shear phases on dense products, the 60 group elements
 spelled out with gf4.mat_mul, an index operator found by search and one
-applied entry by entry, and the lanes of a packed integer."""
+applied entry by entry, the lanes of a packed integer, and the verify
+kernel's tables built the long way: the group's product table from
+symplectic.product, the line map from sets of points, the MUB columns
+through Scalars and the kernel frame by frame."""
 
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from qphase4 import clifford, gf4, phasespace, symplectic
+from qphase4 import clifford, gf4, phasespace, symplectic, wigner
 from qphase4.exact import Matrix, Scalar, dot, numerators, proportional
 from qphase4.wigner import WignerTable, wigner_table
 
@@ -195,3 +198,39 @@ def unpack(x: int, w: int, lanes: int) -> list:
         x = (x - digit) >> w
     assert x == 0
     return out
+
+
+def product_table() -> tuple:
+    """Row i, entry j: the index in enumerate_group() of symplectic.product
+    of elements i and j, 3600 products."""
+    group = symplectic.enumerate_group()
+    return tuple(tuple(group.index(symplectic.product(a, b)) for b in group) for a in group)
+
+
+def line_map_by_sets(move) -> tuple | None:
+    """Line 4n + k goes to the line whose set of positions is the image of
+    its own under move; None when some image is no line's set."""
+    lines = {frozenset(points): j for j, points in enumerate(wigner._line_positions())}
+    image = tuple(lines.get(frozenset(move[i] for i in points))
+                  for points in wigner._line_positions())
+    return None if None in image else image
+
+
+def mub_columns_by_scalars() -> tuple:
+    """Per Born index 4n + k, |b><0| for b column c = 2 x1 + x2 of U_R^n,
+    (x1, x2) = gf4.expand(k), read through Matrix.rows as Scalars."""
+    return tuple(Matrix([[row[2 * x1 + x2], 0, 0, 0] for row in u.rows])
+                 for u in clifford._U_R_POWERS for x1, x2 in map(gf4.expand, gf4.ELEMENTS))
+
+
+def per_frame_sweep(moves) -> tuple:
+    """The verify kernel frame by frame: each step's Hilbert map compared
+    with born_map(step.move, f, step.frame(f)) in every frame f it lists.
+    Returns how many steps hold before the first that fails, and per step
+    its set of born_maps over its frames."""
+    images = wigner._hilbert_maps([step.u for step, _ in moves])
+    maps = [{wigner.born_map(step.move, f, step.frame(f)) for f in frames}
+            for step, frames in moves]
+    passed = next((i for i, (image, found) in enumerate(zip(images, maps))
+                   if image is None or found != {image}), len(moves))
+    return passed, maps

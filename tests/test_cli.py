@@ -337,7 +337,7 @@ def test_packed_symmetry_that_disagrees_with_each_state_says_so(capsys, monkeypa
 
 def test_verify_transport_counterexample_exits_1(capsys, monkeypatch):
     # A frame that is never reinterpreted breaks transport for every L that moves it.
-    monkeypatch.setattr(phasespace, "compose_frame", lambda f, L: f)
+    monkeypatch.setattr(phasespace, "frame_map", lambda L: phasespace.FRAME_IDENTITY)
     code, out, err = run(capsys, "verify", "transport")
     assert code == 1
     assert out == ""
@@ -470,24 +470,30 @@ def _frame_off(g, n, c):
     return tuple(gf4.add(x, c) if i == n else x for i, x in enumerate(g))
 
 
+def _frame_map_off_under_identity(monkeypatch, rows=None, shift=None):
+    """Patch L = I's frame map, the data its transport step rereads frames
+    by: rows maps m -> (n, s) and shift m -> t replace those entries."""
+    frame_map, identity = phasespace.frame_map, phasespace.frame_map(symplectic.IDENTITY)
+    wrong = identity._replace(
+        rows=tuple((rows or {}).get(m, row) for m, row in enumerate(identity.rows)),
+        shift=tuple((shift or {}).get(m, t) for m, t in enumerate(identity.shift)))
+    monkeypatch.setattr(phasespace, "frame_map",
+                        lambda L: wrong if L == symplectic.IDENTITY else frame_map(L))
+
+
 def _two_frames_off_under_identity(monkeypatch):
-    """Patch compose_frame so that, under L = I only, canonical frame 0's
-    target is off in component 1 and frame 3's in component 0."""
-    frames = phasespace.canonical_shift_vectors()
-    compose, wrong = phasespace.compose_frame, {frames[0]: (1, 1), frames[3]: (0, 2)}
-
-    def composed(f, L):
-        g = compose(f, L)
-        return _frame_off(g, *wrong[f]) if L == symplectic.IDENTITY and f in wrong else g
-
-    monkeypatch.setattr(phasespace, "compose_frame", composed)
+    """Patch L = I's frame map so that canonical frame 0's target is off in
+    component 1 (by 1, as every frame's) and frame 3's also in component 0
+    (S_00 = W: by w f_0, as in every frame with f_0 != 0)."""
+    _frame_map_off_under_identity(monkeypatch, rows={0: (0, OMEGA_BAR)}, shift={1: 1})
 
 
 def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, monkeypatch):
-    # Under L = I, frame 0's target off in component 1 fails up*right alone
-    # (state 4), and frame 3's off in component 0 fails the four basis states
-    # alone.  The packed sweep sees both frames fail at once; the one line
-    # must name what a state-by-state sweep meets first: state 0, at frame 3.
+    # Under L = I, every target off in component 1 fails up*right alone
+    # (state 4), from frame 0 on, and the targets off in component 0, from
+    # frame 3 on, fail the four basis states.  The packed sweep sees the
+    # step fail once; the one line must name what a state-by-state sweep
+    # meets first: state 0, at frame 3.
     frames, states = phasespace.canonical_shift_vectors(), wigner.standard_test_states()
     _two_frames_off_under_identity(monkeypatch)
     failing = []
@@ -498,22 +504,50 @@ def test_verify_transport_names_the_first_state_then_its_first_frame(capsys, mon
                 wigner.transport(rho, f, symplectic.IDENTITY)
             except AssertionError:
                 failing[-1].append(k)
-    assert failing == [[3]] * 4 + [[0], []]
+    assert failing == [list(range(3, 12))] * 4 + [list(range(12)), []]
     code, out, err = run(capsys, "verify", "transport")
     assert (code, out, err) == (1, "", "FAIL transport: transport by L=[[1,0],[0,1]] "
                                        f"is not covariant in frame f={frames[3]}\n")
 
 
 def test_a_frame_fault_in_the_last_frame_alone_fails_verify_transport(capsys, monkeypatch):
-    # Under L = I, only the last canonical frame's target is off, in
-    # component 0: the kernel compares its map with every frame's, not the
-    # first frame's alone, and the basis states fail there.
-    frames, compose = phasespace.canonical_shift_vectors(), phasespace.compose_frame
-    monkeypatch.setattr(phasespace, "compose_frame", lambda f, L: _frame_off(compose(f, L), 0, 1)
-                        if L == symplectic.IDENTITY and f == frames[-1] else compose(f, L))
+    # The last canonical frame alone is misread: its lines k = 0 and 1 of
+    # striation 0 swap labels.  No affine frame map is off in one canonical
+    # frame alone, so the fault is in how that frame is read.  The kernel
+    # compares one frame per step, but checks every listed frame's labels
+    # once per sweep; the first step, L = I, is replayed, and the basis
+    # states fail in that frame.
+    frames, labels = phasespace.canonical_shift_vectors(), wigner.line_labels
+    monkeypatch.setattr(wigner, "line_labels", lambda f: (*labels(f)[1::-1], *labels(f)[2:])
+                        if f == frames[-1] else labels(f))
     assert run(capsys, "verify", "transport") == (
         1, "", f"FAIL transport: transport by L=[[1,0],[0,1]] is not covariant in frame "
                f"f={frames[-1]}\n")
+
+
+def test_an_index_operator_entry_off_with_frame_0_unchanged_fails_verify_transport(
+        capsys, monkeypatch):
+    # S_I's entry in row 2 is w, not 1: frame 0's target is unchanged, and
+    # with it the one born_map the kernel compares, but the move no longer
+    # obeys the frame law.  The replay names the first state's first frame
+    # with f_2 != 0.
+    frames = phasespace.canonical_shift_vectors()
+    _frame_map_off_under_identity(monkeypatch, rows={2: (2, OMEGA)})
+    assert wigner.transport_step(symplectic.IDENTITY).frame(frames[0]) == frames[0]
+    code, out, err = run(capsys, "verify", "transport")
+    assert (code, out, err) == (1, "", "FAIL transport: transport by L=[[1,0],[0,1]] is not "
+                                       f"covariant in frame f={frames[2]}\n")
+
+
+def test_a_rotation_frame_map_that_does_not_fix_f_l_fails_verify_symmetry(capsys, monkeypatch):
+    # R_L's frame map for L = I, R itself, with its shift off in component
+    # 4: f_I is no longer a fixed point, and the symmetry scope says so
+    # before any step is packed.
+    frame_map = phasespace.frame_map
+    monkeypatch.setattr(phasespace, "frame_map", lambda L: frame_map(L)._replace(
+        shift=_frame_off(frame_map(L).shift, 4, 1)) if L == symplectic.R else frame_map(L))
+    assert run(capsys, "verify", "symmetry") == (
+        1, "", "FAIL symmetry: R_L does not fix f_L for [[1,0],[0,1]]\n")
 
 
 def test_verify_transport_witness_replays_through_apply(capsys, monkeypatch):
@@ -672,17 +706,19 @@ def test_metaplectic_counterexample_matches_the_dense_check(capsys, monkeypatch,
 def test_rep_counterexample_is_one_fail_line(capsys, monkeypatch, mutation, message):
     # A sign change leaves U a projective representation; only the named
     # identities, read off the phase table of unitary_for's U_L, see it.  The
-    # two monkeypatch calls record the originals for undo; unitary_for is
-    # cached, so it is cleared before and after.
+    # two monkeypatch calls record the originals for undo; unitary_for and
+    # its left factors are cached, so they are cleared before and after.
     monkeypatch.setattr(clifford, "_U_R_POWERS", clifford._U_R_POWERS)
     monkeypatch.setitem(clifford._GENERATORS, 1, clifford._GENERATORS[1])
     clifford.unitary_for.cache_clear()
+    clifford._left_factor.cache_clear()
     try:
         exec(mutation, {"clifford": clifford})
         code, out, err = run(capsys, "verify", "rep")
     finally:
         monkeypatch.undo()
         clifford.unitary_for.cache_clear()
+        clifford._left_factor.cache_clear()
     assert (code, out, err) == (1, "", f"FAIL rep: {message}\n")
     # -O drops assert statements; the identities must still be checked.
     program = f"import sys\nfrom qphase4 import cli, clifford\n{mutation}\n" \
@@ -909,6 +945,24 @@ VECTOR_SHAPE = "invalid state: state vector must be a list of 4 entries\n"
 def test_rejected_input_exit_code(argv, code, err):
     stderr = _assert_rejected(argv, code)
     assert err is None or stderr == err
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["wigner"], "qphase4 wigner: the following arguments are required: --state"),
+    (["verify", "nope"], "qphase4 verify: argument scope: invalid choice: 'nope' "),
+    (["nosuch"], "qphase4: argument command: invalid choice: 'nosuch' "),
+], ids=["missing-option", "unknown-scope", "unknown-command"])
+def test_usage_error_is_one_parse_error_line(argv, start):
+    # argparse's own usage errors end as every parse error does; the list
+    # of choices after the start is argparse's wording, which varies.
+    assert _assert_rejected(argv, 2).startswith(f"parse error: {start}")
+
+
+def test_help_still_prints_usage_and_exits_0():
+    proc = subprocess.run([sys.executable, "-m", "qphase4.cli", "verify", "--help"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: qphase4 verify [-h]")
 
 
 def _assert_rejected(argv, code) -> str:

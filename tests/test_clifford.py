@@ -19,7 +19,7 @@ from qphase4.clifford import (
 from qphase4.exact import Matrix, Scalar, dot, lane_width, norm_sq, outer, pack, proportional
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from reference import (I_POWERS, dense_metaplectic_signs, dense_rep_phases, inner, mat_vec,
-                       scaled, shear_rotation_shear_phases, unpack)
+                       mub_columns_by_scalars, scaled, shear_rotation_shear_phases, unpack)
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -84,15 +84,19 @@ def test_unitary_for_is_exact_product():
 
 
 def test_unitary_for_multiplies_only_the_factors_that_are_not_the_identity(monkeypatch):
-    # Of the 120 products of U_R^r U_{H_x} U_R^s over the 60 L, 36 have an
-    # identity operand (r, x or s zero); the other 84 are made, and every
-    # U_L is the literal three-factor product.
+    # The 60 L share 12 left factors U_R^r U_{H_x}, 11 besides I (which is
+    # never looked up): 8 of them are products
+    # (r and x nonzero), and 44 U_L multiply theirs by U_R^s (s nonzero and
+    # the left factor not I), 52 products where three-factor products one
+    # U_L at a time made 84; every U_L is the literal three-factor product.
     calls, product = [], exact.product
     monkeypatch.setattr(exact, "product", lambda *args: calls.append(1) or product(*args))
     unitary_for.cache_clear()
+    clifford._left_factor.cache_clear()
     units = [unitary_for(L) for L in symplectic.enumerate_group()]
     monkeypatch.undo()
-    assert len(calls) == 84
+    assert len(calls) == 52
+    assert clifford._left_factor.cache_info().currsize == 11
     powers, generators = clifford._U_R_POWERS, clifford._GENERATORS
     for L, u in zip(symplectic.enumerate_group(), units):
         d = symplectic.decompose(L)
@@ -123,6 +127,11 @@ def test_mub_vector_base_cases():
             assert list(mub_vector(n, k)) == column
             assert clifford.mub_columns()[4 * n + k] == Matrix([[x, 0, 0, 0] for x in column])
         power = power @ u_r
+
+
+def test_mub_columns_copy_the_numerators_of_the_scalar_columns():
+    clifford.mub_columns.cache_clear()
+    assert clifford.mub_columns() == mub_columns_by_scalars()
 
 
 def test_mub_completeness():

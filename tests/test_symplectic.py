@@ -6,7 +6,7 @@ import pytest
 
 from qphase4 import gf4, symplectic
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
-from reference import group_by_mat_mul
+from reference import group_by_mat_mul, product_table
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
 
@@ -55,6 +55,14 @@ def test_enumeration_is_the_mat_mul_spelling_in_order():
     # Built from the canonical triples through Decomposition.matrix: the same
     # 60 matrices, in the same order, as the products spelled out directly.
     assert symplectic.enumerate_group() == group_by_mat_mul()
+
+
+def test_cayley_table_is_the_product_on_every_pair():
+    # Composed from four left multiplications, it agrees with the 3600
+    # products symplectic.product gives.
+    table = symplectic.cayley()
+    assert table == product_table()
+    assert all(sorted(row) == list(range(60)) for row in table)
 
 
 def test_group_closure_and_inverses():

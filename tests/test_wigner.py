@@ -17,8 +17,9 @@ from qphase4.exact import Matrix, Scalar, dot, numerators, outer
 from qphase4.gf4 import ELEMENTS, OMEGA, OMEGA_BAR
 from qphase4.phasespace import ZERO_INDEX
 from qphase4.single_qubit import single_qubit_demo
-from reference import (add, apply_index_operator, inner, line_sum, mat_vec, operator_sum, sub,
-                       table_of, tables_covariant, total, unpack)
+from reference import (add, apply_index_operator, inner, line_map_by_sets, line_sum, mat_vec,
+                       operator_sum, per_frame_sweep, sub, table_of, tables_covariant, total,
+                       unpack)
 from reference import mul as scalar_mul
 
 G = ((OMEGA_BAR, 0), (0, OMEGA))
@@ -42,9 +43,14 @@ def _generic_state():
 GENERIC = _generic_state()
 
 
+def into(g) -> phasespace.FrameMap:
+    """The constant frame map f -> g: linear part 0, shift g."""
+    return phasespace.FrameMap(((0, 0),) * 5, g)
+
+
 def step_into(g, u: Matrix, move) -> wigner.Step:
     """A Step named "step" that performs u along move from any frame into g."""
-    return wigner.Step("step", "step", u, move, lambda f: g)
+    return wigner.Step("step", "step", u, move, into(g))
 
 
 def _mat_vec(m: Matrix, v) -> tuple:
@@ -286,7 +292,8 @@ def test_covariant_rejects_a_wrong_move_or_frame():
     d = clifford.displacement((1, 0))
     shift = wigner.translation_perm((1, 0))
     step = wigner.displacement_step((1, 0))
-    assert step == ("D[1,0]", "D[1,0]", d, shift, step.frame) and step.frame(G) == G
+    f = phasespace.canonical_shift_vectors()[3]
+    assert step == ("D[1,0]", "D[1,0]", d, shift, phasespace.FRAME_IDENTITY) and step.frame(f) == f
     rho2, g, table = wigner.perform(up_up, ZERO_INDEX, step)
     assert (rho2, g, table) == (d @ up_up @ d.dagger(), ZERO_INDEX,
                                 wigner.wigner_table(rho2, ZERO_INDEX))
@@ -300,22 +307,19 @@ def test_covariant_rejects_a_wrong_move_or_frame():
              (wigner.MAXIMALLY_MIXED, Matrix.identity(4), ZERO_INDEX, swap)]
     for rho, u, g, move in cases:
         with pytest.raises(AssertionError, match=r"^D\[1,0\] .* f=\(0, 0, 0, 0, 0\)$"):
-            wigner.perform(rho, ZERO_INDEX, step._replace(u=u, move=move, frame=lambda f, g=g: g))
+            wigner.perform(rho, ZERO_INDEX, step._replace(u=u, move=move, frame=into(g)))
     assert tables_covariant(wigner.MAXIMALLY_MIXED, ZERO_INDEX, Matrix.identity(4), ZERO_INDEX,
                             swap)
 
 
 def test_every_move_is_one_step_that_perform_performs(capsys, monkeypatch):
-    # A transport step reads compose_frame when a frame is reread, not when
-    # it is built; transport, displace, marginal_check's 16 displacements and
-    # apply's ops each perform one step.
+    # A transport step carries U_L's frame map as data, S_L's rows and f_L,
+    # which compose_frame applies too; transport, displace, marginal_check's
+    # 16 displacements and apply's ops each perform one step.
     step = wigner.transport_step(G)
-    assert step[:4] == ("[[W,0],[0,w]]", "transport by L=[[W,0],[0,w]]", clifford.unitary_for(G),
-                        wigner.linear_perm(G))
+    assert step == ("[[W,0],[0,w]]", "transport by L=[[W,0],[0,w]]", clifford.unitary_for(G),
+                    wigner.linear_perm(G), (phasespace._monomial(G), phasespace.shift_vector(G)))
     assert step.frame(ZERO_INDEX) == phasespace.compose_frame(ZERO_INDEX, G)
-    monkeypatch.setattr(phasespace, "compose_frame", lambda f, L: (f, L))
-    assert step.frame(ZERO_INDEX) == (ZERO_INDEX, G)
-    monkeypatch.undo()
     performed, perform = [], wigner.perform
     monkeypatch.setattr(wigner, "perform",
                         lambda rho, f, step: performed.append(step.name) or perform(rho, f, step))
@@ -781,12 +785,8 @@ def test_packed_comparison_fails_a_wrong_map_or_a_non_unitary_at_its_step(capsys
     # five faults fail the sweep there: its Hilbert map with entries 0 and
     # 1 swapped, or None; its u doubled, or with its first column doubled,
     # neither of them unitary; and a u and a move that both have no map.
-    calls, sweep, maps = [], wigner._packed_sweep, wigner._hilbert_maps
-    monkeypatch.setattr(wigner, "_packed_sweep", lambda moves: calls.append(moves) or sweep(moves))
-    for scope in ("transport", "marginals", "symmetry"):
-        assert cli.main(["verify", scope]) == 0
-    capsys.readouterr()
-    monkeypatch.undo()
+    sweep, maps = wigner._packed_sweep, wigner._hilbert_maps
+    calls = verify_moves(capsys, monkeypatch)
     assert [len(moves) for moves in calls] == [60, 16, 12]
     for moves in calls:
         assert sweep(moves) == len(moves)
@@ -811,6 +811,91 @@ def test_packed_comparison_fails_a_wrong_map_or_a_non_unitary_at_its_step(capsys
         assert maps([off.u]) == [None]
         assert all(wigner.born_map(off.move, f, off.frame(f)) is None for f in frames)
         assert sweep([*moves[:i], (off, frames), *moves[i + 1:]]) == i
+
+
+def verify_moves(capsys, monkeypatch) -> list:
+    """The (step, frames) lists verify transport, marginals and symmetry
+    hand the kernel, in that order."""
+    calls, sweep = [], wigner._packed_sweep
+    monkeypatch.setattr(wigner, "_packed_sweep", lambda moves: calls.append(moves) or sweep(moves))
+    for scope in ("transport", "marginals", "symmetry"):
+        assert cli.main(["verify", scope]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return calls
+
+
+def _off(f, n, c):
+    return tuple(gf4.add(x, c) if i == n else x for i, x in enumerate(f))
+
+
+def test_born_map_runs_once_per_step(capsys, monkeypatch):
+    # One comparison per step, at its first frame: 60, 16 and 12 born_maps
+    # where a comparison in every listed frame took 720, 192 and 12.
+    calls, born_map = [], wigner.born_map
+    monkeypatch.setattr(wigner, "born_map", lambda *args: calls.append(args) or born_map(*args))
+    for scope, count in (("transport", 60), ("marginals", 16), ("symmetry", 12)):
+        calls.clear()
+        assert cli.main(["verify", scope]) == 0
+        assert len(calls) == count
+    capsys.readouterr()
+
+
+def test_one_comparison_per_step_agrees_with_the_per_frame_kernel(capsys, monkeypatch):
+    # The 88 steps of verify transport, marginals and symmetry, each alone:
+    # the kernel holds it, and the per-frame kernel finds the kernel's map
+    # in every listed frame.  With the step's shift off in one component
+    # both fail it; with one row's value times w the kernel fails it too,
+    # by the frame law, even where no listed frame shows the fault.
+    steps = [move for moves in verify_moves(capsys, monkeypatch) for move in moves]
+    assert len(steps) == 88
+    for i, (step, frames) in enumerate(steps):
+        (image,) = wigner._hilbert_maps([step.u])
+        assert wigner._packed_sweep([(step, frames)]) == 1
+        assert per_frame_sweep([(step, frames)]) == (1, [{image}])
+        n, frame = i % 5, step.frame
+        shifted = step._replace(frame=frame._replace(shift=_off(frame.shift, n, 1 + i % 3)))
+        assert wigner._packed_sweep([(shifted, frames)]) == 0
+        assert per_frame_sweep([(shifted, frames)])[0] == 0
+        rows = list(frame.rows)
+        rows[n] = (rows[n][0], gf4.mul(rows[n][1], OMEGA))
+        assert wigner._packed_sweep([(step._replace(frame=frame._replace(rows=tuple(rows))),
+                                      frames)]) == 0
+
+
+def test_every_single_entry_shift_vector_mutant_fails_the_kernel():
+    # 60 L x 5 components x 3 nonzero offsets: each f_L off in one entry
+    # fails its transport step in the 12 canonical frames.
+    frames = phasespace.canonical_shift_vectors()
+    for L in symplectic.enumerate_group():
+        step = wigner.transport_step(L)
+        for n in range(5):
+            for c in (1, OMEGA, OMEGA_BAR):
+                bad = step.frame._replace(shift=_off(step.frame.shift, n, c))
+                assert wigner._packed_sweep([(step._replace(frame=bad), frames)]) == 0
+
+
+def test_every_transport_step_rereads_frames_as_compose_frame_does():
+    # 60 L x 1024 frames; compose_frame itself is checked against S_L's
+    # 25 entries in test_phasespace.
+    frames = list(product(ELEMENTS, repeat=5))
+    for L in symplectic.enumerate_group():
+        step = wigner.transport_step(L)
+        assert step.frame == phasespace.frame_map(L)
+        assert [step.frame(f) for f in frames] == [phasespace.compose_frame(f, L) for f in frames]
+
+
+def test_line_map_matches_the_map_by_sets_on_every_move(capsys, monkeypatch):
+    # Every move verify makes, each also turned one position on (a
+    # bijection that takes lines off the lines), and a move that is no
+    # bijection.
+    moves = {step.move for moves in verify_moves(capsys, monkeypatch) for step, _ in moves}
+    # The 60 L's, each R_L among them, and the 16 beta's, beta = 0 moving as L = I.
+    assert len(moves) == 60 + 16 - 1
+    broken = {move[1:] + move[:1] for move in moves} | {(0,) * 16}
+    for move in moves | broken:
+        assert wigner._line_map(move) == line_map_by_sets(move)
+        assert (wigner._line_map(move) is None) == (move in broken)
 
 
 def test_marginal_check_reports_the_first_failure_in_frame_order(monkeypatch):
